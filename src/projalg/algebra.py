@@ -16,6 +16,17 @@ multiplication as matrices indexed by group elements,
 together with the conjugation matrix C[a, b] = delta_{ab, e}, which is
 symmetric and intertwines them: C R(a) C^-1 = L(a).  Lattice groups use the
 operator forms :func:`apply_R` / :func:`apply_L` instead of matrices.
+
+Every product of coefficient dicts runs through one of two kernels
+(:func:`_multiply`).  On a finite group, with multiplication table T and
+product weights E = exp(i alpha), the dense index-space kernel
+:func:`_finite_product` maps the supports sf, sg to element indices and sums
+
+    h = bincount(T[sf][:, sg], f[sf, None] * g[None, sg] * E[sf][:, sg])
+
+into ``order`` bins, so it costs O(|supp f| |supp g|) array work and no
+per-pair Python call.  On the lattice, whose elements cannot be indexed, a
+sparse dict loop visits the support pairs.
 """
 
 from __future__ import annotations
@@ -113,13 +124,8 @@ class AlgebraElement:
         return NotImplemented
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
-        g, alpha = self.group, self.cocycle
-        out: dict = {}
-        for a, fa in self._coeffs.items():
-            for b, gb in other._coeffs.items():
-                c = g.prod(a, b)
-                out[c] = out.get(c, 0j) + fa * gb * cmath.exp(1j * alpha.phase(a, b))
-        return self._like(out)
+        return self._like(_multiply(self.group, self.cocycle,
+                                    self._coeffs, other._coeffs))
 
     def star(self) -> "AlgebraElement":
         """Involution: x(a) -> x(a^-1) with conjugated coefficients."""
@@ -148,6 +154,41 @@ class AlgebraElement:
         return f"AlgebraElement({{{terms}}})"
 
 
+def _finite_product(group: Group, E: np.ndarray, f: Mapping,
+                    g: Mapping) -> dict:
+    """sum_{a,b} f(a) g(b) E[a, b] x(ab) on a finite group, pruned at PRUNE_TOL.
+
+    Keys of ``f`` and ``g`` must be canonical; ``E`` is indexed like
+    ``group.index_table()``.  Only the support pairs are gathered, so
+    memory is O(|f| |g|), never order**2.
+    """
+    if not f or not g:
+        return {}
+    elems, index = group.indexing()
+    rows = np.ix_([index[a] for a in f], [index[b] for b in g])
+    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
+    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
+    bins = group.index_table()[rows].ravel()
+    w = (fv[:, None] * gv[None, :] * E[rows]).ravel()
+    h = np.empty(group.order, dtype=complex)
+    h.real = np.bincount(bins, w.real, group.order)
+    h.imag = np.bincount(bins, w.imag, group.order)
+    return {elems[i]: complex(h[i])
+            for i in np.flatnonzero(np.abs(h) >= PRUNE_TOL)}
+
+
+def _multiply(group: Group, alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
+    """Coefficients of (sum f(a) x(a)) (sum g(b) x(b)) over canonical keys."""
+    if group.is_finite:
+        return _finite_product(group, alpha.phase_exp(), f, g)
+    out: dict = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            c = group.prod(a, b)
+            out[c] = out.get(c, 0j) + fa * gb * cmath.exp(1j * alpha.phase(a, b))
+    return out
+
+
 def generator(group: Group, alpha: Cocycle, a) -> AlgebraElement:
     """The singleton element x(a)."""
     return AlgebraElement(group, alpha, {group.canonical(a): 1.0})
@@ -165,24 +206,12 @@ def involution(u: AlgebraElement) -> AlgebraElement:
 
 def apply_R(a, u: AlgebraElement) -> AlgebraElement:
     """Right multiplication u -> u x(a); works on all groups including lattices."""
-    g, alpha = u.group, u.cocycle
-    a = g.canonical(a)
-    out: dict = {}
-    for b, fb in u.items():
-        c = g.prod(b, a)
-        out[c] = out.get(c, 0j) + fb * cmath.exp(1j * alpha.phase(b, a))
-    return AlgebraElement(g, alpha, out)
+    return u * generator(u.group, u.cocycle, a)
 
 
 def apply_L(a, u: AlgebraElement) -> AlgebraElement:
     """Left multiplication u -> x(a) u; works on all groups including lattices."""
-    g, alpha = u.group, u.cocycle
-    a = g.canonical(a)
-    out: dict = {}
-    for c, fc in u.items():
-        b = g.prod(a, c)
-        out[b] = out.get(b, 0j) + fc * cmath.exp(1j * alpha.phase(a, c))
-    return AlgebraElement(g, alpha, out)
+    return generator(u.group, u.cocycle, a) * u
 
 
 @dataclass(frozen=True)

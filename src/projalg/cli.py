@@ -26,7 +26,7 @@ from .errors import (BackingMismatchError, ContextMismatchError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
 from .groups import CyclicPowerGroup, Group
 from .harmonic import (FormalRepresentation, character_inverse,
-                       character_matrix, deformed_convolution, fourier,
+                       character_transform, deformed_convolution, fourier,
                        matrix_rep_inverse, plancherel_values,
                        regular_matrix_rep)
 from .integration import (GroupFunction, as_algebra_element, completeness_check,
@@ -233,7 +233,7 @@ def cmd_fourier(args) -> int:
         if not _is_zero_cocycle(cfg.cocycle):
             raise InputError("character transforms apply to the zero cocycle "
                              "(vector case) only")
-        table = (character_matrix(group) @ _dense(f)).reshape((group.n,) * group.d)
+        table = character_transform(f)
         transform = [{"q": list(q), "re": complex(table[q]).real,
                       "im": complex(table[q]).imag}
                      for q in group.elements()]
@@ -265,14 +265,6 @@ def cmd_fourier(args) -> int:
     ok = checks["plancherel"]["pass"] and all(
         c.get("pass", True) for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _dense(f: GroupFunction) -> np.ndarray:
-    g = f.group
-    vec = np.zeros(g.order, dtype=complex)
-    for a, v in f.items():
-        vec[g.element_index(a)] = v
-    return vec
 
 
 # -- convolve ----------------------------------------------------------------

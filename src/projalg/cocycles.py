@@ -42,6 +42,11 @@ from .report import VerificationReport
 NORMALIZED_TOL = 1e-12
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} has non-finite entries")
+
+
 class GaugePhase:
     """Per-element phase phi used to rescale generators x(a) -> e^{-i phi(a)} x(a)."""
 
@@ -62,6 +67,7 @@ class GaugePhase:
         vals = np.asarray(values, dtype=float)
         if vals.shape != (group.order,):
             raise ValueError(f"expected {group.order} phase values, got {vals.shape}")
+        _require_finite(vals, "gauge phase values")
         vals = vals.copy()
         vals.setflags(write=False)
         return cls(group, vals)
@@ -118,6 +124,10 @@ class Cocycle:
         elems = list(g.elements())
         return np.array([[self.phase(a, b) for b in elems] for a in elems])
 
+    def phase_exp(self) -> np.ndarray:
+        """E = exp(i phase_matrix()), the kernel's product weights; finite groups only."""
+        return np.exp(1j * self.phase_matrix())
+
 
 class TabulatedCocycle(Cocycle):
     """Cocycle stored as an (order, order) matrix of radians on a finite group."""
@@ -131,10 +141,12 @@ class TabulatedCocycle(Cocycle):
         if t.shape != (group.order, group.order):
             raise ValueError(
                 f"expected a {group.order}x{group.order} phase table, got {t.shape}")
+        _require_finite(t, "phase table")
         t = reduce_phase(np.array(t, dtype=float))
         t.setflags(write=False)
         self.group = group
         self._table = t
+        self._exp: np.ndarray | None = None
         self.normalized = self._check_normalized()
 
     def _check_normalized(self) -> bool:
@@ -151,6 +163,13 @@ class TabulatedCocycle(Cocycle):
 
     def phase_matrix(self) -> np.ndarray:
         return self._table
+
+    def phase_exp(self) -> np.ndarray:
+        if self._exp is None:
+            e = np.exp(1j * self._table)
+            e.setflags(write=False)
+            self._exp = e
+        return self._exp
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TabulatedCocycle)
@@ -176,6 +195,7 @@ class BilinearCocycle(Cocycle):
         th = np.array(theta, dtype=float)
         if th.shape != (group.d, group.d):
             raise ValueError(f"expected a {group.d}x{group.d} form, got {th.shape}")
+        _require_finite(th, "bilinear form")
         th.setflags(write=False)
         self.group = group
         self._theta = th
@@ -334,8 +354,12 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
     if group.is_finite:
         A = alpha.phase_matrix()
         inv = group.inverse_indices()
-        n = group.order
-        phi_vals = (A[np.arange(n), inv] + A[0, 0]) / 2.0
+        ar = np.arange(group.order)
+        # alpha(a, a^-1) and alpha(a^-1, a) agree only mod 2 pi, and rounding
+        # can put them on opposite sides of the branch cut; halving one value
+        # per inverse pair keeps phi(a) + phi(a^-1) = alpha(a, a^-1) exact.
+        pair = A[np.minimum(ar, inv), np.maximum(ar, inv)]
+        phi_vals = (pair + A[0, 0]) / 2.0
         phi = GaugePhase.from_table(group, phi_vals)
         return gauge_transform(alpha, phi), phi
     if isinstance(alpha, BilinearCocycle):

@@ -78,6 +78,19 @@ class Group:
         raise UnsupportedOperationError(
             f"{type(self).__name__} has no multiplication table")
 
+    def indexing(self) -> tuple[tuple, dict]:
+        """(elements in index order, canonical element -> index); finite groups only.
+
+        Built once per group, so index-space kernels map canonical keys
+        without calling :meth:`canonical`.  Callers must not mutate either.
+        """
+        cached = self.__dict__.get("_indexing")
+        if cached is None:
+            elems = tuple(self.elements())
+            cached = (elems, {a: i for i, a in enumerate(elems)})
+            self._indexing = cached
+        return cached
+
 
 class FiniteTableGroup(Group):
     """Finite group given by an explicit multiplication table over 0..n-1."""

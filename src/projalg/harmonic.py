@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement, regular_reps
+from .algebra import AlgebraElement, _multiply, regular_reps
 from .cocycles import Cocycle, zero_cocycle
 from .errors import (ContextMismatchError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
@@ -154,10 +154,10 @@ def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
 
 
 def _dense_vector(f: GroupFunction) -> np.ndarray:
-    g = f.group
-    vec = np.zeros(g.order, dtype=complex)
+    _, index = f.group.indexing()
+    vec = np.zeros(f.group.order, dtype=complex)
     for a, v in f.items():
-        vec[g.element_index(a)] = v
+        vec[index[a]] = v
     return vec
 
 
@@ -248,16 +248,8 @@ def invert_vector_finite(fhat, group: Group,
 
 
 def convolution(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
-    """h(a) = sum_b f1(b) f2(b^-1 a)."""
-    if f1.group != f2.group:
-        raise ContextMismatchError("functions live on different groups")
-    g = f1.group
-    out: dict = {}
-    for b, v1 in f1.items():
-        for c, v2 in f2.items():
-            k = g.prod(b, c)
-            out[k] = out.get(k, 0j) + v1 * v2
-    return GroupFunction(g, out)
+    """h(a) = sum_b f1(b) f2(b^-1 a): the zero-cocycle deformed convolution."""
+    return deformed_convolution(f1, f2, zero_cocycle(f1.group))
 
 
 def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
@@ -276,12 +268,8 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
         raise NormalizationRequiredError(
             "deformed convolution assumes a normalized cocycle")
     g = f1.group
-    out: dict = {}
-    for b, v1 in f1.items():
-        for c, v2 in f2.items():
-            k = g.prod(b, c)
-            out[k] = out.get(k, 0j) + v1 * v2 * cmath.exp(1j * alpha.phase(b, c))
-    return GroupFunction(g, out)
+    return GroupFunction(g, _multiply(g, alpha, dict(f1.items()),
+                                      dict(f2.items())))
 
 
 def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]:

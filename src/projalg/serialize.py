@@ -16,6 +16,8 @@ of its coefficients.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .algebra import AlgebraElement
@@ -87,8 +89,10 @@ def function_from_spec(items, group: Group) -> GroupFunction:
     for rec in items:
         elem = rec["element"]
         a = group.canonical(tuple(elem) if isinstance(elem, list) else elem)
-        values[a] = values.get(a, 0j) + complex(float(rec.get("re", 0.0)),
-                                                float(rec.get("im", 0.0)))
+        v = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
+        if not cmath.isfinite(v):
+            raise ValueError(f"coefficient of element {elem} is not finite")
+        values[a] = values.get(a, 0j) + v
     return GroupFunction(group, values)
 
 

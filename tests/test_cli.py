@@ -247,6 +247,51 @@ class TestReport:
         assert cli.main(["report", "--in", path]) == 2
 
 
+class TestNonFiniteInput:
+    """Non-finite numbers in input files exit 2 with one error line."""
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "projalg", *argv],
+                              capture_output=True, text=True)
+
+    def assert_input_error(self, proc):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["fourier", "convolve"])
+    def test_nan_coefficient(self, tmp_path, command):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        fn = write(tmp_path / "f.json", [{"element": [1], "re": float("nan"),
+                                          "im": 0.0}])
+        extra = ["--in2", fn] if command == "convolve" else []
+        self.assert_input_error(self.run(command, "--group", group, "--in", fn,
+                                         *extra))
+
+    def test_infinite_coefficient(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        fn = write(tmp_path / "f.json", [{"element": [1], "re": float("inf"),
+                                          "im": 0.0}])
+        self.assert_input_error(self.run("fourier", "--group", group, "--in", fn))
+
+    def test_nan_table_cocycle(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        alpha = [[0.0] * 3 for _ in range(3)]
+        alpha[1][2] = float("nan")
+        cocycle = write(tmp_path / "c.json", {"kind": "table", "alpha": alpha})
+        self.assert_input_error(self.run("verify", "--group", group,
+                                         "--cocycle", cocycle))
+
+    def test_nan_coboundary_phi(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "coboundary", "phi": [0.0, float("nan"), 0.2]})
+        self.assert_input_error(self.run("verify", "--group", group,
+                                         "--cocycle", cocycle))
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))

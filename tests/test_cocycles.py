@@ -169,6 +169,17 @@ class TestNormalize:
             assert phi.value(a) == pytest.approx(-0.5 * float(av @ theta @ av))
             assert abs(out.phase(a, lattice2.inv(a))) < 1e-12
 
+    def test_inverse_pair_across_branch_cut(self):
+        # alpha((1,2), (5,4)) rounds to pi - 4e-16 and alpha((5,4), (1,2)) to
+        # -pi + 4e-16: equal mod 2 pi, but their halves differ by pi.
+        g = pa.make_cyclic_power(6, 2)
+        coords = np.array(list(g.elements()))
+        theta = np.array([[5, 3], [4, 5]])
+        alpha = pa.TabulatedCocycle(g, 2 * np.pi * (coords @ theta @ coords.T) / 6)
+        out, _ = pa.normalize(g, alpha)
+        assert out.normalized
+        assert pa.check_identities(g, out).passed
+
     def test_idempotent(self, z32, rng):
         alpha = pa.coboundary(z32, random_phase_table(z32, rng))
         once, _ = pa.normalize(z32, alpha)
@@ -207,6 +218,22 @@ class TestNormalize:
         assert out.normalized
         for a in [(1, 0), (2, -3), (0, 1), (4, 4)]:
             assert abs(out.phase(a, lattice2.inv(a))) < 1e-12
+
+
+class TestNonFiniteInput:
+    def test_tabulated_rejects_nan(self, z3):
+        table = np.zeros((3, 3))
+        table[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pa.TabulatedCocycle(z3, table)
+
+    def test_bilinear_rejects_inf(self, lattice2):
+        with pytest.raises(ValueError, match="non-finite"):
+            pa.BilinearCocycle(lattice2, [[0.0, np.inf], [0.0, 0.0]])
+
+    def test_gauge_table_rejects_nan(self, z3):
+        with pytest.raises(ValueError, match="non-finite"):
+            pa.GaugePhase.from_table(z3, [0.0, np.nan, 0.1])
 
 
 class TestIdentities:

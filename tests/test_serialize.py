@@ -87,6 +87,12 @@ class TestFunctionSpecs:
         with pytest.raises(ValueError):
             serialize.function_from_spec({"element": [1]}, z2)
 
+    @pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_non_finite(self, z2, re, im):
+        items = [{"element": [1], "re": re, "im": im}]
+        with pytest.raises(ValueError, match="not finite"):
+            serialize.function_from_spec(items, z2)
+
     def test_deterministic_ordering(self, z22):
         f = pa.GroupFunction(z22, {(1, 1): 1.0, (0, 1): 2.0, (1, 0): 3.0})
         spec = serialize.function_to_spec(f)
