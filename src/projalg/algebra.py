@@ -47,6 +47,18 @@ from .groups import Group
 PRUNE_TOL = 1e-15
 
 
+def _coefficients(group: Group, values: Mapping) -> dict:
+    """Sum values over canonical keys, prune below PRUNE_TOL, reject NaN and inf."""
+    acc: dict = {}
+    for k, v in values.items():
+        k = group.canonical(k)
+        acc[k] = acc.get(k, 0j) + complex(v)
+    bad = [k for k, v in acc.items() if not cmath.isfinite(v)]
+    if bad:
+        raise ValueError(f"coefficient at {group.describe(bad[0])} is not finite")
+    return {k: v for k, v in acc.items() if abs(v) >= PRUNE_TOL}
+
+
 class AlgebraElement:
     """Finitely supported combination sum f(a) x(a) in a (group, cocycle) context."""
 
@@ -55,13 +67,9 @@ class AlgebraElement:
     def __init__(self, group: Group, cocycle: Cocycle, coeffs: Mapping):
         if cocycle.group != group:
             raise ContextMismatchError("cocycle was built on a different group")
-        acc: dict = {}
-        for k, v in coeffs.items():
-            k = group.canonical(k)
-            acc[k] = acc.get(k, 0j) + complex(v)
         self.group = group
         self.cocycle = cocycle
-        self._coeffs = {k: v for k, v in acc.items() if abs(v) >= PRUNE_TOL}
+        self._coeffs = _coefficients(group, coeffs)
 
     # -- access -----------------------------------------------------------
 
@@ -225,8 +233,7 @@ class RegularRepPair:
     C: np.ndarray
 
 
-def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
-    """Materialize R(a), L(a), and C for a finite group with normalized alpha."""
+def _require_regular_context(group: Group, alpha: Cocycle) -> None:
     if not group.is_finite:
         raise UnsupportedOperationError(
             "regular matrices exist for finite groups; use apply_R/apply_L on lattices")
@@ -235,10 +242,14 @@ def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "regular matrices assume a normalized cocycle; call normalize() first")
+
+
+def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
+    """Materialize R(a), L(a), and C for a finite group with normalized alpha."""
+    _require_regular_context(group, alpha)
     n = group.order
     T = group.index_table()
     A = alpha.phase_matrix()
-    inv = group.inverse_indices()
     ar = np.arange(n)
     R: dict = {}
     L: dict = {}
@@ -252,10 +263,22 @@ def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
         Lm[T[ia, :], ar] = np.exp(1j * A[ia, :])
         Lm.setflags(write=False)
         L[a] = Lm
-    C = np.zeros((n, n))
-    C[ar, inv] = 1.0
+    C = np.eye(n)[group.inverse_indices()]
     C.setflags(write=False)
     return RegularRepPair(group, alpha, R, L, C)
+
+
+def self_conjugacy_residual(group: Group, alpha: Cocycle) -> float:
+    """max over a of |C R(a) C - L(a)|, without building any matrix.
+
+    Row x of both sides has one entry, in column a^-1 x: E[x^-1, a] in
+    C R(a) C and E[a, a^-1 x] in L(a), with E = exp(i alpha).
+    """
+    _require_regular_context(group, alpha)
+    E = alpha.phase_exp()
+    T = group.index_table()
+    inv = group.inverse_indices()
+    return float(np.max(np.abs(E[inv, :].T - np.take_along_axis(E, T[inv], 1))))
 
 
 def conjugation_matrix(group: Group, alpha: Cocycle, *, tol: float = 1e-12) -> np.ndarray:
@@ -265,14 +288,12 @@ def conjugation_matrix(group: Group, alpha: Cocycle, *, tol: float = 1e-12) -> n
     inverse.  A failure of C R(a) C^-1 = L(a) can only come from an invalid
     or unnormalized cocycle upstream, so it raises rather than reports.
     """
-    pair = regular_reps(group, alpha)
-    C = pair.C
+    worst = self_conjugacy_residual(group, alpha)
+    C = np.eye(group.order)[group.inverse_indices()]
+    C.setflags(write=False)
     if not np.array_equal(C, C.T):
         raise RepresentationInconsistencyError("conjugation matrix is not symmetric")
-    worst = 0.0
-    for a in group.elements():
-        worst = max(worst, float(np.max(np.abs(C @ pair.R[a] @ C - pair.L[a]))))
-    if worst >= tol:
+    if not worst < tol:
         raise RepresentationInconsistencyError(
             f"C R(a) C^-1 = L(a) fails with residual {worst:.3e} (tol {tol:.1e})")
     return C

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampling
-from .algebra import regular_reps
+from .algebra import self_conjugacy_residual
 from .clockshift import consistency_check, matrix_representation
 from .cocycles import Cocycle, check_identities, normalize, validate_cocycle
 from .errors import (BackingMismatchError, ContextMismatchError,
@@ -150,12 +150,8 @@ def cmd_verify(args) -> int:
                                    seed=cfg.seed), prefix="identities")
 
     if group.is_finite:
-        pair = regular_reps(group, alpha_n)
-        worst = 0.0
-        for a in group.elements():
-            worst = max(worst, float(np.max(np.abs(
-                pair.C @ pair.R[a] @ pair.C - pair.L[a]))))
-        report.add("self_conjugacy", worst, _tol(cfg, 1e-12))
+        report.add("self_conjugacy", self_conjugacy_residual(group, alpha_n),
+                   _tol(cfg, 1e-12))
         report.extend(completeness_check(group, alpha_n, tol=_tol(cfg, 1e-12)))
 
     rng = sampling.rng_from_seed(cfg.seed)

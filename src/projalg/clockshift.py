@@ -9,8 +9,10 @@ unitary
 
 whose traces vanish away from the identity: Tr x(m) = n delta_{m,0}.  The
 cocycle of this realization is *measured* from the matrix products rather
-than postulated: every downstream identity is checked against the matrices
-themselves, and for n = 2 the measured value at ((1,0),(0,1)) is -pi/2.
+than postulated, in the same batched pass over all pairs
+(:func:`projalg.harmonic.projective_product_rule`) that checks the product
+rule; every downstream identity is checked against the matrices themselves,
+and for n = 2 the measured value at ((1,0),(0,1)) is -pi/2.
 The gauge-invariant content is the commutator pairing
 beta(e1, e2) = 2 pi / n.
 
@@ -28,10 +30,11 @@ import numpy as np
 
 from . import sampling
 from .algebra import AlgebraElement
-from .cocycles import GaugePhase, TabulatedCocycle, normalize
+from .cocycles import TabulatedCocycle, normalize
 from .errors import RepresentationInconsistencyError
 from .groups import Group, make_cyclic_power
-from .harmonic import MatrixRepresentation, deformed_convolution, fourier
+from .harmonic import (MatrixRepresentation, deformed_convolution, fourier,
+                       projective_product_rule)
 from .integration import GroupFunction, ati_integral, invert
 from .report import VerificationReport
 
@@ -53,80 +56,53 @@ def clock_shift_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _element_matrices(n: int) -> dict:
+def _element_stack(n: int) -> np.ndarray:
+    """Read-only (n^2, n, n) stack of x(m), in (Z_n)^2 index order."""
     U1, U2 = clock_shift_matrices(n)
     pow1 = [np.eye(n, dtype=complex)]
     pow2 = [np.eye(n, dtype=complex)]
     for _ in range(n - 1):
         pow1.append(pow1[-1] @ U1)
         pow2.append(pow2[-1] @ U2)
-    out = {}
-    for m1 in range(n):
-        for m2 in range(n):
-            mat = np.exp(1j * np.pi * m1 * m2 / n) * (pow1[m1] @ pow2[m2])
-            mat.setflags(write=False)
-            out[(m1, m2)] = mat
-    return out
+    stack = np.array([np.exp(1j * np.pi * m1 * m2 / n) * (pow1[m1] @ pow2[m2])
+                      for m1 in range(n) for m2 in range(n)])
+    stack.setflags(write=False)
+    return stack
 
 
 def element_matrices(n: int) -> dict:
     """All phase-dressed unitaries x(m), keyed by canonical m in [0, n)^2."""
-    return dict(_element_matrices(operator.index(n)))
+    return dict(zip(make_cyclic_power(n, 2).indexing()[0], _element_stack(n)))
 
 
 def realize(n: int, m) -> np.ndarray:
     """The matrix x(m) = exp(i pi m1 m2 / n) U1^m1 U2^m2."""
     group = make_cyclic_power(n, 2)
-    return _element_matrices(n)[group.canonical(m)]
+    return _element_stack(n)[group.element_index(m)]
 
 
 def measure_cocycle_from_matrices(group: Group, matrices, *,
                                   tol: float = 1e-10) -> TabulatedCocycle:
     """Extract the cocycle realized by a family of matrices.
 
-    For each pair, x(a) x(b) must be a scalar multiple of x(ab) with all
-    matching entries agreeing; otherwise the family is not a projective
-    representation and this raises.
+    One pass of :func:`projective_product_rule` measures each alpha(a, b)
+    and checks x(a) x(b) = exp(i alpha(a, b)) x(ab) entrywise; a family
+    that is not a projective representation raises with its worst pair.
     """
-    elems = list(group.elements())
-    n = group.order
-    table = np.zeros((n, n))
-    for a in elems:
-        ia = group.element_index(a)
-        Ma = matrices[a]
-        for b in elems:
-            ib = group.element_index(b)
-            P = Ma @ matrices[b]
-            Q = matrices[group.prod(a, b)]
-            mask = np.abs(Q) > 0.5
-            if float(np.max(np.abs(P[~mask]), initial=0.0)) > tol:
-                raise RepresentationInconsistencyError(
-                    f"support mismatch between x({group.describe(a)}) "
-                    f"x({group.describe(b)}) and the product element")
-            ratios = P[mask] / Q[mask]
-            mean = ratios.mean()
-            if float(np.max(np.abs(ratios - mean))) > tol or abs(abs(mean) - 1) > tol:
-                raise RepresentationInconsistencyError(
-                    f"entries of x({group.describe(a)}) x({group.describe(b)}) "
-                    f"disagree on a common phase")
-            table[ia, ib] = np.angle(mean)
+    stack = np.array([matrices[a] for a in group.indexing()[0]], dtype=complex)
+    table, worst, (a, b) = projective_product_rule(group, stack)
+    if not worst < tol:
+        raise RepresentationInconsistencyError(
+            f"x({group.describe(a)}) x({group.describe(b)}) is not a unit "
+            f"phase times the product element (residual {worst:.3e}, "
+            f"tol {tol:.1e})")
     return TabulatedCocycle(group, table)
 
 
 def measured_cocycle(n: int) -> TabulatedCocycle:
     """The cocycle of the phase-dressed realization, tabulated on (Z_n)^2."""
     group = make_cyclic_power(n, 2)
-    return measure_cocycle_from_matrices(group, _element_matrices(n))
-
-
-def gauge_matrices(matrices, group: Group, phi: GaugePhase) -> dict:
-    """Dress each matrix with exp(-i phi(m)); tracks gauge-transformed cocycles."""
-    out = {}
-    for a, mat in matrices.items():
-        m = np.exp(-1j * phi.value(a)) * mat
-        m.setflags(write=False)
-        out[group.canonical(a)] = m
-    return out
+    return measure_cocycle_from_matrices(group, element_matrices(n))
 
 
 def matrix_representation(n: int, *, normalized: bool = True) -> MatrixRepresentation:
@@ -140,11 +116,11 @@ def matrix_representation(n: int, *, normalized: bool = True) -> MatrixRepresent
     """
     group = make_cyclic_power(n, 2)
     alpha = measured_cocycle(n)
-    mats = element_matrices(n)
+    stack = _element_stack(n)
     if normalized and not alpha.normalized:
         alpha, phi = normalize(group, alpha)
-        mats = gauge_matrices(mats, group, phi)
-    return MatrixRepresentation(group, alpha, mats)
+        stack = np.exp(-1j * phi.table())[:, None, None] * stack
+    return MatrixRepresentation(group, alpha, dict(zip(group.indexing()[0], stack)))
 
 
 def trace_integral(n: int, a_matrix) -> complex:
@@ -184,14 +160,9 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
                float(np.max(np.abs(comm - np.exp(2j * np.pi / n) * eye))),
                tol_conv)
 
-    alpha_raw = measured_cocycle(n)
-    mats = _element_matrices(n)
-    worst = 0.0
-    for a in group.elements():
-        for b in group.elements():
-            target = np.exp(1j * alpha_raw.phase(a, b)) * mats[group.prod(a, b)]
-            worst = max(worst, float(np.max(np.abs(mats[a] @ mats[b] - target))))
-    report.add("projective_product_rule", worst, tol_realize)
+    _, worst, (a, b) = projective_product_rule(group, _element_stack(n))
+    report.add("projective_product_rule", worst, tol_realize,
+               detail=f"worst pair ({group.describe(a)}, {group.describe(b)})")
 
     rep = matrix_representation(n)
     alpha = rep.cocycle

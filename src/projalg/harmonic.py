@@ -47,12 +47,43 @@ class FormalRepresentation:
         return as_algebra_element(f, self.cocycle)
 
 
+def projective_product_rule(group: Group, stack: np.ndarray,
+                            cocycle: Cocycle | None = None) -> tuple:
+    """Compare P = M(a) M(b) with exp(i alpha(a, b)) Q, Q = M(ab), over all pairs.
+
+    ``stack[i]`` is M of element i in ``group.indexing()`` order; each a
+    takes one batched matmul over all b, so memory is O(order dim^2).
+    Without a ``cocycle``, alpha(a, b) is measured as the angle of the mean
+    ratio P / Q over the unit-modulus entries of Q.  Returns (phase table,
+    worst residual max|P - exp(i alpha) Q|, worst pair); a non-finite
+    entry gives a NaN residual, so callers accept only ``worst < tol``.
+    """
+    elems, _ = group.indexing()
+    T = group.index_table()
+    table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
+    res = np.empty(T.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for ia in range(group.order):
+            P = stack[ia] @ stack
+            Q = stack[T[ia]]
+            if cocycle is None:
+                mask = np.abs(Q) > 0.5
+                ratios = np.divide(P, Q, out=np.zeros_like(P), where=mask)
+                table[ia] = np.angle(ratios.sum(axis=(1, 2)) / mask.sum(axis=(1, 2)))
+            weights = np.exp(1j * table[ia])[:, None, None]
+            res[ia] = np.abs(P - weights * Q).max(axis=(1, 2))
+    # argmax returns the first NaN, so a non-finite pair is reported.
+    ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
+    return table, float(res[ia, ib]), (elems[ia], elems[ib])
+
+
 class MatrixRepresentation:
     """Concrete matrices M(a) with M(a) M(b) = exp(i alpha(a, b)) M(ab).
 
-    The product rule is verified entrywise over all pairs at construction
-    (finite groups); inconsistent data raises rather than silently carrying
-    a wrong cocycle.
+    The family is held as one read-only (order, dim, dim) stack in
+    ``group.indexing()`` order, and :func:`projective_product_rule` checks
+    it at construction; inconsistent or non-finite data raises rather than
+    silently carrying a wrong cocycle.
     """
 
     kind = "matrix"
@@ -64,56 +95,36 @@ class MatrixRepresentation:
         if not group.is_finite:
             raise UnsupportedOperationError(
                 "matrix representations are kept to finite groups")
-        mats = {}
-        dim = None
+        family = []
         for a in group.elements():
             if a not in matrices:
                 raise ValueError(f"missing matrix for element {group.describe(a)}")
             m = np.asarray(matrices[a], dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("representation matrices must be square")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
+            if family and m.shape != family[0].shape:
                 raise ValueError("representation matrices must share one dimension")
-            m = m.copy()
-            m.setflags(write=False)
-            mats[a] = m
+            family.append(m)
+        stack = np.stack(family)
+        stack.setflags(write=False)
         self.group = group
         self.cocycle = cocycle
-        self.dim = int(dim)
-        self._matrices = mats
+        self.dim = int(stack.shape[1])
+        self._stack = stack
         if check:
-            worst, pair = self._product_residual()
-            if worst >= tol:
+            _, worst, pair = projective_product_rule(group, stack, cocycle)
+            if not worst < tol:
                 raise RepresentationInconsistencyError(
                     f"matrices break the projective product rule at pair {pair} "
                     f"with residual {worst:.3e} (tol {tol:.1e})")
 
-    def _product_residual(self) -> tuple[float, tuple]:
-        g, alpha = self.group, self.cocycle
-        worst = 0.0
-        worst_pair = (g.identity(), g.identity())
-        for a in g.elements():
-            Ma = self._matrices[a]
-            for b in g.elements():
-                target = cmath.exp(1j * alpha.phase(a, b)) * self._matrices[g.prod(a, b)]
-                r = float(np.max(np.abs(Ma @ self._matrices[b] - target)))
-                if r > worst:
-                    worst = r
-                    worst_pair = (a, b)
-        return worst, worst_pair
-
     def matrix(self, a) -> np.ndarray:
-        return self._matrices[self.group.canonical(a)]
+        return self._stack[self.group.element_index(a)]
 
     def transform(self, f: GroupFunction) -> np.ndarray:
         if f.group != self.group:
             raise ContextMismatchError("function lives on a different group")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, v in f.items():
-            out += v * self._matrices[a]
-        return out
+        return np.tensordot(_dense_vector(f), self._stack, axes=1)
 
 
 class CharacterRepresentation:
@@ -210,9 +221,10 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
     fhat = np.asarray(fhat, dtype=complex)
     if fhat.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
-    vals = {a: complex(np.trace(rep.matrix(a).conj().T @ fhat)) / rep.dim
-            for a in rep.group.elements()}
-    return GroupFunction(rep.group, vals)
+    # Tr[M(a)^dagger fhat] is the elementwise inner product of M(a) and fhat.
+    flat = rep._stack.reshape(rep.group.order, -1)
+    vals = (flat @ fhat.conj().ravel()).conj() / rep.dim
+    return GroupFunction(rep.group, dict(zip(rep.group.indexing()[0], vals)))
 
 
 def invert_vector_finite(fhat, group: Group,
@@ -238,10 +250,10 @@ def invert_vector_finite(fhat, group: Group,
     if isinstance(group, CyclicPowerGroup) and fhat.shape == (group.n,) * group.d:
         return character_inverse(fhat, group)
     if fhat.shape == (group.order, group.order):
-        pair = regular_reps(group, zero_cocycle(group))
-        vals = {a: complex(np.trace(fhat @ pair.R[group.inv(a)])) / group.order
-                for a in group.elements()}
-        return GroupFunction(group, vals)
+        # Tr[fhat R(a^-1)] = Tr[R(a)^dagger fhat]: R(a) is a real permutation.
+        R = regular_reps(group, zero_cocycle(group)).R
+        return GroupFunction(group, {a: np.vdot(m, fhat) / group.order
+                                     for a, m in R.items()})
     raise ValueError(
         f"transform shape {fhat.shape} matches neither a character table nor "
         f"a regular-representation matrix for {group!r}")

@@ -12,11 +12,12 @@ through the algebra (:func:`scalar_product`).
 
 from __future__ import annotations
 
+import cmath
 from typing import Mapping
 
 import numpy as np
 
-from .algebra import PRUNE_TOL, AlgebraElement, generator
+from .algebra import AlgebraElement, _coefficients
 from .cocycles import Cocycle, zero_cocycle
 from .errors import (ContextMismatchError, CrossCheckError,
                      NormalizationRequiredError, UnsupportedOperationError)
@@ -30,12 +31,8 @@ class GroupFunction:
     __slots__ = ("group", "_values")
 
     def __init__(self, group: Group, values: Mapping):
-        acc: dict = {}
-        for k, v in values.items():
-            k = group.canonical(k)
-            acc[k] = acc.get(k, 0j) + complex(v)
         self.group = group
-        self._values = {k: v for k, v in acc.items() if abs(v) >= PRUNE_TOL}
+        self._values = _coefficients(group, values)
 
     @classmethod
     def delta(cls, group: Group, a) -> "GroupFunction":
@@ -112,12 +109,17 @@ def completeness_check(group: Group, alpha: Cocycle, *,
 
 
 def invert(u: AlgebraElement) -> GroupFunction:
-    """Recover f(a) = integral(u x(a^-1)); exact for normalized cocycles."""
+    """Recover f(a) = integral(u x(a^-1)); exact for normalized cocycles.
+
+    Only the term u(a) x(a) x(a^-1) = u(a) exp(i alpha(a, a^-1)) x(e) of
+    that product reaches the identity, so f(a) is computed from it
+    directly, one phase per support element.
+    """
     if not u.cocycle.normalized:
         raise NormalizationRequiredError(
             "inversion needs alpha(a, a^-1) = 0; normalize the cocycle first")
     g, alpha = u.group, u.cocycle
-    vals = {a: ati_integral(u * generator(g, alpha, g.inv(a))) for a in u.support}
+    vals = {a: v * cmath.exp(1j * alpha.phase(a, g.inv(a))) for a, v in u.items()}
     return GroupFunction(g, vals)
 
 

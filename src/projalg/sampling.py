@@ -28,10 +28,6 @@ def random_element(group, rng, *, box: int = 4):
     return tuple(int(x) for x in rng.integers(-box, box + 1, size=group.d))
 
 
-def random_elements(group, rng, count: int, *, box: int = 4):
-    return [random_element(group, rng, box=box) for _ in range(count)]
-
-
 def random_coefficients(group, rng, *, box: int = 4, support: int = 5) -> dict:
     """Coefficient dict for a random element / function.
 

@@ -91,6 +91,12 @@ class TestProduct:
         assert len(u) == 0
         assert pa.ati_integral(u) == 0j
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       complex(0.0, float("-inf"))])
+    def test_non_finite_coefficient_rejected(self, z2, value):
+        with pytest.raises(ValueError, match="not finite"):
+            pa.AlgebraElement(z2, pa.zero_cocycle(z2), {(0,): 1.0, (1,): value})
+
 
 class TestInvolution:
     def test_generator_star(self, z3):

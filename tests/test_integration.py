@@ -153,3 +153,11 @@ def test_group_function_canonicalizes_and_prunes():
     f = pa.GroupFunction(g, {(5,): 1.0, (1,): 2.0, (3,): 1e-20})
     assert f.get((1,)) == 3.0  # (5,) wraps onto (1,)
     assert len(f) == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   complex(float("nan"), 0.0)])
+def test_group_function_rejects_non_finite(value):
+    g = pa.make_lattice(1)
+    with pytest.raises(ValueError, match="not finite"):
+        pa.GroupFunction(g, {(0,): 1.0, (2,): value})

@@ -78,6 +78,14 @@ def ref_deformed_convolution(f1, f2, alpha):
     return pa.GroupFunction(g, out)
 
 
+def ref_invert(u):
+    """f(a) = integral(u x(a^-1)), one product per support element."""
+    g, alpha = u.group, u.cocycle
+    return pa.GroupFunction(g, {
+        a: pa.ati_integral(ref_product(u, pa.generator(g, alpha, g.inv(a))))
+        for a in u.support})
+
+
 def ref_completeness_matrix(group, alpha):
     """M[b, c] = integral(x(b) x(c^-1)), one reference product per entry."""
     elems = list(group.elements())
@@ -177,6 +185,32 @@ def test_deformed_convolution_matches_reference(args):
 def test_convolution_matches_reference(args):
     f1, f2, _ = args
     assert pa.convolution(f1, f2).max_diff(ref_convolution(f1, f2)) < TOL
+
+
+@SETTINGS
+@given(contexts(normalized=True), st.data())
+def test_invert_matches_product_route(ctx, data):
+    group, alpha, rng = ctx
+    u = pa.AlgebraElement(group, alpha, _coeffs(data.draw, group, rng))
+    assert pa.invert(u).max_diff(ref_invert(u)) < TOL
+
+
+def _lattice_element(alpha, seed):
+    rng = np.random.default_rng(seed)
+    pts = [tuple(int(x) for x in rng.integers(-5, 6, size=2)) for _ in range(10)]
+    return pa.AlgebraElement(alpha.group, alpha,
+                             {p: complex(*rng.standard_normal(2)) for p in pts})
+
+
+def test_invert_matches_product_route_on_lattice():
+    g = pa.make_lattice(2)
+    bilinear, _ = pa.normalize(g, pa.BilinearCocycle(g, [[0.3, 0.7], [-0.2, 0.1]]))
+    phi = pa.GaugePhase.from_callable(g, lambda a: 0.4 * a[0] ** 2 - 0.3 * a[0] * a[1])
+    gauged, _ = pa.normalize(g, pa.coboundary(g, phi))
+    assert isinstance(gauged, pa.GaugedCocycle)
+    for seed, alpha in enumerate([bilinear, gauged]):
+        u = _lattice_element(alpha, seed)
+        assert pa.invert(u).max_diff(ref_invert(u)) < TOL
 
 
 @settings(max_examples=15, deadline=None)
