@@ -99,8 +99,13 @@ def measure_cocycle_from_matrices(group: Group, matrices, *,
     return TabulatedCocycle(group, table)
 
 
+@functools.lru_cache(maxsize=None)
 def measured_cocycle(n: int) -> TabulatedCocycle:
-    """The cocycle of the phase-dressed realization, tabulated on (Z_n)^2."""
+    """The cocycle of the phase-dressed realization, tabulated on (Z_n)^2.
+
+    Cached like :func:`_element_stack`: the table is read-only, so callers
+    share one measurement per n.
+    """
     group = make_cyclic_power(n, 2)
     return measure_cocycle_from_matrices(group, element_matrices(n))
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import projalg as pa
+from projalg import cli, clockshift, harmonic
 from projalg.phases import reduce_phase
 
 
@@ -157,3 +160,33 @@ class TestConsistency:
     def test_unnormalized_representation_keeps_measured_cocycle(self):
         rep = pa.matrix_representation(3, normalized=False)
         assert rep.cocycle == pa.measured_cocycle(3)
+
+
+def test_matrix_fourier_measures_the_cocycle_once(tmp_path, monkeypatch):
+    """`fourier --rep matrix --cocycle clockshift` shares one measured table.
+
+    The cocycle file and the torus realization both ask for the measured
+    cocycle; with the cache one product-rule pass measures it and a second
+    checks the dressed representation.
+    """
+    passes = []
+    real = harmonic.projective_product_rule
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "projective_product_rule", counting)
+    monkeypatch.setattr(clockshift, "projective_product_rule", counting)
+    clockshift.measured_cocycle.cache_clear()
+    files = {"g.json": {"kind": "cyclic_power", "n": 3, "d": 2},
+             "c.json": {"kind": "clockshift"},
+             "f.json": [{"element": [1, 2], "re": 1.0, "im": 0.5}]}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    code = cli.main(["fourier", "--group", str(tmp_path / "g.json"),
+                     "--cocycle", str(tmp_path / "c.json"),
+                     "--in", str(tmp_path / "f.json"), "--rep", "matrix",
+                     "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert len(passes) == 2

@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import projalg as pa
+from projalg import cocycles
+from projalg.groups import CyclicPowerGroup
 from projalg.phases import reduce_phase
 
 
@@ -68,6 +73,178 @@ class TestValidate:
     def test_tabulated_rejected_on_lattice(self, lattice2):
         with pytest.raises(pa.BackingMismatchError):
             pa.TabulatedCocycle(lattice2, np.zeros((2, 2)))
+
+
+# Rounding allowance between the chunked residual and the reduced one-shot value.
+ROUNDING = 2e-15
+
+
+def one_shot_residuals(group, alpha):
+    """The reference: the exhaustive check over every order**3 triple at once."""
+    A = alpha.phase_matrix()
+    T = group.index_table()
+    return np.abs(reduce_phase(A[:, :, None] + A[T] - A[None] - A[:, T]))
+
+
+def reported_triple(group, report):
+    """Parse the report's worst triple back into elements.
+
+    Element descriptions may contain ", " themselves, so whole names are
+    matched from the left.
+    """
+    names = {group.describe(x): x for x in group.elements()}
+    rest = report.checks[0].detail[len("worst triple ("):-1]
+    triple = []
+    while rest:
+        name = next(m for m in names if rest == m or rest.startswith(m + ", "))
+        triple.append(names[name])
+        rest = rest[len(name) + 2:]
+    return tuple(triple)
+
+
+def chunk_sizes(order):
+    """One row per chunk, a row count that does not divide the order, the default."""
+    rows = [1] + [r for r in range(order - 1, 1, -1) if order % r][:1]
+    return [r * order ** 2 for r in rows] + [cocycles._CHUNK]
+
+
+def tampered(group, alpha, rng, delta):
+    table = np.array(alpha.phase_matrix())
+    i, j = rng.integers(0, group.order, size=2)
+    table[i, j] += delta
+    return pa.TabulatedCocycle(group, table)
+
+
+S3 = pa.symmetric_group(3)
+S4 = pa.symmetric_group(4)
+
+
+@st.composite
+def validation_cases(draw):
+    """(group, cocycle) over (Z_n)^D (n <= 6, D <= 3) and S_3, S_4.
+
+    The one-shot oracle holds several order**3 arrays at once, so the
+    drawn cyclic groups stop at order 125; (Z_6)^3 has its own case below.
+    """
+    group = draw(st.one_of(
+        st.builds(pa.make_cyclic_power, st.integers(1, 6), st.integers(1, 3))
+        .filter(lambda g: g.order <= 125),
+        st.sampled_from([S3, S4])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ["zero", "coboundary"]
+    if isinstance(group, CyclicPowerGroup):
+        kinds.append("bicharacter")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        alpha = pa.zero_cocycle(group)
+    elif kind == "bicharacter":
+        theta = rng.integers(0, group.n, size=(group.d, group.d))
+        coords = np.array(list(group.elements()))
+        alpha = pa.TabulatedCocycle(
+            group, 2 * np.pi * (coords @ theta @ coords.T) / group.n)
+    else:
+        phi = rng.uniform(-np.pi, np.pi, group.order)
+        phi[0] = 0.0
+        alpha = pa.coboundary(group, pa.GaugePhase.from_table(group, phi))
+    if draw(st.booleans()):
+        delta = draw(st.one_of(st.floats(1e-9, np.pi), st.floats(-np.pi, -1e-9)))
+        alpha = tampered(group, alpha, rng, delta)
+    return group, alpha
+
+
+def check_against_one_shot(group, alpha):
+    oracle = one_shot_residuals(group, alpha)
+    top = oracle.max()
+    flat = np.sort(oracle, axis=None)
+    unique_by_margin = flat.size == 1 or flat[-1] - flat[-2] > 2 * ROUNDING
+    for chunk in chunk_sizes(group.order):
+        with mock.patch.object(cocycles, "_CHUNK", chunk):
+            report = pa.validate_cocycle(group, alpha)
+        best = report.checks[0].max_residual
+        assert abs(best - top) <= ROUNDING
+        assert report.passed == (top < 1e-10)
+        a, b, c = reported_triple(group, report)
+        assert abs(pa.cocycle_condition_residual(alpha, a, b, c) - best) <= ROUNDING
+        idx = tuple(group.element_index(x) for x in (a, b, c))
+        assert abs(oracle[idx] - top) <= 2 * ROUNDING
+        if unique_by_margin:
+            assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+
+
+class TestChunkedValidation:
+    """The chunked exhaustive check against the one-shot expression it replaced."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(validation_cases())
+    def test_matches_one_shot(self, case):
+        check_against_one_shot(*case)
+
+    def test_order_216_tampered_bicharacter(self):
+        g = pa.make_cyclic_power(6, 3)
+        coords = np.array(list(g.elements()))
+        theta = np.array([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+        alpha = pa.TabulatedCocycle(g, 2 * np.pi * (coords @ theta @ coords.T) / 6)
+        check_against_one_shot(g, tampered(g, alpha, np.random.default_rng(4), 0.3))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_ties_report_first_triple_in_c_order(self, z32, rows):
+        # Zero table with one dyadic entry: every tied residual is exactly 0.5.
+        table = np.zeros((9, 9))
+        table[4, 7] = 0.5
+        alpha = pa.TabulatedCocycle(z32, table)
+        oracle = one_shot_residuals(z32, alpha)
+        with mock.patch.object(cocycles, "_CHUNK", rows * 81):
+            report = pa.validate_cocycle(z32, alpha)
+        assert report.checks[0].max_residual == 0.5
+        idx = tuple(z32.element_index(x) for x in reported_triple(z32, report))
+        assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_nan_phase_fails_without_raising(self, z32, rows):
+        class NaNCocycle(pa.Cocycle):
+            def __init__(self, group):
+                self.group = group
+                self.normalized = False
+
+            def phase_matrix(self):
+                table = np.zeros((9, 9))
+                table[5, 2] = np.nan
+                return table
+
+        alpha = NaNCocycle(z32)
+        oracle = one_shot_residuals(z32, alpha)
+        with mock.patch.object(cocycles, "_CHUNK", rows * 81):
+            report = pa.validate_cocycle(z32, alpha)
+        assert np.isnan(report.checks[0].max_residual)
+        assert not report.passed
+        idx = tuple(z32.element_index(x) for x in reported_triple(z32, report))
+        assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+
+    def test_one_element_group(self):
+        g = pa.make_cyclic_power(1, 1)
+        report = pa.validate_cocycle(g, pa.zero_cocycle(g))
+        assert report.passed
+        assert report.checks[0].max_residual == 0.0
+
+    def test_peak_memory_is_chunk_sized(self):
+        g = pa.make_cyclic_power(6, 3)
+        alpha = pa.zero_cocycle(g)
+        order = g.order
+        # Two float64 work buffers of 2**18 triples (2 MB each) and a few
+        # order**2 index and phase tables; one order**3 float64 temporary of
+        # the one-shot check alone is 8 * 216**3 bytes, about 80 MB.
+        expected = 2 * 8 * max(cocycles._CHUNK, order ** 2) + 4 * 8 * order ** 2
+        bound = 16 * 2**20
+        assert expected < bound < 8 * order ** 3
+        tracemalloc.start()
+        try:
+            report = pa.validate_cocycle(g, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < bound
 
 
 class TestCoboundary:
