@@ -25,8 +25,12 @@ product weights E = exp(i alpha), the dense index-space kernel
     h = bincount(T[sf][:, sg], f[sf, None] * g[None, sg] * E[sf][:, sg])
 
 into ``order`` bins, so it costs O(|supp f| |supp g|) array work and no
-per-pair Python call.  On the lattice, whose elements cannot be indexed, a
-sparse dict loop visits the support pairs.
+per-pair Python call.  The lattice kernel :func:`_lattice_product` has the
+same shape: elements of Z^D cannot be indexed up front, so the pair sums
+Sa[:, None] + Sb[None] of the int64 support arrays are numbered by a
+lexicographic sort and the weights f(a) g(b) exp(i alpha.phases(Sa, Sb)) are
+summed into those bins.  Bilinear cocycles give every phase in one array
+expression; other lattice cocycles fall back to one ``phase`` call per pair.
 """
 
 from __future__ import annotations
@@ -176,25 +180,64 @@ def _finite_product(group: Group, E: np.ndarray, f: Mapping,
     rows = np.ix_([index[a] for a in f], [index[b] for b in g])
     fv = np.fromiter(f.values(), dtype=complex, count=len(f))
     gv = np.fromiter(g.values(), dtype=complex, count=len(g))
-    bins = group.index_table()[rows].ravel()
-    w = (fv[:, None] * gv[None, :] * E[rows]).ravel()
-    h = np.empty(group.order, dtype=complex)
-    h.real = np.bincount(bins, w.real, group.order)
-    h.imag = np.bincount(bins, w.imag, group.order)
+    h = _binned_sum(group.index_table()[rows].ravel(),
+                    fv[:, None] * gv[None, :] * E[rows], group.order)
     return {elems[i]: complex(h[i])
             for i in np.flatnonzero(np.abs(h) >= PRUNE_TOL)}
+
+
+def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
+    """sum_{a,b} f(a) g(b) exp(i alpha(a, b)) x(a + b) on Z^D, pruned at PRUNE_TOL.
+
+    Keys of ``f`` and ``g`` must be canonical, so every coordinate is within
+    LATTICE_COORD_LIMIT and the int64 pair sums cannot wrap.  The result
+    keys are the distinct pair sums, which the caller's constructor checks
+    against the same limit.
+    """
+    if not f or not g:
+        return {}
+    d = alpha.group.d
+    Sa = np.array(list(f), dtype=np.int64).reshape(len(f), d)
+    Sb = np.array(list(g), dtype=np.int64).reshape(len(g), d)
+    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
+    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
+    keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, d))
+    w = fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))
+    h = _binned_sum(bins, w, len(keys))
+    keep = np.flatnonzero(np.abs(h) >= PRUNE_TOL)
+    return dict(zip(map(tuple, keys[keep].tolist()), h[keep].tolist()))
+
+
+def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of a non-empty 2-D S in lexicographic order, bins).
+
+    ``bins[i]`` is the position of ``S[i]`` among the distinct rows.  This is
+    ``np.unique(S, axis=0, return_inverse=True)``, which sorts rows as
+    opaque byte strings and is several times slower than a lexsort.
+    """
+    order = np.lexsort(S.T[::-1])
+    rows = S[order]
+    first = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    bins = np.empty(len(rows), dtype=np.intp)
+    bins[order] = np.cumsum(first) - 1
+    return rows[first], bins
+
+
+def _binned_sum(bins: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Complex sums of ``w`` into ``n`` bins, accumulated in C order."""
+    w = w.ravel()
+    h = np.empty(n, dtype=complex)
+    h.real = np.bincount(bins, w.real, n)
+    h.imag = np.bincount(bins, w.imag, n)
+    return h
 
 
 def _multiply(group: Group, alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
     """Coefficients of (sum f(a) x(a)) (sum g(b) x(b)) over canonical keys."""
     if group.is_finite:
         return _finite_product(group, alpha.phase_exp(), f, g)
-    out: dict = {}
-    for a, fa in f.items():
-        for b, gb in g.items():
-            c = group.prod(a, b)
-            out[c] = out.get(c, 0j) + fa * gb * cmath.exp(1j * alpha.phase(a, b))
-    return out
+    return _lattice_product(alpha, f, g)
 
 
 def generator(group: Group, alpha: Cocycle, a) -> AlgebraElement:

@@ -251,7 +251,10 @@ def cmd_fourier(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown representation kind {args.rep!r}")
 
-    lhs, rhs = plancherel_values(f, alpha_n)
+    try:
+        lhs, rhs = plancherel_values(f, alpha_n)
+    except ValueError as exc:
+        raise InputError(f"cannot multiply the input: {exc}") from exc
     checks = {"plancherel": {"lhs": lhs.real, "rhs": rhs,
                              "pass": bool(abs(lhs - rhs) < _tol(cfg, 1e-12))}}
     if roundtrip is not None:
@@ -272,9 +275,12 @@ def cmd_convolve(args) -> int:
     f1 = _load_function(args.infile, group)
     f2 = _load_function(args.infile2, group)
     alpha_n = _normalized(cfg)
-    h = deformed_convolution(f1, f2, alpha_n)
+    try:
+        h = deformed_convolution(f1, f2, alpha_n)
+        rhs = as_algebra_element(f1, alpha_n) * as_algebra_element(f2, alpha_n)
+    except ValueError as exc:
+        raise InputError(f"cannot multiply the inputs: {exc}") from exc
     lhs = as_algebra_element(h, alpha_n)
-    rhs = as_algebra_element(f1, alpha_n) * as_algebra_element(f2, alpha_n)
     residual = lhs.max_diff(rhs)
     out = {
         "result": function_to_spec(h),

@@ -5,7 +5,8 @@ Conventions
 * Finite-table elements are 0-based indices with the identity at index 0;
   ``table[a][b]`` is the index of the product.
 * Cyclic-power and lattice elements are integer tuples; cyclic-power
-  coordinates are kept canonical in [0, n).
+  coordinates are kept canonical in [0, n), and lattice coordinates must lie
+  in [-LATTICE_COORD_LIMIT, LATTICE_COORD_LIMIT].
 * Lattice groups never enumerate their elements: everything downstream is
   support-driven, so only finitely many elements are ever touched.
 * Groups are immutable after construction and safe to share across threads.
@@ -25,6 +26,11 @@ Element = "int | tuple[int, ...]"
 
 # Exhaustive n^3 associativity checking is kept bounded at desk scale.
 VALIDATION_ORDER_LIMIT = 64
+
+# Largest |coordinate| of a lattice element.  float64 holds every integer up
+# to 2**53, so bilinear phases computed in float64 see the exact coordinate,
+# and sums of two coordinates stay far inside int64.
+LATTICE_COORD_LIMIT = 2 ** 53
 
 
 class Group:
@@ -298,6 +304,9 @@ class LatticeGroup(Group):
         coords = tuple(operator.index(x) for x in a)
         if len(coords) != self.d:
             raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
+        if max(coords) > LATTICE_COORD_LIMIT or min(coords) < -LATTICE_COORD_LIMIT:
+            raise ValueError(f"lattice coordinates {list(coords)} exceed "
+                             f"2**53 in absolute value")
         return coords
 
     def prod(self, a, b) -> tuple[int, ...]:

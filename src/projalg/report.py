@@ -9,9 +9,9 @@ identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 
 @dataclass
@@ -79,41 +79,34 @@ class VerificationReport:
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text for reports and CLI outputs."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    return _dumps(obj)
 
 
-def _write(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+def _dumps(obj) -> str:
+    # One joined string per node keeps the peak at about the output's size,
+    # not one small str object per token.  Floats come first: they are most
+    # of every output.
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite float in report: {obj!r}")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        return format(obj, ".17g")
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        # sorted() rejects str keys mixed with others, so a non-str key is
+        # the first key: checking all keys before any value raises the
+        # error a key-by-key check would.
+        keys = sorted(obj)
+        for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+        return "{" + ",".join([_quote(k) + ":" + _dumps(obj[k]) for k in keys]) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")

@@ -2,8 +2,9 @@
 
 Every stochastic check in the package draws from a numpy Generator seeded
 with a caller-supplied seed (default ``DEFAULT_SEED``), so repeated runs
-produce identical reports.  Functions here return plain dicts and tuples;
-the algebra/integration modules wrap them in their own types.
+produce identical reports.  Functions here return plain dicts and tuples
+(of integer arrays, for :func:`lattice_points`); the algebra/integration
+modules wrap them in their own types.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def sample_pairs(group, rng, count: int, *, box: int = 4):
             for _ in range(count)]
 
 
-def sample_triples(group, rng, count: int, *, box: int = 4):
-    return [tuple(random_element(group, rng, box=box) for _ in range(3))
-            for _ in range(count)]
+def lattice_points(group, rng, count: int, k: int, *, box: int = 4) -> tuple:
+    """k int64 arrays of ``count`` lattice points each, in [-box, box]^D.
+
+    One draw of shape (count, k, D) yields the same points, in the same
+    order, as ``count`` rounds of ``k`` calls to :func:`random_element`.
+    """
+    pts = rng.integers(-box, box + 1, size=(count, k, group.d))
+    return tuple(pts[:, i] for i in range(k))

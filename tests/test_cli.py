@@ -292,6 +292,48 @@ class TestNonFiniteInput:
                                          "--cocycle", cocycle))
 
 
+class TestLatticeCoordinateRange:
+    """Lattice coordinates beyond 2**53, read or computed, exit 2 with one error line."""
+
+    run = staticmethod(TestNonFiniteInput.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @staticmethod
+    def files(tmp_path, *functions):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "bilinear", "theta": [[0.1, 0.4], [-0.2, 0.3]]})
+        paths = [write(tmp_path / f"f{i}.json",
+                       [{"element": e, "re": 1.0, "im": 0.5} for e in elems])
+                 for i, elems in enumerate(functions)]
+        return ["--group", group, "--cocycle", cocycle], paths
+
+    def test_function_file_out_of_range(self, tmp_path):
+        common, (f1, f2) = self.files(tmp_path, [[2**70, 1]], [[0, 1]])
+        self.assert_input_error(self.run("convolve", *common, "--in", f1, "--in2", f2))
+        common, (f,) = self.files(tmp_path, [[1, 2], [0, 2**53 + 1]])
+        self.assert_input_error(self.run("fourier", *common, "--in", f))
+
+    def test_convolution_leaving_the_range(self, tmp_path):
+        common, (f1, f2) = self.files(tmp_path, [[2**53, 0], [3, 4]], [[1, 0]])
+        self.assert_input_error(self.run("convolve", *common, "--in", f1, "--in2", f2))
+
+    def test_plancherel_product_leaving_the_range(self, tmp_path):
+        # f* f holds x(-a) x(b) for a = (2**53, 0) and b = (-2**53, 0).
+        common, (f,) = self.files(tmp_path, [[2**53, 0], [-2**53, 0]])
+        self.assert_input_error(self.run("fourier", *common, "--in", f))
+
+    def test_edge_of_the_range_is_accepted(self, tmp_path):
+        common, (f1, f2) = self.files(tmp_path, [[2**53, -2**53]], [[-1, 1]])
+        out = tmp_path / "h.json"
+        assert cli.main(["convolve", *common, "--in", f1, "--in2", f2,
+                         "--out", str(out)]) == 0
+        assert [r["element"] for r in json.loads(out.read_text())["result"]] == [
+            [2**53 - 1, 1 - 2**53]]
+        assert cli.main(["fourier", *common, "--in", f1, "--roundtrip",
+                         "--out", str(out)]) == 0
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))

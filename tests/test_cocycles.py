@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import projalg as pa
-from projalg import cocycles
+from projalg import cocycles, sampling
 from projalg.groups import CyclicPowerGroup
 from projalg.phases import reduce_phase
 
@@ -245,6 +245,163 @@ class TestChunkedValidation:
             tracemalloc.stop()
         assert report.passed
         assert peak < bound
+
+
+# -- sampled lattice checks ------------------------------------------------------
+
+# Allowance between the array residuals and the scalar loops' values.
+SAMPLED_ROUNDING = 4e-15
+
+
+def ref_points(group, samples, k, box, seed):
+    """Lattice points drawn one element at a time, as the scalar loops drew them."""
+    rng = sampling.rng_from_seed(seed)
+    return [tuple(sampling.random_element(group, rng, box=box) for _ in range(k))
+            for _ in range(samples)]
+
+
+def ref_validate_lattice(group, alpha, samples, box, seed):
+    """The scalar loop validate_cocycle ran on lattices.
+
+    Returns every triple, its residual, and the loop's worst value and
+    triple (a running ``>``, which skips NaN).
+    """
+    triples = ref_points(group, samples, 3, box, seed)
+    res = [pa.cocycle_condition_residual(alpha, a, b, c) for a, b, c in triples]
+    worst, triple = 0.0, (group.identity(),) * 3
+    for r, t in zip(res, triples):
+        if r > worst:
+            worst, triple = r, t
+    return triples, np.array(res), worst, triple
+
+
+def ref_identities_lattice(group, alpha, samples, box, seed):
+    """The scalar loop check_identities ran on lattices, one row per pair."""
+    rows = []
+    for a, b in ref_points(group, samples, 2, box, seed):
+        ia, ib = group.inv(a), group.inv(b)
+        ab = group.prod(a, b)
+        rows.append([abs(reduce_phase(alpha.phase(ib, b) - alpha.phase(b, ib))),
+                     abs(reduce_phase(alpha.phase(a, b) + alpha.phase(ab, ib))),
+                     abs(reduce_phase(alpha.phase(ia, ib) + alpha.phase(b, a))),
+                     abs(reduce_phase(alpha.phase(ab, ib) - alpha.phase(ib, ia)))])
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+class CubicPhase(pa.Cocycle):
+    """alpha(a, b) = c a_0^2 b_0 on Z^D: fails the constraint, has no array form."""
+
+    def __init__(self, group, c, *, normalized=False):
+        self.group = group
+        self.c = c
+        self.normalized = normalized
+
+    def phase(self, a, b):
+        a, b = self.group.canonical(a), self.group.canonical(b)
+        return reduce_phase(self.c * a[0] ** 2 * b[0])
+
+
+def sampled_cocycle(group, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "bilinear":
+        return pa.BilinearCocycle(group, rng.uniform(-1.5, 1.5, (group.d, group.d)))
+    if kind == "antisymmetric":
+        theta = rng.uniform(-1.5, 1.5, (group.d, group.d))
+        return pa.BilinearCocycle(group, theta - theta.T)
+    if kind == "gauged":
+        phi = {tuple(int(x) for x in rng.integers(-3, 4, group.d)): rng.uniform(-3, 3)
+               for _ in range(20)}
+        phi.pop(group.identity(), None)
+        # Flagged normalized, which it is not, so check_identities runs and fails.
+        return pa.GaugedCocycle(pa.zero_cocycle(group),
+                                pa.GaugePhase.from_mapping(group, phi), normalized=True)
+    return CubicPhase(group, rng.uniform(0.1, 0.9), normalized=True)
+
+
+SAMPLED_CASES = [(d, kind, box, seed)
+                 for d in (1, 2, 3)
+                 for kind in ("bilinear", "antisymmetric", "gauged", "cubic")
+                 for box, seed in ((4, 0), (6, 1))]
+
+
+class TestSampledLatticeChecks:
+    """The array forms of the sampled lattice checks against the scalar loops."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("box", [4, 6])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_block_draw_matches_per_element_draws(self, d, box, k):
+        g = pa.make_lattice(d)
+        block = sampling.lattice_points(g, sampling.rng_from_seed(0x5EED + d), 200,
+                                        k, box=box)
+        ref = ref_points(g, 200, k, box, 0x5EED + d)
+        assert [tuple(tuple(p[i].tolist()) for p in block) for i in range(200)] == ref
+
+    @pytest.mark.parametrize("d,kind,box,seed", SAMPLED_CASES)
+    def test_validate_matches_scalar_loop(self, d, kind, box, seed):
+        g = pa.make_lattice(d)
+        alpha = sampled_cocycle(g, kind, seed)
+        samples = 300
+        _, res, worst, triple = ref_validate_lattice(g, alpha, samples, box, seed)
+        report = pa.validate_cocycle(g, alpha, samples=samples, box=box, seed=seed)
+        check = report.checks[0]
+        assert abs(check.max_residual - worst) <= SAMPLED_ROUNDING
+        assert check.passed == (worst < 1e-10)
+        assert check.passed == (kind != "cubic")
+        top = np.sort(res)
+        if top[-1] - top[-2] > 2 * SAMPLED_ROUNDING or top[-1] == 0.0:
+            assert check.detail == (f"worst sampled triple {triple} "
+                                    f"({samples} triples, box {box})")
+
+    @pytest.mark.parametrize("d,kind,box,seed", SAMPLED_CASES)
+    def test_identities_match_scalar_loop(self, d, kind, box, seed):
+        g = pa.make_lattice(d)
+        alpha = sampled_cocycle(g, kind, seed)
+        if not alpha.normalized:
+            alpha, _ = pa.normalize(g, alpha, validate=False)
+        ref = ref_identities_lattice(g, alpha, 300, box, seed).max(axis=0)
+        report = pa.check_identities(g, alpha, samples=300, box=box, seed=seed)
+        got = np.array([c.max_residual for c in report.checks])
+        assert np.all(np.abs(got - ref) <= SAMPLED_ROUNDING)
+        assert [c.passed for c in report.checks] == list(ref < 1e-10)
+
+    def test_empty_sample(self, lattice2):
+        alpha = pa.BilinearCocycle(lattice2, [[0.0, 0.3], [-0.3, 0.0]])
+        report = pa.validate_cocycle(lattice2, alpha, samples=0)
+        assert report.checks[0].max_residual == 0.0
+        assert report.checks[0].detail == (
+            "worst sampled triple ((0, 0), (0, 0), (0, 0)) (0 triples, box 6)")
+        ids = pa.check_identities(lattice2, alpha, samples=0)
+        assert ids.passed and all(c.max_residual == 0.0 for c in ids.checks)
+
+    def test_all_zero_sample_names_identity_triple(self, lattice2):
+        report = pa.validate_cocycle(lattice2, pa.zero_cocycle(lattice2), seed=3)
+        assert report.checks[0].max_residual == 0.0
+        assert report.checks[0].detail.startswith(
+            "worst sampled triple ((0, 0), (0, 0), (0, 0))")
+
+    @staticmethod
+    def nan_gauged(group, *, normalized=False):
+        phi = pa.GaugePhase.from_mapping(group, {(1, 1): float("nan")})
+        return pa.GaugedCocycle(pa.zero_cocycle(group), phi, normalized=normalized)
+
+    def test_nan_phase_fails_validation(self, lattice2):
+        alpha = self.nan_gauged(lattice2)
+        triples, res, _, _ = ref_validate_lattice(lattice2, alpha, 1000, 6, 1)
+        first_nan = int(np.flatnonzero(np.isnan(res))[0])
+        report = pa.validate_cocycle(lattice2, alpha, seed=1)
+        assert np.isnan(report.checks[0].max_residual)
+        assert not report.passed
+        assert report.checks[0].detail.startswith(
+            f"worst sampled triple {triples[first_nan]} ")
+
+    def test_nan_phase_fails_identities(self, lattice2):
+        alpha = self.nan_gauged(lattice2, normalized=True)
+        has_nan = np.isnan(ref_identities_lattice(lattice2, alpha, 1000, 6, 1)).any(axis=0)
+        assert has_nan.any()
+        report = pa.check_identities(lattice2, alpha, seed=1)
+        assert [bool(np.isnan(c.max_residual)) for c in report.checks] == list(has_nan)
+        assert not report.passed
 
 
 class TestCoboundary:

@@ -1,9 +1,9 @@
-"""The finite-group product kernel against the per-term dict loops it replaced.
+"""The product kernels against the per-term dict loops they replaced.
 
-The reference functions below are the loops every finite-group product used
-to run: one ``prod``/``phase``/``cmath.exp`` call per support pair.  Each
-kernel-routed public function must agree with its reference to 1e-12 on
-random groups, cocycles and sparse supports.
+The reference functions below are the loops every product used to run: one
+``prod``/``phase``/``cmath.exp`` call per support pair.  Each kernel-routed
+public function must agree with its reference to 1e-12 on random groups,
+cocycles and sparse supports, for finite groups and for the lattice Z^D.
 """
 
 import cmath
@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import projalg as pa
-from projalg.groups import CyclicPowerGroup
+from projalg import algebra
+from projalg.groups import LATTICE_COORD_LIMIT, CyclicPowerGroup
 
 TOL = 1e-12
 
@@ -260,3 +261,134 @@ def test_lattice_keeps_sparse_path():
     assert (u * v).max_diff(ref_product(u, v)) < TOL
     assert pa.apply_R((1, -2), u).max_diff(ref_apply_R((1, -2), u)) < TOL
     assert pa.apply_L((1, -2), u).max_diff(ref_apply_L((1, -2), u)) < TOL
+
+
+# -- the lattice kernel ------------------------------------------------------------
+
+LATTICE_KINDS = ["bilinear", "bilinear_normalized", "gauged"]
+
+
+def _lattice_cocycle(group, kind, rng):
+    if kind == "gauged":
+        # A callable gauge has no array form: phases() loops over phase().
+        c = rng.uniform(-1.0, 1.0, size=(group.d, group.d))
+        phi = pa.GaugePhase.from_callable(
+            group, lambda a, _c=c: float(np.asarray(a) @ _c @ np.asarray(a)) ** 2 / 7)
+        alpha, _ = pa.normalize(group, pa.coboundary(group, phi), validate=False)
+        assert isinstance(alpha, pa.GaugedCocycle)
+        return alpha
+    alpha = pa.BilinearCocycle(group, rng.uniform(-1.5, 1.5, size=(group.d, group.d)))
+    if kind == "bilinear_normalized":
+        alpha, _ = pa.normalize(group, alpha, validate=False)
+    return alpha
+
+
+@st.composite
+def lattice_contexts(draw, kinds=LATTICE_KINDS):
+    group = pa.make_lattice(draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return group, _lattice_cocycle(group, draw(st.sampled_from(kinds)), rng), rng
+
+
+def _lattice_coeffs(draw, group, rng, max_size=8):
+    """Points in a small box, so pair sums collide; on Z^1 the same element
+    may appear both as an int and as a 1-tuple, and the two are summed."""
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * group.d),
+                        max_size=max_size))
+    out = {}
+    for p in pts:
+        key = p[0] if group.d == 1 and draw(st.booleans()) else p
+        out[key] = complex(rng.standard_normal(), rng.standard_normal())
+    return out
+
+
+@st.composite
+def lattice_element_pairs(draw):
+    group, alpha, rng = draw(lattice_contexts())
+    return (pa.AlgebraElement(group, alpha, _lattice_coeffs(draw, group, rng)),
+            pa.AlgebraElement(group, alpha, _lattice_coeffs(draw, group, rng)))
+
+
+@SETTINGS
+@given(lattice_element_pairs())
+def test_lattice_product_matches_reference(pair):
+    u, v = pair
+    assert (u * v).max_diff(ref_product(u, v)) < TOL
+    assert set((u * v).support) == set(ref_product(u, v).support)
+
+
+@SETTINGS
+@given(lattice_contexts(kinds=["bilinear_normalized", "gauged"]), st.data())
+def test_lattice_deformed_convolution_matches_reference(ctx, data):
+    group, alpha, rng = ctx
+    f1 = pa.GroupFunction(group, _lattice_coeffs(data.draw, group, rng))
+    f2 = pa.GroupFunction(group, _lattice_coeffs(data.draw, group, rng))
+    h = pa.deformed_convolution(f1, f2, alpha)
+    assert h.max_diff(ref_deformed_convolution(f1, f2, alpha)) < TOL
+
+
+@SETTINGS
+@given(lattice_contexts(), st.data())
+def test_phases_base_loop_matches_override(ctx, data):
+    group, alpha, rng = ctx
+    d = group.d
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+    A = rng.integers(-6, 7, size=(m, 1, d))
+    B = rng.integers(-6, 7, size=(1, n, d))
+    looped = pa.Cocycle.phases(alpha, A, B)
+    assert looped.shape == (m, n)
+    for i in range(m):
+        for j in range(n):
+            assert looped[i, j] == alpha.phase(tuple(A[i, 0].tolist()),
+                                               tuple(B[0, j].tolist()))
+    assert np.max(np.abs(alpha.phases(A, B) - looped), initial=0.0) < TOL
+    # One row against a stack, and one pair.
+    assert np.max(np.abs(alpha.phases(A[:, 0], B[0, 0])
+                         - pa.Cocycle.phases(alpha, A[:, 0], B[0, 0])),
+                  initial=0.0) < TOL
+    if m:
+        assert abs(float(alpha.phases(A[0, 0], B[0, 0])) - looped[0, 0]) < TOL
+
+
+@pytest.mark.parametrize("kind", LATTICE_KINDS)
+def test_lattice_empty_and_singleton_supports(kind):
+    g = pa.make_lattice(2)
+    alpha = _lattice_cocycle(g, kind, np.random.default_rng(5))
+    empty = pa.AlgebraElement(g, alpha, {})
+    x = pa.generator(g, alpha, (2, -3))
+    assert len(empty * x) == 0 and len(x * empty) == 0 and len(empty * empty) == 0
+    assert (x * x).max_diff(ref_product(x, x)) < TOL
+    assert set((x * x).support) == {(4, -6)}
+
+
+def test_lattice_exact_cancellation():
+    g = pa.make_lattice(2)
+    alpha = pa.zero_cocycle(g)
+    u = pa.AlgebraElement(g, alpha, {(0, 0): 1.0, (1, 0): 1.0})
+    v = pa.AlgebraElement(g, alpha, {(0, 0): 1.0, (1, 0): -1.0})
+    # (1 + x)(1 - x) = 1 - x^2: the two x terms cancel exactly.
+    assert (u * v)._coeffs == {(0, 0): 1.0, (2, 0): -1.0}
+    assert len(u * (v - v)) == 0
+
+
+def test_distinct_rows_matches_unique():
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (40, 1), (200, 2), (300, 3)]:
+        S = rng.integers(-4, 5, size=shape)
+        rows, bins = algebra._distinct_rows(S)
+        ref_rows, ref_bins = np.unique(S, axis=0, return_inverse=True)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(bins, ref_bins.reshape(-1))
+
+
+def test_lattice_product_leaving_the_coordinate_range_raises():
+    g = pa.make_lattice(2)
+    alpha = pa.BilinearCocycle(g, [[0.0, 0.25], [-0.25, 0.0]])
+    edge = pa.generator(g, alpha, (LATTICE_COORD_LIMIT, 0))
+    assert set((edge * pa.generator(g, alpha, (-1, 5))).support) == {
+        (LATTICE_COORD_LIMIT - 1, 5)}
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        edge * pa.generator(g, alpha, (1, 0))
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        pa.deformed_convolution(pa.GroupFunction.delta(g, (0, -LATTICE_COORD_LIMIT)),
+                                pa.GroupFunction.delta(g, (0, -1)), alpha)

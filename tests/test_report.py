@@ -1,0 +1,108 @@
+"""The canonical JSON writer against the token-list writer it replaced."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import projalg as pa
+
+
+def ref_dumps(obj) -> str:
+    """The previous writer: one appended token per scalar and separator."""
+    out: list[str] = []
+    _ref_write(obj, out)
+    return "".join(out)
+
+
+def _ref_write(obj, out) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float in report: {obj!r}")
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _ref_write(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _ref_write(obj[key], out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+def outcome(fn, obj):
+    try:
+        return "ok", fn(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # Rare bad leaves: non-finite floats and unserializable objects.
+    st.sampled_from([math.nan, math.inf, -math.inf, b"x", {1}, 1j]))
+
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        # Non-string keys: an int key alone, or mixed with str keys, which
+        # sorted() itself rejects.
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)),
+                        inner, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_matches_token_list_writer(doc):
+    assert outcome(pa.dumps_canonical, doc) == outcome(ref_dumps, doc)
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"a": [1, math.nan]}, ValueError),
+    ([{"b": 1}, {2: "x"}], TypeError),
+    ({"a": {1}}, TypeError),
+    ({"a": 1, 2: 3}, TypeError),
+    # The first bad leaf in output order decides the error.
+    ([math.inf, object()], ValueError),
+    ({"a": object(), "b": math.nan}, TypeError),
+])
+def test_errors_match_token_list_writer(doc, error):
+    with pytest.raises(error):
+        pa.dumps_canonical(doc)
+    assert outcome(pa.dumps_canonical, doc) == outcome(ref_dumps, doc)
+
+
+def test_report_bytes():
+    report = pa.VerificationReport(suite="s")
+    report.add("c", 1.25e-16, 1e-12, detail='quote " and é')
+    expected = ('{"checks":[{"detail":"quote \\" and \\u00e9","max_residual":'
+                '1.2500000000000001e-16,"name":"c","pass":true,"tolerance":'
+                '9.9999999999999998e-13}],"pass":true,"suite":"s"}')
+    assert report.to_json() == expected == ref_dumps(report.to_dict())
