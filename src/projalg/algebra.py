@@ -45,37 +45,64 @@ import numpy as np
 from .cocycles import Cocycle
 from .errors import (ContextMismatchError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
-from .groups import Group
+from .groups import LATTICE_COORD_LIMIT, Group
 
 # Coefficients below this modulus are dropped from the support.
 PRUNE_TOL = 1e-15
 
 
-def _coefficients(group: Group, values: Mapping) -> dict:
-    """Sum values over canonical keys, prune below PRUNE_TOL, reject NaN and inf."""
+def _coefficients(group: Group, pairs) -> dict:
+    """Sum (key, value) pairs over canonical keys: the public boundary."""
     acc: dict = {}
-    for k, v in values.items():
+    for k, v in pairs:
         k = group.canonical(k)
         acc[k] = acc.get(k, 0j) + complex(v)
-    bad = [k for k, v in acc.items() if not cmath.isfinite(v)]
-    if bad:
-        raise ValueError(f"coefficient at {group.describe(bad[0])} is not finite")
-    return {k: v for k, v in acc.items() if abs(v) >= PRUNE_TOL}
+    return acc
 
 
-class AlgebraElement:
-    """Finitely supported combination sum f(a) x(a) in a (group, cocycle) context."""
+def _require_cocycle_on(group: Group, alpha: Cocycle) -> None:
+    if alpha.group != group:
+        raise ContextMismatchError("cocycle was built on a different group")
 
-    __slots__ = ("group", "cocycle", "_coeffs")
 
-    def __init__(self, group: Group, cocycle: Cocycle, coeffs: Mapping):
-        if cocycle.group != group:
-            raise ContextMismatchError("cocycle was built on a different group")
+def _inverse_keys(group: Group, keys) -> list:
+    """Inverses of canonical keys, without calling ``group.canonical``."""
+    if not group.is_finite:
+        return [tuple(-x for x in a) for a in keys]
+    elems, index = group.indexing()
+    return [elems[i] for i in group.inverse_indices()[[index[a] for a in keys]].tolist()]
+
+
+class _CoefficientStore:
+    """A group and an immutable dict of complex coefficients on canonical keys.
+
+    Public constructors canonicalize keys once, through :func:`_coefficients`;
+    internal results use :meth:`_canonical`, and conversions share the dict.
+    """
+
+    __slots__ = ("group", "_coeffs")
+
+    def __init__(self, group: Group, values: Mapping):
+        self._keep(group, _coefficients(group, values.items()))
+
+    @classmethod
+    def _canonical(cls, group: Group, coeffs: dict, **fields):
+        """Wrap canonical-keyed complex ``coeffs`` without calling ``canonical``."""
+        store = cls.__new__(cls)
+        for name, value in fields.items():
+            setattr(store, name, value)
+        store._keep(group, coeffs)
+        return store
+
+    def _keep(self, group: Group, coeffs: dict) -> None:
+        """Reject NaN and inf, prune below PRUNE_TOL; keeps ``coeffs`` if none is."""
+        for k, v in coeffs.items():
+            if not cmath.isfinite(v):
+                raise ValueError(f"coefficient at {group.describe(k)} is not finite")
+        if not all(abs(v) >= PRUNE_TOL for v in coeffs.values()):
+            coeffs = {k: v for k, v in coeffs.items() if abs(v) >= PRUNE_TOL}
         self.group = group
-        self.cocycle = cocycle
-        self._coeffs = _coefficients(group, coeffs)
-
-    # -- access -----------------------------------------------------------
+        self._coeffs = coeffs
 
     @property
     def support(self):
@@ -90,7 +117,30 @@ class AlgebraElement:
     def __len__(self) -> int:
         return len(self._coeffs)
 
-    # -- algebra ----------------------------------------------------------
+    def max_diff(self, other) -> float:
+        self._check_context(other)
+        keys = set(self._coeffs) | set(other._coeffs)
+        return max((abs(self._coeffs.get(k, 0j) - other._coeffs.get(k, 0j))
+                    for k in keys), default=0.0)
+
+    def isclose(self, other, tol: float = 1e-12) -> bool:
+        return self.max_diff(other) < tol
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{self.group.describe(a)}: {v:.4g}"
+                          for a, v in sorted(self._coeffs.items(), key=lambda t: str(t[0])))
+        return f"{type(self).__name__}({{{terms}}})"
+
+
+class AlgebraElement(_CoefficientStore):
+    """Finitely supported combination sum f(a) x(a) in a (group, cocycle) context."""
+
+    __slots__ = ("cocycle",)
+
+    def __init__(self, group: Group, cocycle: Cocycle, coeffs: Mapping):
+        _require_cocycle_on(group, cocycle)
+        self.cocycle = cocycle
+        super().__init__(group, coeffs)
 
     def _check_context(self, other: "AlgebraElement") -> None:
         if self.group != other.group:
@@ -98,8 +148,8 @@ class AlgebraElement:
         if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
             raise ContextMismatchError("elements carry different cocycles")
 
-    def _like(self, coeffs: Mapping) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.cocycle, coeffs)
+    def _like(self, coeffs: dict) -> "AlgebraElement":
+        return AlgebraElement._canonical(self.group, coeffs, cocycle=self.cocycle)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -113,11 +163,7 @@ class AlgebraElement:
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_context(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0j) - v
-        return self._like(out)
+        return self + -other
 
     def __neg__(self):
         return self._like({k: -v for k, v in self._coeffs.items()})
@@ -127,13 +173,12 @@ class AlgebraElement:
             self._check_context(other)
             return self._product(other)
         if isinstance(other, numbers.Number):
+            other = complex(other)
             return self._like({k: v * other for k, v in self._coeffs.items()})
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return self._like({k: other * v for k, v in self._coeffs.items()})
-        return NotImplemented
+    # x * u reaches __rmul__ only for a non-element x, and scalars commute.
+    __rmul__ = __mul__
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
         return self._like(_multiply(self.group, self.cocycle,
@@ -144,26 +189,8 @@ class AlgebraElement:
         if not self.cocycle.normalized:
             raise NormalizationRequiredError(
                 "the involution needs alpha(a, a^-1) = 0; normalize the cocycle first")
-        g = self.group
-        return self._like({g.inv(a): v.conjugate() for a, v in self._coeffs.items()})
-
-    # -- comparison helpers -------------------------------------------------
-
-    def max_diff(self, other: "AlgebraElement") -> float:
-        self._check_context(other)
-        keys = set(self._coeffs) | set(other._coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self._coeffs.get(k, 0j) - other._coeffs.get(k, 0j))
-                   for k in keys)
-
-    def isclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return self.max_diff(other) < tol
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{self.group.describe(a)}: {v:.4g}"
-                          for a, v in sorted(self._coeffs.items(), key=lambda t: str(t[0])))
-        return f"AlgebraElement({{{terms}}})"
+        return self._like(dict(zip(_inverse_keys(self.group, self._coeffs),
+                                   [v.conjugate() for v in self._coeffs.values()])))
 
 
 def _finite_product(group: Group, E: np.ndarray, f: Mapping,
@@ -191,8 +218,8 @@ def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
 
     Keys of ``f`` and ``g`` must be canonical, so every coordinate is within
     LATTICE_COORD_LIMIT and the int64 pair sums cannot wrap.  The result
-    keys are the distinct pair sums, which the caller's constructor checks
-    against the same limit.
+    keys are the distinct pair sums; a kept one beyond the limit raises
+    ValueError, as ``LatticeGroup.canonical`` would.
     """
     if not f or not g:
         return {}
@@ -205,7 +232,12 @@ def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
     w = fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))
     h = _binned_sum(bins, w, len(keys))
     keep = np.flatnonzero(np.abs(h) >= PRUNE_TOL)
-    return dict(zip(map(tuple, keys[keep].tolist()), h[keep].tolist()))
+    rows = keys[keep]
+    far = np.flatnonzero(np.abs(rows).max(axis=1) > LATTICE_COORD_LIMIT)
+    if far.size:
+        raise ValueError(f"lattice coordinates {rows[far[0]].tolist()} exceed "
+                         f"2**53 in absolute value")
+    return dict(zip(map(tuple, rows.tolist()), h[keep].tolist()))
 
 
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +274,7 @@ def _multiply(group: Group, alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
 
 def generator(group: Group, alpha: Cocycle, a) -> AlgebraElement:
     """The singleton element x(a)."""
-    return AlgebraElement(group, alpha, {group.canonical(a): 1.0})
+    return AlgebraElement(group, alpha, {a: 1.0})
 
 
 def multiply(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
@@ -280,8 +312,7 @@ def _require_regular_context(group: Group, alpha: Cocycle) -> None:
     if not group.is_finite:
         raise UnsupportedOperationError(
             "regular matrices exist for finite groups; use apply_R/apply_L on lattices")
-    if alpha.group != group:
-        raise ContextMismatchError("cocycle was built on a different group")
+    _require_cocycle_on(group, alpha)
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "regular matrices assume a normalized cocycle; call normalize() first")

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _require_cocycle_on
 from .cocycles import Cocycle
 from .errors import ContextMismatchError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group, LatticeGroup
@@ -88,8 +88,7 @@ def derive(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     """Apply D: x(a) -> sigma(a) x(a) extended linearly."""
     if u.group != d.group:
         raise ContextMismatchError("derivation was built on a different group")
-    return AlgebraElement(u.group, u.cocycle,
-                          {a: d.sigma(a) * v for a, v in u.items()})
+    return u._like({a: d.sigma(a) * v for a, v in u.items()})
 
 
 def _random_element(group: Group, alpha: Cocycle, rng, *, box: int = 4,
@@ -106,8 +105,7 @@ def check_leibniz(d: Derivation, group: Group, alpha: Cocycle, *,
     Holds for any cocycle: both sides of a monomial pair carry
     sigma(a) + sigma(b) times the same phase.
     """
-    if alpha.group != group:
-        raise ContextMismatchError("cocycle was built on a different group")
+    _require_cocycle_on(group, alpha)
     rng = sampling.rng_from_seed(seed)
     worst = 0.0
     for _ in range(trials):
@@ -168,8 +166,7 @@ def apply_automorphism(s: Automorphism, u: AlgebraElement) -> AlgebraElement:
     """S(phi) u: each coefficient picks up exp(-i phi . m)."""
     if u.group != s.group:
         raise ContextMismatchError("automorphism was built on a different group")
-    return AlgebraElement(u.group, u.cocycle,
-                          {m: s.phase_factor(m) * v for m, v in u.items()})
+    return u._like({m: s.phase_factor(m) * v for m, v in u.items()})
 
 
 def measure_invariance_check(s: Automorphism, group: Group, alpha: Cocycle, *,
@@ -184,8 +181,7 @@ def measure_invariance_check(s: Automorphism, group: Group, alpha: Cocycle, *,
     * inverting S(phi) applied to a formal transform multiplies the
       original function by exp(-i phi . m) pointwise.
     """
-    if alpha.group != group:
-        raise ContextMismatchError("cocycle was built on a different group")
+    _require_cocycle_on(group, alpha)
     rng = sampling.rng_from_seed(seed)
     report = VerificationReport(suite="measure_invariance")
     worst_int = 0.0

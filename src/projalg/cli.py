@@ -123,7 +123,7 @@ def _tol(cfg: RunConfig, default: float) -> float:
     return cfg.tol if cfg.tol is not None else default
 
 
-def _check_dict(name: str, residual: float, tolerance: float) -> dict:
+def _check_dict(residual: float, tolerance: float) -> dict:
     return {"max_residual": float(residual), "tolerance": float(tolerance),
             "pass": bool(residual < tolerance)}
 
@@ -168,9 +168,8 @@ def cmd_verify(args) -> int:
         f = GroupFunction(group, sampling.random_coefficients(group, rng))
         g = GroupFunction(group, sampling.random_coefficients(group, rng))
         h = deformed_convolution(f, g, alpha_n)
-        lhs = as_algebra_element(h, alpha_n)
         rhs = as_algebra_element(f, alpha_n) * as_algebra_element(g, alpha_n)
-        worst = max(worst, lhs.max_diff(rhs))
+        worst = max(worst, h.max_diff(rhs))
     report.add("deformed_convolution_product", worst, _tol(cfg, 1e-12),
                detail=f"{VERIFY_TRIALS} random pairs")
 
@@ -216,12 +215,16 @@ def cmd_fourier(args) -> int:
     cfg = _config(args)
     group = cfg.group
     f = _load_function(args.infile, group)
-    alpha_n = _normalized(cfg)
+    torus = (args.rep == "matrix" and cfg.cocycle_kind == "clockshift"
+             and isinstance(group, CyclicPowerGroup))
+    # The torus realization validates and normalizes the measured cocycle itself.
+    rep = matrix_representation(group.n) if torus else None
+    alpha_n = rep.cocycle if torus else _normalized(cfg)
 
     if args.rep == "formal":
         rep = FormalRepresentation(group, alpha_n)
         fhat = fourier(f, rep)
-        transform = function_to_spec(GroupFunction(group, dict(fhat.items())))
+        transform = function_to_spec(fhat)
         roundtrip = invert(fhat) if args.roundtrip else None
     elif args.rep == "character":
         if not isinstance(group, CyclicPowerGroup):
@@ -239,9 +242,7 @@ def cmd_fourier(args) -> int:
             raise InputError("matrix transforms need a finite group")
         if _is_zero_cocycle(cfg.cocycle):
             rep = regular_matrix_rep(group)
-        elif cfg.cocycle_kind == "clockshift" and isinstance(group, CyclicPowerGroup):
-            rep = matrix_representation(group.n)
-        else:
+        elif not torus:
             raise InputError("matrix transforms are available for the zero "
                              "cocycle (regular matrices) or the clockshift "
                              "cocycle (torus realization)")
@@ -258,11 +259,9 @@ def cmd_fourier(args) -> int:
     checks = {"plancherel": {"lhs": lhs.real, "rhs": rhs,
                              "pass": bool(abs(lhs - rhs) < _tol(cfg, 1e-12))}}
     if roundtrip is not None:
-        checks["roundtrip"] = _check_dict("roundtrip", f.max_diff(roundtrip),
-                                          _tol(cfg, 1e-12))
+        checks["roundtrip"] = _check_dict(f.max_diff(roundtrip), _tol(cfg, 1e-12))
     _emit(dumps_canonical({"transform": transform, "checks": checks}), cfg.out)
-    ok = checks["plancherel"]["pass"] and all(
-        c.get("pass", True) for c in checks.values())
+    ok = all(c.get("pass", True) for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -280,12 +279,9 @@ def cmd_convolve(args) -> int:
         rhs = as_algebra_element(f1, alpha_n) * as_algebra_element(f2, alpha_n)
     except ValueError as exc:
         raise InputError(f"cannot multiply the inputs: {exc}") from exc
-    lhs = as_algebra_element(h, alpha_n)
-    residual = lhs.max_diff(rhs)
     out = {
         "result": function_to_spec(h),
-        "checks": {"transform_product": _check_dict("transform_product",
-                                                    residual, _tol(cfg, 1e-12))},
+        "checks": {"transform_product": _check_dict(h.max_diff(rhs), _tol(cfg, 1e-12))},
     }
     _emit(dumps_canonical(out), cfg.out)
     return EXIT_OK if out["checks"]["transform_product"]["pass"] else EXIT_CHECK_FAILED

@@ -41,6 +41,12 @@ from .report import VerificationReport
 SUPPORTED_RANGE = range(2, 17)
 
 
+def _require_supported(n: int) -> None:
+    if n not in SUPPORTED_RANGE:
+        raise ValueError(f"n={n} outside the supported range "
+                         f"{SUPPORTED_RANGE.start}..{SUPPORTED_RANGE.stop - 1}")
+
+
 def clock_shift_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(U1, U2): cyclic shift and diagonal clock, both of order n."""
     n = operator.index(n)
@@ -147,9 +153,7 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
     * (1/n) Tr agrees with the abstract integration functional on seeded
       random elements, transported through inversion and the transform.
     """
-    if n not in SUPPORTED_RANGE:
-        raise ValueError(f"n={n} outside the supported range "
-                         f"{SUPPORTED_RANGE.start}..{SUPPORTED_RANGE.stop - 1}")
+    _require_supported(n)
     group = make_cyclic_power(n, 2)
     report = VerificationReport(suite=f"clockshift_n{n}")
     rng = sampling.rng_from_seed(seed)

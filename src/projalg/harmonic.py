@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement, _multiply, regular_reps
+from .algebra import AlgebraElement, _multiply, _require_cocycle_on, regular_reps
 from .cocycles import Cocycle, zero_cocycle
 from .errors import (ContextMismatchError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
@@ -36,8 +36,7 @@ class FormalRepresentation:
     kind = "formal"
 
     def __init__(self, group: Group, cocycle: Cocycle):
-        if cocycle.group != group:
-            raise ContextMismatchError("cocycle was built on a different group")
+        _require_cocycle_on(group, cocycle)
         self.group = group
         self.cocycle = cocycle
 
@@ -90,8 +89,7 @@ class MatrixRepresentation:
 
     def __init__(self, group: Group, cocycle: Cocycle, matrices: Mapping, *,
                  check: bool = True, tol: float = 1e-10):
-        if cocycle.group != group:
-            raise ContextMismatchError("cocycle was built on a different group")
+        _require_cocycle_on(group, cocycle)
         if not group.is_finite:
             raise UnsupportedOperationError(
                 "matrix representations are kept to finite groups")
@@ -167,9 +165,13 @@ def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
 def _dense_vector(f: GroupFunction) -> np.ndarray:
     _, index = f.group.indexing()
     vec = np.zeros(f.group.order, dtype=complex)
-    for a, v in f.items():
-        vec[index[a]] = v
+    vec[[index[a] for a in f.support]] = list(f._coeffs.values())
     return vec
+
+
+def _from_vector(group: Group, vec: np.ndarray) -> GroupFunction:
+    """Inverse of :func:`_dense_vector`: values in ``group.indexing()`` order."""
+    return GroupFunction._canonical(group, dict(zip(group.indexing()[0], vec.tolist())))
 
 
 def character_transform(f: GroupFunction, *,
@@ -198,8 +200,7 @@ def character_inverse(table, group: CyclicPowerGroup, *,
     vec = character_matrix(group).conj().T @ flat
     if not volume_normalized:
         vec = vec / group.order
-    return GroupFunction(group, {a: vec[group.element_index(a)]
-                                 for a in group.elements()})
+    return _from_vector(group, vec)
 
 
 def regular_matrix_rep(group: Group) -> MatrixRepresentation:
@@ -224,7 +225,7 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
     # Tr[M(a)^dagger fhat] is the elementwise inner product of M(a) and fhat.
     flat = rep._stack.reshape(rep.group.order, -1)
     vals = (flat @ fhat.conj().ravel()).conj() / rep.dim
-    return GroupFunction(rep.group, dict(zip(rep.group.indexing()[0], vals)))
+    return _from_vector(rep.group, vals)
 
 
 def invert_vector_finite(fhat, group: Group,
@@ -236,7 +237,8 @@ def invert_vector_finite(fhat, group: Group,
     sum_b f(b) R(b); the latter works for any finite group because the
     regular representation contains each irreducible with multiplicity equal
     to its dimension, so (1/order) Tr[fhat R(a^-1)] equals the sum over
-    irreducible representations.
+    irreducible representations.  R(a) has its one entry of row b at column
+    ba, so no R(a) is built: f(a) = (1/order) sum_b fhat[b, T[b, a]].
     """
     if not group.is_finite:
         raise UnsupportedOperationError("vector-case inversion needs a finite group")
@@ -250,10 +252,8 @@ def invert_vector_finite(fhat, group: Group,
     if isinstance(group, CyclicPowerGroup) and fhat.shape == (group.n,) * group.d:
         return character_inverse(fhat, group)
     if fhat.shape == (group.order, group.order):
-        # Tr[fhat R(a^-1)] = Tr[R(a)^dagger fhat]: R(a) is a real permutation.
-        R = regular_reps(group, zero_cocycle(group)).R
-        return GroupFunction(group, {a: np.vdot(m, fhat) / group.order
-                                     for a, m in R.items()})
+        gathered = np.take_along_axis(fhat, group.index_table(), 1)
+        return _from_vector(group, gathered.sum(axis=0) / group.order)
     raise ValueError(
         f"transform shape {fhat.shape} matches neither a character table nor "
         f"a regular-representation matrix for {group!r}")
@@ -272,22 +272,17 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
     representation with cocycle alpha, fourier(h) equals
     fourier(f1) * fourier(f2).
     """
-    if f1.group != f2.group:
-        raise ContextMismatchError("functions live on different groups")
-    if alpha.group != f1.group:
-        raise ContextMismatchError("cocycle was built on a different group")
+    f1._check_context(f2)
+    _require_cocycle_on(f1.group, alpha)
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "deformed convolution assumes a normalized cocycle")
     g = f1.group
-    return GroupFunction(g, _multiply(g, alpha, dict(f1.items()),
-                                      dict(f2.items())))
+    return GroupFunction._canonical(g, _multiply(g, alpha, f1._coeffs, f2._coeffs))
 
 
 def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]:
     """(integral(f_hat* f_hat), sum |f(a)|^2) for the formal transform."""
-    if alpha.group != f.group:
-        raise ContextMismatchError("cocycle was built on a different group")
     fhat = as_algebra_element(f, alpha)
     lhs = ati_integral(fhat.star() * fhat)
     return lhs, f.norm_sq()

@@ -13,11 +13,11 @@ through the algebra (:func:`scalar_product`).
 from __future__ import annotations
 
 import cmath
-from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement, _coefficients
+from .algebra import (AlgebraElement, _CoefficientStore, _inverse_keys,
+                      _require_cocycle_on)
 from .cocycles import Cocycle, zero_cocycle
 from .errors import (ContextMismatchError, CrossCheckError,
                      NormalizationRequiredError, UnsupportedOperationError)
@@ -25,64 +25,35 @@ from .groups import Group
 from .report import VerificationReport
 
 
-class GroupFunction:
+class GroupFunction(_CoefficientStore):
     """Finitely supported map from group elements to complex values."""
 
-    __slots__ = ("group", "_values")
-
-    def __init__(self, group: Group, values: Mapping):
-        self.group = group
-        self._values = _coefficients(group, values)
+    __slots__ = ()
 
     @classmethod
     def delta(cls, group: Group, a) -> "GroupFunction":
         """Indicator of a single element."""
-        return cls(group, {group.canonical(a): 1.0})
+        return cls(group, {a: 1.0})
 
-    @property
-    def support(self):
-        return self._values.keys()
-
-    def get(self, a) -> complex:
-        return self._values.get(self.group.canonical(a), 0j)
-
-    def items(self):
-        return self._values.items()
-
-    def __len__(self) -> int:
-        return len(self._values)
+    get = _CoefficientStore.coeff
 
     def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self._values.values()))
+        return float(sum(abs(v) ** 2 for v in self._coeffs.values()))
 
-    def max_diff(self, other: "GroupFunction") -> float:
+    def _check_context(self, other: "GroupFunction") -> None:
         if self.group != other.group:
             raise ContextMismatchError("functions live on different groups")
-        keys = set(self._values) | set(other._values)
-        if not keys:
-            return 0.0
-        return max(abs(self._values.get(k, 0j) - other._values.get(k, 0j))
-                   for k in keys)
-
-    def isclose(self, other: "GroupFunction", tol: float = 1e-12) -> bool:
-        return self.max_diff(other) < tol
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{self.group.describe(a)}: {v:.4g}"
-                          for a, v in sorted(self._values.items(), key=lambda t: str(t[0])))
-        return f"GroupFunction({{{terms}}})"
 
 
 def as_algebra_element(f: GroupFunction, alpha: Cocycle) -> AlgebraElement:
-    """Embed sum f(a) x(a) into the algebra carrying ``alpha``."""
-    if alpha.group != f.group:
-        raise ContextMismatchError("cocycle was built on a different group")
-    return AlgebraElement(f.group, alpha, dict(f.items()))
+    """Embed sum f(a) x(a) into the algebra carrying ``alpha``; shares f's dict."""
+    _require_cocycle_on(f.group, alpha)
+    return AlgebraElement._canonical(f.group, f._coeffs, cocycle=alpha)
 
 
 def ati_integral(u: AlgebraElement) -> complex:
     """Coefficient of the identity element; linear in u."""
-    return u.coeff(u.group.identity())
+    return u._coeffs.get(u.group.identity(), 0j)
 
 
 def completeness_check(group: Group, alpha: Cocycle, *,
@@ -119,8 +90,9 @@ def invert(u: AlgebraElement) -> GroupFunction:
         raise NormalizationRequiredError(
             "inversion needs alpha(a, a^-1) = 0; normalize the cocycle first")
     g, alpha = u.group, u.cocycle
-    vals = {a: v * cmath.exp(1j * alpha.phase(a, g.inv(a))) for a, v in u.items()}
-    return GroupFunction(g, vals)
+    vals = {a: v * cmath.exp(1j * alpha.phase(a, b))
+            for (a, v), b in zip(u.items(), _inverse_keys(g, u.support))}
+    return GroupFunction._canonical(g, vals)
 
 
 def scalar_product(f: GroupFunction, g: GroupFunction,
@@ -132,8 +104,7 @@ def scalar_product(f: GroupFunction, g: GroupFunction,
     cross-checked against the direct sum; a disagreement beyond ``tol``
     raises :class:`CrossCheckError`.
     """
-    if f.group != g.group:
-        raise ContextMismatchError("functions live on different groups")
+    f._check_context(g)
     if alpha is None:
         alpha = zero_cocycle(f.group)
     if not alpha.normalized:

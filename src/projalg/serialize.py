@@ -7,7 +7,7 @@ Cocycle files:    {"kind": "zero"}
                   {"kind": "bilinear", "theta": [[...], ...]}
                   {"kind": "table", "alpha": [[...], ...]}
                   {"kind": "coboundary", "phi": [...]}
-                  {"kind": "clockshift"}            (cyclic_power with d = 2)
+                  {"kind": "clockshift"}            (cyclic_power, d = 2, 2 <= n <= 16)
 Function files:   [{"element": [..] | index, "re": ..., "im": ...}, ...]
 
 Algebra elements share the function schema: a serialized element is the list
@@ -16,17 +16,15 @@ of its coefficients.
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
-from .algebra import AlgebraElement
-from .clockshift import measured_cocycle
+from .algebra import AlgebraElement, _coefficients
+from .clockshift import _require_supported, measured_cocycle
 from .cocycles import (BilinearCocycle, Cocycle, GaugePhase, TabulatedCocycle,
                        coboundary, zero_cocycle)
 from .groups import (CyclicPowerGroup, FiniteTableGroup, Group, LatticeGroup,
                      make_cyclic_power, make_finite_from_table, make_lattice)
-from .integration import GroupFunction
+from .integration import GroupFunction, as_algebra_element
 
 
 def group_from_spec(spec: dict) -> Group:
@@ -71,6 +69,7 @@ def cocycle_from_spec(spec: dict, group: Group) -> Cocycle:
         if not (isinstance(group, CyclicPowerGroup) and group.d == 2):
             raise ValueError(
                 "the clockshift cocycle lives on cyclic_power groups with d = 2")
+        _require_supported(group.n)
         return measured_cocycle(group.n)
     raise ValueError(f"unknown cocycle kind {kind!r}")
 
@@ -85,33 +84,24 @@ def function_from_spec(items, group: Group) -> GroupFunction:
     if not isinstance(items, list):
         raise ValueError("a function file is a JSON list of "
                          '{"element", "re", "im"} records')
-    values: dict = {}
-    for rec in items:
-        elem = rec["element"]
-        a = group.canonical(tuple(elem) if isinstance(elem, list) else elem)
-        v = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
-        if not cmath.isfinite(v):
-            raise ValueError(f"coefficient of element {elem} is not finite")
-        values[a] = values.get(a, 0j) + v
-    return GroupFunction(group, values)
+    pairs = [(rec["element"],
+              complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0))))
+             for rec in items]
+    return GroupFunction._canonical(group, _coefficients(group, pairs))
 
 
-def function_to_spec(f: GroupFunction) -> list:
+def function_to_spec(f: "GroupFunction | AlgebraElement") -> list:
     g = f.group
-    recs = sorted(f.items(), key=lambda kv: g.element_index(kv[0])
-                  if g.is_finite else kv[0])
+    rank = g.indexing()[1].__getitem__ if g.is_finite else (lambda a: a)
     return [{"element": element_to_key(a), "re": v.real, "im": v.imag}
-            for a, v in recs]
+            for a, v in sorted(f.items(), key=lambda kv: rank(kv[0]))]
 
 
-def element_to_spec(u: AlgebraElement) -> list:
-    """Serialize an algebra element's coefficients (same schema as functions)."""
-    return function_to_spec(GroupFunction(u.group, dict(u.items())))
+element_to_spec = function_to_spec
 
 
 def element_from_spec(items, group: Group, cocycle: Cocycle) -> AlgebraElement:
-    f = function_from_spec(items, group)
-    return AlgebraElement(group, cocycle, dict(f.items()))
+    return as_algebra_element(function_from_spec(items, group), cocycle)
 
 
 def matrix_to_spec(mat: np.ndarray) -> list:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -332,6 +333,45 @@ class TestLatticeCoordinateRange:
             [2**53 - 1, 1 - 2**53]]
         assert cli.main(["fourier", *common, "--in", f1, "--roundtrip",
                          "--out", str(out)]) == 0
+
+
+class TestClockshiftRange:
+    """A clockshift cocycle outside 2 <= n <= 16 is refused before any work."""
+
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "projalg", *argv],
+                              capture_output=True, text=True, timeout=60)
+
+    @staticmethod
+    def files(tmp_path, n):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": n, "d": 2})
+        cocycle = write(tmp_path / "c.json", {"kind": "clockshift"})
+        fn = write(tmp_path / "f.json", [{"element": [1, 0], "re": 1.0, "im": 0.0}])
+        return ["--group", group, "--cocycle", cocycle], fn
+
+    def test_verify_n17_exits_two(self, tmp_path):
+        common, _ = self.files(tmp_path, 17)
+        started = time.perf_counter()
+        self.assert_input_error(self.run("verify", *common))
+        assert time.perf_counter() - started < 20
+
+    def test_matrix_fourier_n40_exits_two(self, tmp_path):
+        common, fn = self.files(tmp_path, 40)
+        started = time.perf_counter()
+        self.assert_input_error(self.run("fourier", *common, "--in", fn,
+                                         "--rep", "matrix"))
+        assert time.perf_counter() - started < 20
+
+    def test_edges_of_the_range(self, tmp_path):
+        for n in (2, 16):
+            common, fn = self.files(tmp_path, n)
+            assert cli.main(["fourier", *common, "--in", fn, "--rep", "matrix",
+                             "--roundtrip", "--out", str(tmp_path / "o.json")]) == 0
+        common, fn = self.files(tmp_path, 1)
+        assert cli.main(["fourier", *common, "--in", fn]) == 2
 
 
 def test_module_entry_point(tmp_path):

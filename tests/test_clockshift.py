@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projalg as pa
-from projalg import cli, clockshift, harmonic
+from projalg import cli, clockshift, cocycles, harmonic
 from projalg.phases import reduce_phase
 
 
@@ -190,3 +190,39 @@ def test_matrix_fourier_measures_the_cocycle_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out.json")])
     assert code == 0
     assert len(passes) == 2
+
+
+def test_matrix_fourier_normalizes_the_cocycle_once(tmp_path, monkeypatch):
+    """The torus realization's normalized cocycle is the one the command uses.
+
+    `fourier --rep matrix --cocycle clockshift` used to validate and
+    normalize the measured cocycle in the CLI and again in
+    `matrix_representation`; the output is the same with one pass of each.
+    """
+    calls = {"normalize": 0, "validate_cocycle": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(cocycles, name))
+        for module in (cocycles, cli, clockshift):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    files = {"g.json": {"kind": "cyclic_power", "n": 10, "d": 2},
+             "c.json": {"kind": "clockshift"},
+             "f.json": [{"element": [1, 2], "re": 1.0, "im": 0.5},
+                        {"element": [7, 3], "re": -0.2, "im": 0.0}]}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    code = cli.main(["fourier", "--group", str(tmp_path / "g.json"),
+                     "--cocycle", str(tmp_path / "c.json"),
+                     "--in", str(tmp_path / "f.json"), "--rep", "matrix",
+                     "--roundtrip", "--out", str(tmp_path / "out.json")])
+    assert code == 0
+    assert calls == {"normalize": 1, "validate_cocycle": 1}
+    checks = json.loads((tmp_path / "out.json").read_text())["checks"]
+    assert checks["plancherel"]["pass"] and checks["roundtrip"]["pass"]

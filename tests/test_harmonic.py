@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,52 @@ class TestMatrixRepresentation:
         f = random_function(rep.group, rng)
         back = pa.matrix_rep_inverse(pa.fourier(f, rep), rep)
         assert back.max_diff(f) < 1e-12
+
+
+class TestRegularInverseGather:
+    """invert_vector_finite on an (order, order) transform gathers, no R(a) built.
+
+    The oracle is the trace loop it replaced: f(a) = vdot(R(a), fhat) / order
+    with the zero-cocycle right regular matrix R(a)[b, c] = delta_{ba, c},
+    built here one element at a time.
+    """
+
+    @staticmethod
+    def R(group, ia):
+        n = group.order
+        m = np.zeros((n, n), dtype=complex)
+        m[np.arange(n), group.index_table()[:, ia]] = 1.0
+        return m
+
+    def test_oracle_matrices_are_the_regular_ones(self, s3):
+        R = pa.regular_reps(s3, pa.zero_cocycle(s3)).R
+        for ia, a in enumerate(s3.elements()):
+            assert np.array_equal(self.R(s3, ia), R[a])
+
+    @pytest.mark.parametrize("group", [pa.symmetric_group(3), pa.symmetric_group(4),
+                                       pa.make_cyclic_power(4, 2),
+                                       pa.make_cyclic_power(6, 3)])
+    def test_matches_the_trace_loop(self, group, rng):
+        n = group.order
+        fhat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        back = pa.invert_vector_finite(fhat, group)
+        for ia, a in enumerate(group.elements()):
+            expected = np.vdot(self.R(group, ia), fhat) / n
+            assert abs(back.get(a) - expected) < 1e-13
+
+    def test_round_trip_s4(self, rng):
+        s4 = pa.symmetric_group(4)
+        rep = pa.regular_matrix_rep(s4)
+        f = random_function(s4, rng)
+        assert pa.invert_vector_finite(pa.fourier(f, rep), s4).max_diff(f) < 1e-12
+
+    def test_memory_at_order_216(self, rng):
+        group = pa.make_cyclic_power(6, 3)
+        fhat = rng.standard_normal((216, 216)) + 1j * rng.standard_normal((216, 216))
+        tracemalloc.start()
+        try:
+            pa.invert_vector_finite(fhat, group)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20

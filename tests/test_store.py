@@ -1,0 +1,238 @@
+"""The shared coefficient store of GroupFunction and AlgebraElement.
+
+Keys are canonicalized once, by the public constructors.  Internal results
+(kernel products, sums, the involution, conversions, inversion, convolution,
+derivations, automorphisms, serialization) hand canonical dicts to
+``_CoefficientStore._canonical``, which skips ``group.canonical``.  The oracle
+for each of them is the public constructor applied to the same dict: it must
+build the same coefficients under keys of the same types.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import projalg as pa
+from projalg import groups, serialize
+from projalg.algebra import _CoefficientStore
+
+SETTINGS = settings(max_examples=80, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+CYCLIC = [(n, d) for n in range(2, 7) for d in range(1, 4)]
+GROUPS = ([("cyclic", n, d) for n, d in CYCLIC] + [("sym", 3, 0), ("sym", 4, 0)]
+          + [("lattice", 0, d) for d in (1, 2, 3)])
+
+
+@functools.lru_cache(maxsize=None)
+def build_group(kind, n, d):
+    if kind == "cyclic":
+        return pa.make_cyclic_power(n, d)
+    if kind == "sym":
+        return pa.symmetric_group(n)
+    return pa.make_lattice(d)
+
+
+@functools.lru_cache(maxsize=None)
+def normalized_cocycles(kind, n, d):
+    """Normalized cocycles on a group: zero plus one or two twisted ones."""
+    g = build_group(kind, n, d)
+    if not g.is_finite:
+        theta = np.array([[0.0, 0.7, -0.3], [-0.7, 0.0, 1.1], [0.3, -1.1, 0.0]])
+        return [pa.zero_cocycle(g), pa.BilinearCocycle(g, theta[:d, :d])]
+    rng = np.random.default_rng(g.order)
+    phi = pa.GaugePhase.from_table(g, np.r_[0.0, rng.uniform(-3, 3, g.order - 1)])
+    out = [pa.zero_cocycle(g), pa.normalize(g, pa.coboundary(g, phi))[0]]
+    if kind == "cyclic":
+        coords = np.array(list(g.elements()))
+        bichar = 2 * np.pi * np.outer(coords[:, 0], coords[:, -1]) / n
+        out.append(pa.normalize(g, pa.TabulatedCocycle(g, bichar))[0])
+    return out
+
+
+@st.composite
+def contexts(draw):
+    """(group, normalized cocycle, two random coefficient dicts)."""
+    spec = draw(st.sampled_from(GROUPS))
+    g = build_group(*spec)
+    alpha = draw(st.sampled_from(normalized_cocycles(*spec)))
+    if g.is_finite:
+        keys = st.integers(0, g.order - 1).map(g.element_at)
+    else:
+        keys = st.tuples(*[st.integers(-6, 6)] * g.d)
+    values = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                allow_infinity=False)
+    coeffs = st.dictionaries(keys, values, max_size=12)
+    return g, alpha, draw(coeffs), draw(coeffs)
+
+
+def key_types(store):
+    return [(type(k), tuple(map(type, k)) if isinstance(k, tuple) else ())
+            for k in store._coeffs]
+
+
+def assert_canonical_result(result):
+    """``result`` is what the public constructor builds from its own dict."""
+    if isinstance(result, pa.AlgebraElement):
+        public = pa.AlgebraElement(result.group, result.cocycle, result._coeffs)
+    else:
+        public = pa.GroupFunction(result.group, result._coeffs)
+    assert result._coeffs == public._coeffs
+    assert list(result._coeffs) == list(public._coeffs)
+    assert key_types(result) == key_types(public)
+    assert all(type(v) is complex for v in result._coeffs.values())
+
+
+class TestInternalResultsAreCanonical:
+    @SETTINGS
+    @given(contexts(), st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                                          allow_infinity=False))
+    def test_algebra_results(self, ctx, scalar):
+        g, alpha, c1, c2 = ctx
+        u, v = pa.AlgebraElement(g, alpha, c1), pa.AlgebraElement(g, alpha, c2)
+        for result in (u * v, u + v, u - v, -u, scalar * u, u * np.float64(2.5),
+                       u.star(), pa.apply_R(g.identity(), u)):
+            assert_canonical_result(result)
+        # The old route: each result built by the public constructor from
+        # non-canonical input gives the same coefficients.
+        assert u.star()._coeffs == pa.AlgebraElement(
+            g, alpha, {g.inv(a): c.conjugate() for a, c in u.items()})._coeffs
+
+    @SETTINGS
+    @given(contexts())
+    def test_function_results(self, ctx):
+        g, alpha, c1, c2 = ctx
+        f1, f2 = pa.GroupFunction(g, c1), pa.GroupFunction(g, c2)
+        fhat = pa.as_algebra_element(f1, alpha)
+        assert fhat._coeffs is f1._coeffs
+        h = pa.deformed_convolution(f1, f2, alpha)
+        back = pa.invert(fhat)
+        for result in (fhat, h, back):
+            assert_canonical_result(result)
+        assert back.max_diff(f1) < 1e-12
+        assert h.max_diff(fhat * pa.as_algebra_element(f2, alpha)) < 1e-12
+
+    @SETTINGS
+    @given(contexts())
+    def test_serialized_results(self, ctx):
+        g, alpha, c1, _ = ctx
+        u = pa.AlgebraElement(g, alpha, c1)
+        spec = serialize.element_to_spec(u)
+        assert spec == serialize.function_to_spec(pa.GroupFunction(g, dict(u.items())))
+        back = serialize.element_from_spec(spec, g, alpha)
+        assert_canonical_result(back)
+        assert back._coeffs == u._coeffs
+
+    @SETTINGS
+    @given(contexts())
+    def test_transform_inverses(self, ctx):
+        g, _, c1, _ = ctx
+        if not g.is_finite or g.order > 36:
+            return
+        f = pa.GroupFunction(g, c1)
+        rep = regular_rep(g)
+        back = pa.matrix_rep_inverse(pa.fourier(f, rep), rep)
+        assert_canonical_result(back)
+        assert back.max_diff(f) < 1e-12
+        if isinstance(g, groups.CyclicPowerGroup):
+            back = pa.character_inverse(pa.character_transform(f), g)
+            assert_canonical_result(back)
+            assert back.max_diff(f) < 1e-12
+
+    @SETTINGS
+    @given(contexts())
+    def test_calculus_results(self, ctx):
+        g, alpha, c1, _ = ctx
+        if g.is_finite and not isinstance(g, groups.CyclicPowerGroup):
+            return
+        u = pa.AlgebraElement(g, alpha, c1)
+        phi = [2 * np.pi * (i + 1) / getattr(g, "n", 7.3) for i in range(g.d)]
+        assert_canonical_result(pa.apply_automorphism(pa.Automorphism(g, phi), u))
+        if not g.is_finite:
+            assert_canonical_result(pa.derive(pa.CoordinateDerivation(g, 0), u))
+
+
+@functools.lru_cache(maxsize=None)
+def regular_rep(g):
+    return pa.regular_matrix_rep(g)
+
+
+@pytest.mark.parametrize("g, alpha", [
+    (pa.make_cyclic_power(4, 2), pa.normalize(pa.make_cyclic_power(4, 2),
+                                              pa.measured_cocycle(4))[0]),
+    (pa.make_cyclic_power(3, 3), pa.zero_cocycle(pa.make_cyclic_power(3, 3))),
+    (pa.make_lattice(2), pa.BilinearCocycle(pa.make_lattice(2),
+                                            [[0.0, 0.4], [-0.4, 0.0]])),
+    (pa.make_lattice(3), pa.zero_cocycle(pa.make_lattice(3))),
+])
+def test_internal_results_never_canonicalize(g, alpha, monkeypatch):
+    rng = np.random.default_rng(3)
+    if g.is_finite:
+        keys = [g.element_at(int(i)) for i in rng.choice(g.order, 8, replace=False)]
+    else:
+        keys = [tuple(int(x) for x in rng.integers(-5, 6, g.d)) for _ in range(8)]
+    vals = rng.normal(size=8) + 1j * rng.normal(size=8)
+    f1 = pa.GroupFunction(g, dict(zip(keys, vals)))
+    f2 = pa.GroupFunction(g, dict(zip(keys[::-1], vals)))
+    u, v = pa.as_algebra_element(f1, alpha), pa.as_algebra_element(f2, alpha)
+
+    calls = []
+    for cls in (groups.CyclicPowerGroup, groups.LatticeGroup):
+        real = cls.canonical
+
+        def counting(self, a, _real=real):
+            calls.append(a)
+            return _real(self, a)
+
+        monkeypatch.setattr(cls, "canonical", counting)
+    u * v
+    u + v
+    u.star()
+    pa.as_algebra_element(f1, alpha)
+    pa.deformed_convolution(f1, f2, alpha)
+    serialize.function_to_spec(f1)
+    serialize.function_to_spec(u * v)
+    assert calls == []
+    pa.GroupFunction(g, {keys[0]: 1.0})
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g", [pa.make_cyclic_power(3, 2), pa.symmetric_group(3),
+                               pa.make_lattice(2)])
+def test_overflowing_product_is_rejected(g):
+    alpha = pa.zero_cocycle(g)
+    a = g.identity()
+    u = pa.AlgebraElement(g, alpha, {a: 1e200})
+    f = pa.GroupFunction(g, {a: 1e200})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            u * u
+        with pytest.raises(ValueError, match="not finite"):
+            pa.deformed_convolution(f, f, alpha)
+    with pytest.raises(ValueError, match="not finite"):
+        u * math.inf
+
+
+def test_internal_results_prune_like_the_constructor():
+    g = pa.make_cyclic_power(4, 1)
+    u = pa.generator(g, pa.zero_cocycle(g), (1,))
+    assert len(u - u) == 0
+    assert len(1e-16 * u) == 0
+    assert (u + 1e-16 * u)._coeffs == {(1,): 1.0}
+
+
+def test_store_is_shared_and_named():
+    g = pa.make_cyclic_power(3, 1)
+    f = pa.GroupFunction(g, {4: 2.0})
+    assert isinstance(f, _CoefficientStore)
+    assert f.get(1) == f.coeff((1,)) == 2.0
+    u = pa.as_algebra_element(f, pa.zero_cocycle(g))
+    assert repr(f) == "GroupFunction({(1,): 2+0j})"
+    assert repr(u) == "AlgebraElement({(1,): 2+0j})"
+    assert f.max_diff(u) == 0.0
+    with pytest.raises(AttributeError):
+        f.extra = 1
