@@ -36,13 +36,14 @@ expression; other lattice cocycles fall back to one ``phase`` call per pair.
 from __future__ import annotations
 
 import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .cocycles import Cocycle
+from .cocycles import Cocycle, _require_same_group
 from .errors import (ContextMismatchError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
 from .groups import LATTICE_COORD_LIMIT, Group
@@ -58,11 +59,6 @@ def _coefficients(group: Group, pairs) -> dict:
         k = group.canonical(k)
         acc[k] = acc.get(k, 0j) + complex(v)
     return acc
-
-
-def _require_cocycle_on(group: Group, alpha: Cocycle) -> None:
-    if alpha.group != group:
-        raise ContextMismatchError("cocycle was built on a different group")
 
 
 def _inverse_keys(group: Group, keys) -> list:
@@ -95,12 +91,17 @@ class _CoefficientStore:
         return store
 
     def _keep(self, group: Group, coeffs: dict) -> None:
-        """Reject NaN and inf, prune below PRUNE_TOL; keeps ``coeffs`` if none is."""
+        """Reject NaN, inf and overflowing moduli; prune below PRUNE_TOL."""
         for k, v in coeffs.items():
             if not cmath.isfinite(v):
                 raise ValueError(f"coefficient at {group.describe(k)} is not finite")
-        if not all(abs(v) >= PRUNE_TOL for v in coeffs.values()):
-            coeffs = {k: v for k, v in coeffs.items() if abs(v) >= PRUNE_TOL}
+        try:
+            if not all(abs(v) >= PRUNE_TOL for v in coeffs.values()):
+                coeffs = {k: v for k, v in coeffs.items() if abs(v) >= PRUNE_TOL}
+        except OverflowError:
+            k = next(k for k, v in coeffs.items() if math.hypot(v.real, v.imag) == math.inf)
+            raise ValueError(f"coefficient at {group.describe(k)} is too large: "
+                             f"its modulus is not a finite float") from None
         self.group = group
         self._coeffs = coeffs
 
@@ -138,7 +139,7 @@ class AlgebraElement(_CoefficientStore):
     __slots__ = ("cocycle",)
 
     def __init__(self, group: Group, cocycle: Cocycle, coeffs: Mapping):
-        _require_cocycle_on(group, cocycle)
+        _require_same_group(group, cocycle)
         self.cocycle = cocycle
         super().__init__(group, coeffs)
 
@@ -312,7 +313,7 @@ def _require_regular_context(group: Group, alpha: Cocycle) -> None:
     if not group.is_finite:
         raise UnsupportedOperationError(
             "regular matrices exist for finite groups; use apply_R/apply_L on lattices")
-    _require_cocycle_on(group, alpha)
+    _require_same_group(group, alpha)
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "regular matrices assume a normalized cocycle; call normalize() first")
@@ -325,18 +326,16 @@ def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
     T = group.index_table()
     A = alpha.phase_matrix()
     ar = np.arange(n)
-    R: dict = {}
-    L: dict = {}
-    for ia in range(n):
-        a = group.element_at(ia)
-        Rm = np.zeros((n, n), dtype=complex)
-        Rm[ar, T[:, ia]] = np.exp(1j * A[:, ia])
-        Rm.setflags(write=False)
-        R[a] = Rm
-        Lm = np.zeros((n, n), dtype=complex)
-        Lm[T[ia, :], ar] = np.exp(1j * A[ia, :])
-        Lm.setflags(write=False)
-        L[a] = Lm
+
+    def monomial(rows, cols, values) -> np.ndarray:
+        m = np.zeros((n, n), dtype=complex)
+        m[rows, cols] = values
+        m.setflags(write=False)
+        return m
+
+    elems = group.indexing()[0]
+    R = {a: monomial(ar, T[:, ia], np.exp(1j * A[:, ia])) for ia, a in enumerate(elems)}
+    L = {a: monomial(T[ia], ar, np.exp(1j * A[ia])) for ia, a in enumerate(elems)}
     C = np.eye(n)[group.inverse_indices()]
     C.setflags(write=False)
     return RegularRepPair(group, alpha, R, L, C)

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _require_cocycle_on
-from .cocycles import Cocycle
+from .algebra import AlgebraElement
+from .cocycles import Cocycle, _require_same_group
 from .errors import ContextMismatchError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group, LatticeGroup
 from .integration import GroupFunction, as_algebra_element, ati_integral, invert
@@ -105,7 +105,7 @@ def check_leibniz(d: Derivation, group: Group, alpha: Cocycle, *,
     Holds for any cocycle: both sides of a monomial pair carry
     sigma(a) + sigma(b) times the same phase.
     """
-    _require_cocycle_on(group, alpha)
+    _require_same_group(group, alpha)
     rng = sampling.rng_from_seed(seed)
     worst = 0.0
     for _ in range(trials):
@@ -181,7 +181,7 @@ def measure_invariance_check(s: Automorphism, group: Group, alpha: Cocycle, *,
     * inverting S(phi) applied to a formal transform multiplies the
       original function by exp(-i phi . m) pointwise.
     """
-    _require_cocycle_on(group, alpha)
+    _require_same_group(group, alpha)
     rng = sampling.rng_from_seed(seed)
     report = VerificationReport(suite="measure_invariance")
     worst_int = 0.0

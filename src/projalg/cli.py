@@ -31,7 +31,7 @@ from .harmonic import (FormalRepresentation, character_inverse,
                        regular_matrix_rep)
 from .integration import (GroupFunction, as_algebra_element, completeness_check,
                           invert)
-from .report import VerificationReport, dumps_canonical
+from .report import CheckResult, VerificationReport, dumps_canonical
 from .serialize import (cocycle_from_spec, function_from_spec,
                         function_to_spec, group_from_spec, matrix_to_spec)
 
@@ -71,31 +71,16 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_group(path: str) -> Group:
-    spec = _load_json(path)
+def _parse(path: str | None, what: str, build, spec, *args):
+    """build(spec, *args), where spec was read from ``path``; bad data is an input error."""
     try:
-        return group_from_spec(spec)
+        return build(spec, *args)
     except _INPUT_ERRORS as exc:
-        raise InputError(f"invalid group file {path}: {exc}") from exc
-
-
-def _load_cocycle(path: str | None, group: Group) -> tuple[Cocycle, str]:
-    if path is None:
-        spec = {"kind": "zero"}
-    else:
-        spec = _load_json(path)
-    try:
-        return cocycle_from_spec(spec, group), str(spec.get("kind"))
-    except _INPUT_ERRORS as exc:
-        raise InputError(f"invalid cocycle file {path}: {exc}") from exc
+        raise InputError(f"invalid {what} file {path}: {exc}") from exc
 
 
 def _load_function(path: str, group: Group) -> GroupFunction:
-    data = _load_json(path)
-    try:
-        return function_from_spec(data, group)
-    except _INPUT_ERRORS as exc:
-        raise InputError(f"invalid function file {path}: {exc}") from exc
+    return _parse(path, "function", function_from_spec, _load_json(path), group)
 
 
 def _parse_seed(text: str) -> int:
@@ -106,9 +91,11 @@ def _parse_seed(text: str) -> int:
 
 
 def _config(args) -> RunConfig:
-    group = _load_group(args.group)
-    cocycle, kind = _load_cocycle(getattr(args, "cocycle", None), group)
-    return RunConfig(group=group, cocycle=cocycle, cocycle_kind=kind,
+    group = _parse(args.group, "group", group_from_spec, _load_json(args.group))
+    path = getattr(args, "cocycle", None)
+    spec = {"kind": "zero"} if path is None else _load_json(path)
+    cocycle = _parse(path, "cocycle", cocycle_from_spec, spec, group)
+    return RunConfig(group=group, cocycle=cocycle, cocycle_kind=str(spec.get("kind")),
                      tol=args.tol, seed=_parse_seed(args.seed), out=args.out)
 
 
@@ -142,7 +129,7 @@ def cmd_verify(args) -> int:
     report.extend(validation)
     if not validation.passed:
         report.elapsed_seconds = time.perf_counter() - started
-        _finish(report, cfg)
+        _finish(report, cfg.out)
         return EXIT_CHECK_FAILED
 
     alpha_n, _ = normalize(group, alpha, validate=False)
@@ -178,12 +165,12 @@ def cmd_verify(args) -> int:
                       prefix="clockshift")
 
     report.elapsed_seconds = time.perf_counter() - started
-    _finish(report, cfg)
+    _finish(report, cfg.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _finish(report: VerificationReport, cfg: RunConfig) -> None:
-    _emit(report.to_json(), cfg.out)
+def _finish(report: VerificationReport, out: str | None) -> None:
+    _emit(report.to_json(), out)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     if report.elapsed_seconds is not None:
@@ -237,7 +224,7 @@ def cmd_fourier(args) -> int:
                       "im": complex(table[q]).imag}
                      for q in group.elements()]
         roundtrip = character_inverse(table, group) if args.roundtrip else None
-    elif args.rep == "matrix":
+    else:  # matrix; argparse restricts the choices
         if not group.is_finite:
             raise InputError("matrix transforms need a finite group")
         if _is_zero_cocycle(cfg.cocycle):
@@ -249,8 +236,6 @@ def cmd_fourier(args) -> int:
         fhat = fourier(f, rep)
         transform = {"matrix": matrix_to_spec(fhat)}
         roundtrip = matrix_rep_inverse(fhat, rep) if args.roundtrip else None
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown representation kind {args.rep!r}")
 
     try:
         lhs, rhs = plancherel_values(f, alpha_n)
@@ -279,12 +264,10 @@ def cmd_convolve(args) -> int:
         rhs = as_algebra_element(f1, alpha_n) * as_algebra_element(f2, alpha_n)
     except ValueError as exc:
         raise InputError(f"cannot multiply the inputs: {exc}") from exc
-    out = {
-        "result": function_to_spec(h),
-        "checks": {"transform_product": _check_dict(h.max_diff(rhs), _tol(cfg, 1e-12))},
-    }
-    _emit(dumps_canonical(out), cfg.out)
-    return EXIT_OK if out["checks"]["transform_product"]["pass"] else EXIT_CHECK_FAILED
+    check = _check_dict(h.max_diff(rhs), _tol(cfg, 1e-12))
+    _emit(dumps_canonical({"result": function_to_spec(h),
+                           "checks": {"transform_product": check}}), cfg.out)
+    return EXIT_OK if check["pass"] else EXIT_CHECK_FAILED
 
 
 # -- clockshift / report -----------------------------------------------------
@@ -295,9 +278,7 @@ def cmd_clockshift(args) -> int:
         report = consistency_check(args.n, seed=_parse_seed(args.seed))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(report.to_json(), args.out)
-    for line in report.summary_lines():
-        print(line, file=sys.stderr)
+    _finish(report, args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -307,12 +288,11 @@ def cmd_report(args) -> int:
         raise InputError(f"{args.infile} is not a verification report")
     try:
         for check in data["checks"]:
-            status = "PASS" if check.get("pass") else "FAIL"
-            print(f"[{status}] {check.get('name')}: residual "
-                  f"{check['max_residual']:.3e} (tol {check['tolerance']:.1e})")
+            print(CheckResult(check.get("name"), check["max_residual"],
+                              check["tolerance"], bool(check.get("pass"))).summary())
         print(f"suite {data.get('suite')}: {'PASS' if data['pass'] else 'FAIL'}")
         return EXIT_OK if data["pass"] else EXIT_CHECK_FAILED
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"{args.infile} has malformed check records: {exc}") from exc
 
 

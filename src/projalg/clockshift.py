@@ -160,9 +160,8 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
 
     U1, U2 = clock_shift_matrices(n)
     eye = np.eye(n)
-    pow_res = max(
-        float(np.max(np.abs(np.linalg.matrix_power(U1, n) - eye))),
-        float(np.max(np.abs(np.linalg.matrix_power(U2, n) - eye))))
+    pow_res = max(float(np.max(np.abs(np.linalg.matrix_power(U, n) - eye)))
+                  for U in (U1, U2))
     report.add("generator_order", pow_res, tol_conv)
     comm = U1 @ U2 @ U1.conj().T @ U2.conj().T
     report.add("commutator_phase",

@@ -35,14 +35,14 @@ import numpy as np
 from . import sampling
 from .errors import (BackingMismatchError, ContextMismatchError,
                      NormalizationRequiredError, UnsupportedOperationError)
-from .groups import Group, LatticeGroup
+from .groups import Group, LatticeGroup, word_lengths
 from .phases import TWO_PI, reduce_phase
 from .report import VerificationReport
 
 NORMALIZED_TOL = 1e-12
 
-# Triples per chunk of the exhaustive constraint check: 2**18 float64 values
-# is 2 MB per buffer, small enough to stay in cache.
+# Triples per chunk of the constraint check: 2**18 float64 values is 2 MB
+# per buffer, small enough to stay in cache.
 _CHUNK = 2 ** 18
 
 
@@ -56,13 +56,13 @@ class GaugePhase:
 
     def __init__(self, group: Group, backing):
         self.group = group
-        self._backing = backing  # ndarray (finite) | dict | callable
+        self._backing = backing  # ndarray (finite) | callable
 
     @classmethod
     def zero(cls, group: Group) -> "GaugePhase":
         if group.is_finite:
             return cls(group, np.zeros(group.order))
-        return cls(group, {})
+        return cls(group, lambda a: 0.0)
 
     @classmethod
     def from_table(cls, group: Group, values) -> "GaugePhase":
@@ -78,7 +78,8 @@ class GaugePhase:
 
     @classmethod
     def from_mapping(cls, group: Group, mapping: Mapping) -> "GaugePhase":
-        return cls(group, {group.canonical(k): float(v) for k, v in mapping.items()})
+        values = {group.canonical(k): float(v) for k, v in mapping.items()}
+        return cls(group, lambda a: values.get(a, 0.0))
 
     @classmethod
     def from_callable(cls, group: Group, fn: Callable) -> "GaugePhase":
@@ -89,8 +90,6 @@ class GaugePhase:
         b = self._backing
         if isinstance(b, np.ndarray):
             return float(b[self.group.element_index(a)])
-        if isinstance(b, dict):
-            return float(b.get(a, 0.0))
         return float(b(a))
 
     def table(self) -> np.ndarray:
@@ -106,8 +105,6 @@ class GaugePhase:
         b = self._backing
         if isinstance(b, np.ndarray):
             return GaugePhase(self.group, -b)
-        if isinstance(b, dict):
-            return GaugePhase(self.group, {k: -v for k, v in b.items()})
         return GaugePhase(self.group, lambda a, _fn=b: -_fn(a))
 
 
@@ -166,15 +163,9 @@ class TabulatedCocycle(Cocycle):
         self.group = group
         self._table = t
         self._exp: np.ndarray | None = None
-        self.normalized = self._check_normalized()
-
-    def _check_normalized(self) -> bool:
-        t = self._table
-        inv = self.group.inverse_indices()
-        n = self.group.order
-        worst = max(np.max(np.abs(t[0, :])), np.max(np.abs(t[:, 0])),
-                    np.max(np.abs(t[np.arange(n), inv])))
-        return bool(worst < NORMALIZED_TOL)
+        inverse_pairs = t[np.arange(group.order), group.inverse_indices()]
+        self.normalized = bool(max(np.max(np.abs(t[0])), np.max(np.abs(t[:, 0])),
+                                   np.max(np.abs(inverse_pairs))) < NORMALIZED_TOL)
 
     def phase(self, a, b) -> float:
         g = self.group
@@ -263,8 +254,7 @@ class GaugedCocycle(Cocycle):
     """
 
     def __init__(self, base: Cocycle, phi: GaugePhase, *, normalized: bool = False):
-        if base.group != phi.group:
-            raise ContextMismatchError("cocycle and gauge phase live on different groups")
+        _require_same_group(base.group, phi)
         self.group = base.group
         self._base = base
         self._phi = phi
@@ -292,7 +282,7 @@ def zero_cocycle(group: Group) -> Cocycle:
 def _require_same_group(group: Group, obj) -> None:
     if obj.group != group:
         raise ContextMismatchError(
-            f"object built on {obj.group!r} used with {group!r}")
+            f"{type(obj).__name__} built on {obj.group!r} used with {group!r}")
 
 
 def cocycle_condition_residual(alpha: Cocycle, a, b, c) -> float:
@@ -308,16 +298,22 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
                      seed: int | None = None) -> VerificationReport:
     """Check the associativity phase constraint.
 
-    Finite groups are checked exhaustively over all order**3 triples, one
-    chunk of first indices a at a time.  A chunk holds about 2**18 triples,
-    and at least one row of order**2, so the two float64 work buffers take
-    2 x 8 x max(2**18, order**2) bytes: 4 MB up to order 512 and
-    16 MB at order 10**3, instead of several order**3 temporaries.  A
-    triple's residual is the distance of
+    A triple's residual omega(a, b, c) is the distance of
     alpha(a,b) + alpha(ab,c) - alpha(b,c) - alpha(a,bc) to the nearest
     multiple of 2 pi; it equals :func:`cocycle_condition_residual` up to
-    rounding.  The report names the first worst triple in (a, b, c) order;
-    a NaN phase gives a NaN residual and a failed check.
+    rounding.
+
+    Finite groups are checked on the order**2 x (|S| + 1) triples (a, b, s)
+    with s the identity or in S = ``group.generators()``.  omega is a
+    3-cocycle, so omega(a, b, cs) = omega(a, b, c) + omega(b, c, s)
+    - omega(ab, c, s) + omega(a, bc, s); by induction on the length of c as
+    a word in S, |omega(a, b, c)| <= (3L + 1) g on the circle, where g is the
+    largest generator residual and L the longest shortest word.  The report
+    gives (3L + 1) g, so a pass bounds every triple by ``tol``.  Chunks of
+    first elements a hold about 2**18 triples (at least one row of
+    order x (|S| + 1)) in two float64 buffers.  The report names the first
+    worst (a, b, s) in index order; a NaN phase gives a NaN residual and a
+    failed check.
 
     Lattices are checked over ``samples`` seeded pseudo-random triples drawn
     from [-box, box]^D coordinates in one call, all residuals computed as
@@ -332,19 +328,23 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
         A = np.asarray(alpha.phase_matrix(), dtype=float)
         T = group.index_table()
         n = group.order
-        rows = max(1, _CHUNK // n ** 2)
-        x_buf = np.empty((rows, n, n))
+        index = group.indexing()[1]
+        S = np.array(sorted({0, *(index[s] for s in group.generators())}))
+        depth = int(word_lengths(T, S).max())
+        AS, TS = A[:, S], T[:, S]                 # alpha(b, s), bs
+        rows = max(1, _CHUNK // (n * S.size))
+        x_buf = np.empty((rows, n, S.size))
         y_buf = np.empty_like(x_buf)
         best, worst = -np.inf, 0
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            x, y = x_buf[:e - s], y_buf[:e - s]
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            x, y = x_buf[:hi - lo], y_buf[:hi - lo]
             # T holds only valid indices, so mode="clip" merely lets take()
             # write straight into the buffer without a bounds-check copy.
-            np.take(A, T[s:e], axis=0, out=x, mode="clip")     # alpha(ab, c)
-            x += A[s:e, :, None]                                # alpha(a, b)
-            x -= A                                              # alpha(b, c)
-            x -= np.take(A[s:e], T, axis=1, out=y, mode="clip")  # alpha(a, bc)
+            np.take(AS, T[lo:hi], axis=0, out=x, mode="clip")     # alpha(ab, s)
+            x += A[lo:hi, :, None]                                # alpha(a, b)
+            x -= AS                                               # alpha(b, s)
+            x -= np.take(A[lo:hi], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
             # Distance to the nearest multiple of 2 pi.
             np.rint(np.divide(x, TWO_PI, out=y), out=y)
             y *= TWO_PI
@@ -354,14 +354,15 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
             # Ties keep the earlier triple; a NaN wins and ends the scan,
             # as max and argmax over all triples at once would report it.
             if not x.flat[k] <= best:
-                best, worst = float(x.flat[k]), s * n * n + k
+                best, worst = float(x.flat[k]), lo * n * S.size + k
                 if np.isnan(best):
                     break
-        a, b, c = (group.element_at(int(i))
-                   for i in np.unravel_index(worst, (n, n, n)))
-        report.add("cocycle_condition", best, tol,
+        a, b, j = np.unravel_index(worst, (n, n, S.size))
+        a, b, s = (group.element_at(int(i)) for i in (a, b, S[j]))
+        report.add("cocycle_condition", (3 * depth + 1) * best, tol,
                    detail=f"worst triple ({group.describe(a)}, "
-                          f"{group.describe(b)}, {group.describe(c)})")
+                          f"{group.describe(b)}, {group.describe(s)}) of "
+                          f"{n}^2 x {S.size} generator triples, depth {depth}")
     else:
         a, b, c = sampling.lattice_points(group, sampling.rng_from_seed(seed),
                                           samples, 3, box=box)
@@ -386,18 +387,13 @@ def coboundary(group: Group, phi: GaugePhase) -> Cocycle:
     _require_same_group(group, phi)
     if abs(phi.value(group.identity())) > 1e-12:
         raise ValueError("gauge phase must vanish at the identity")
-    if group.is_finite:
-        vals = phi.table()
-        T = group.index_table()
-        return TabulatedCocycle(group, vals[T] - vals[:, None] - vals[None, :])
-    return GaugedCocycle(zero_cocycle(group), phi)
+    return gauge_transform(zero_cocycle(group), phi)
 
 
 def gauge_transform(alpha: Cocycle, phi: GaugePhase) -> Cocycle:
     """alpha'(a,b) = alpha(a,b) + phi(ab) - phi(a) - phi(b), reduced mod 2 pi."""
-    if alpha.group != phi.group:
-        raise ContextMismatchError("cocycle and gauge phase live on different groups")
     group = alpha.group
+    _require_same_group(group, phi)
     if group.is_finite:
         vals = phi.table()
         T = group.index_table()
@@ -433,8 +429,7 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
         # can put them on opposite sides of the branch cut; halving one value
         # per inverse pair keeps phi(a) + phi(a^-1) = alpha(a, a^-1) exact.
         pair = A[np.minimum(ar, inv), np.maximum(ar, inv)]
-        phi_vals = (pair + A[0, 0]) / 2.0
-        phi = GaugePhase.from_table(group, phi_vals)
+        phi = GaugePhase.from_table(group, (pair + A[0, 0]) / 2.0)
         return gauge_transform(alpha, phi), phi
     if isinstance(alpha, BilinearCocycle):
         theta = alpha.theta
@@ -481,11 +476,9 @@ def check_identities(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
         A = alpha.phase_matrix()
         T = group.index_table()
         inv = group.inverse_indices()
-        n = group.order
-        ar = np.arange(n)
+        ar = np.arange(group.order)
         r1 = np.abs(reduce_phase(A[inv, ar] - A[ar, inv]))
-        cols = np.broadcast_to(inv[None, :], (n, n))
-        prod_inv = A[T, cols]                       # alpha(ab, b^-1)
+        prod_inv = A[T, inv]                        # alpha(ab, b^-1)
         r2 = np.abs(reduce_phase(A + prod_inv))
         M = A[np.ix_(inv, inv)]                     # alpha(a^-1, b^-1)
         r3 = np.abs(reduce_phase(M + A.T))

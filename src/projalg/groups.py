@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import GroupConstructionError, UnsupportedOperationError
 
-Element = "int | tuple[int, ...]"
-
-# Exhaustive n^3 associativity checking is kept bounded at desk scale.
-VALIDATION_ORDER_LIMIT = 64
+# Largest table order validated on construction.  Associativity is checked
+# on the N^2 |S| triples (a, b, s) with s in a generating set S, |S| <= log2 N.
+VALIDATION_ORDER_LIMIT = 1024
 
 # Largest |coordinate| of a lattice element.  float64 holds every integer up
 # to 2**53, so bilinear phases computed in float64 see the exact coordinate,
@@ -80,9 +79,21 @@ class Group:
             f"{type(self).__name__} has no multiplication table")
 
     def inverse_indices(self) -> np.ndarray:
-        """inverse_indices()[i] is the index of the inverse of element i."""
+        """inverse_indices()[i] is the index of the inverse of element i.
+
+        That is the column of the identity, index 0, in row i of the index table.
+        """
+        cached = self.__dict__.get("_inverse_indices")
+        if cached is None:
+            cached = np.argmin(self.index_table(), axis=1)
+            cached.setflags(write=False)
+            self._inverse_indices = cached
+        return cached
+
+    def generators(self) -> tuple:
+        """A generating set S: every element is a product of elements of S."""
         raise UnsupportedOperationError(
-            f"{type(self).__name__} has no multiplication table")
+            f"{type(self).__name__} has no finite generating set")
 
     def indexing(self) -> tuple[tuple, dict]:
         """(elements in index order, canonical element -> index); finite groups only.
@@ -98,12 +109,26 @@ class Group:
         return cached
 
 
+def word_lengths(table: np.ndarray, gens) -> np.ndarray:
+    """Per element of an index table, the length of the shortest word
+    e s1 s2 ... in the indices ``gens`` giving it; -1 if none does."""
+    depth = np.full(len(table), -1, dtype=np.int64)
+    depth[0] = 0
+    gens = np.asarray(gens, dtype=np.int64)
+    for step in itertools.count(1):
+        reached = table[np.flatnonzero(depth == step - 1)[:, None], gens]
+        fresh = reached[depth[reached] < 0]
+        if not fresh.size:
+            return depth
+        depth[fresh] = step
+
+
 class FiniteTableGroup(Group):
     """Finite group given by an explicit multiplication table over 0..n-1."""
 
     def __init__(self, table, names: Sequence[str] | None = None, *,
                  skip_validation: bool = False):
-        t = np.asarray(table, dtype=np.int64)
+        t = np.array(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise GroupConstructionError("multiplication table must be square")
         n = t.shape[0]
@@ -122,35 +147,36 @@ class FiniteTableGroup(Group):
                 "element 0 must act as a two-sided identity")
         if n > VALIDATION_ORDER_LIMIT and not skip_validation:
             raise GroupConstructionError(
-                f"order {n} exceeds the exhaustive validation limit "
+                f"order {n} exceeds the validation limit "
                 f"{VALIDATION_ORDER_LIMIT}; pass skip_validation=True to accept "
                 f"the table unchecked")
-        if not skip_validation:
-            lhs = t[t, :]   # (a b) c
-            rhs = t[:, t]   # a (b c)
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                a, b, c = (int(x) for x in bad[0])
-                raise GroupConstructionError(
-                    f"associativity fails on triple ({self._name(a)}, "
-                    f"{self._name(b)}, {self._name(c)})")
-        inv = np.empty(n, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(t[a] == 0)
-            if hits.size != 1:
-                raise GroupConstructionError(
-                    f"element {self._name(a)} must have exactly one right "
-                    f"inverse, found {hits.size}")
-            b = int(hits[0])
-            if t[b, a] != 0:
-                raise GroupConstructionError(
-                    f"right inverse of {self._name(a)} is not a left inverse")
-            inv[a] = b
         t.setflags(write=False)
-        inv.setflags(write=False)
         self._table = t
-        self._inv = inv
         self.order = n
+        self._generators = None
+        if not skip_validation:
+            # (ab)s = a(bs) for every generator s, with the identity row,
+            # gives (ab)c = a(bc) for all c by induction on c's word length.
+            for s in self.generators():
+                col = t[:, s]
+                bad = np.argwhere(col[t] != t[:, col])
+                if bad.size:
+                    a, b = (int(x) for x in bad[0])
+                    raise GroupConstructionError(
+                        f"associativity fails on triple ({self._name(a)}, "
+                        f"{self._name(b)}, {self._name(s)})")
+        zeros = t == 0
+        count = zeros.sum(axis=1)
+        inv = zeros.argmax(axis=1)
+        bad = np.flatnonzero((count != 1) | (t[inv, idx] != 0))
+        if bad.size:
+            a = int(bad[0])
+            raise GroupConstructionError(
+                f"element {self._name(a)} must have exactly one right inverse, "
+                f"found {count[a]}" if count[a] != 1 else
+                f"right inverse of {self._name(a)} is not a left inverse")
+        inv.setflags(write=False)
+        self._inverse_indices = inv
         self.is_abelian = bool(np.array_equal(t, t.T))
 
     def _name(self, i: int) -> str:
@@ -169,7 +195,7 @@ class FiniteTableGroup(Group):
         return int(self._table[self.canonical(a), self.canonical(b)])
 
     def inv(self, a) -> int:
-        return int(self._inv[self.canonical(a)])
+        return int(self._inverse_indices[self.canonical(a)])
 
     def describe(self, a) -> str:
         return self._name(self.canonical(a))
@@ -186,8 +212,22 @@ class FiniteTableGroup(Group):
     def index_table(self) -> np.ndarray:
         return self._table
 
-    def inverse_indices(self) -> np.ndarray:
-        return self._inv
+    def generators(self) -> tuple[int, ...]:
+        """Greedy: add the first element not yet reached until all are.  In a
+        group each new generator at least doubles the subgroup reached, so a
+        table that needs more than log2(order) generators is not a group."""
+        if self._generators is None:
+            gens: list[int] = []
+            missing = word_lengths(self._table, gens) < 0
+            while missing.any():
+                if 2 ** (len(gens) + 1) > self.order:
+                    raise GroupConstructionError(
+                        f"table of order {self.order} needs more than "
+                        f"log2(order) generators, so it is not a group")
+                gens.append(int(np.argmax(missing)))
+                missing = word_lengths(self._table, gens) < 0
+            self._generators = tuple(gens)
+        return self._generators
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteTableGroup)
@@ -213,7 +253,6 @@ class CyclicPowerGroup(Group):
         self.order = n ** d
         self.is_abelian = True
         self._index_table: np.ndarray | None = None
-        self._inverse_indices: np.ndarray | None = None
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.d
@@ -256,21 +295,16 @@ class CyclicPowerGroup(Group):
     def index_table(self) -> np.ndarray:
         if self._index_table is None:
             coords = np.array(list(self.elements()), dtype=np.int64)
-            sums = (coords[:, None, :] + coords[None, :, :]) % self.n
             weights = self.n ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-            table = sums @ weights
+            table = ((coords[:, None, :] + coords[None, :, :]) % self.n) @ weights
             table.setflags(write=False)
             self._index_table = table
         return self._index_table
 
-    def inverse_indices(self) -> np.ndarray:
-        if self._inverse_indices is None:
-            coords = np.array(list(self.elements()), dtype=np.int64)
-            weights = self.n ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-            inv = ((-coords) % self.n) @ weights
-            inv.setflags(write=False)
-            self._inverse_indices = inv
-        return self._inverse_indices
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The D unit vectors; none for the one-element group."""
+        return tuple(tuple(int(i == j) for i in range(self.d))
+                     for j in range(self.d) if self.n > 1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CyclicPowerGroup)

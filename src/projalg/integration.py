@@ -16,9 +16,8 @@ import cmath
 
 import numpy as np
 
-from .algebra import (AlgebraElement, _CoefficientStore, _inverse_keys,
-                      _require_cocycle_on)
-from .cocycles import Cocycle, zero_cocycle
+from .algebra import AlgebraElement, _CoefficientStore, _inverse_keys
+from .cocycles import Cocycle, _require_same_group, zero_cocycle
 from .errors import (ContextMismatchError, CrossCheckError,
                      NormalizationRequiredError, UnsupportedOperationError)
 from .groups import Group
@@ -47,7 +46,7 @@ class GroupFunction(_CoefficientStore):
 
 def as_algebra_element(f: GroupFunction, alpha: Cocycle) -> AlgebraElement:
     """Embed sum f(a) x(a) into the algebra carrying ``alpha``; shares f's dict."""
-    _require_cocycle_on(f.group, alpha)
+    _require_same_group(f.group, alpha)
     return AlgebraElement._canonical(f.group, f._coeffs, cocycle=alpha)
 
 

@@ -33,6 +33,11 @@ class CheckResult:
             d["detail"] = self.detail
         return d
 
+    def summary(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return (f"[{status}] {self.name}: residual {self.max_residual:.3e}"
+                f" (tol {self.tolerance:.1e})")
+
 
 @dataclass
 class VerificationReport:
@@ -68,13 +73,8 @@ class VerificationReport:
         return dumps_canonical(self.to_dict())
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}: residual {c.max_residual:.3e}"
-                         f" (tol {c.tolerance:.1e})")
-        lines.append(f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}")
-        return lines
+        status = "PASS" if self.passed else "FAIL"
+        return [c.summary() for c in self.checks] + [f"suite {self.suite}: {status}"]
 
 
 def dumps_canonical(obj) -> str:

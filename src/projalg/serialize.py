@@ -74,12 +74,6 @@ def cocycle_from_spec(spec: dict, group: Group) -> Cocycle:
     raise ValueError(f"unknown cocycle kind {kind!r}")
 
 
-def element_to_key(a) -> "int | list[int]":
-    if isinstance(a, tuple):
-        return [int(x) for x in a]
-    return int(a)
-
-
 def function_from_spec(items, group: Group) -> GroupFunction:
     if not isinstance(items, list):
         raise ValueError("a function file is a JSON list of "
@@ -93,7 +87,8 @@ def function_from_spec(items, group: Group) -> GroupFunction:
 def function_to_spec(f: "GroupFunction | AlgebraElement") -> list:
     g = f.group
     rank = g.indexing()[1].__getitem__ if g.is_finite else (lambda a: a)
-    return [{"element": element_to_key(a), "re": v.real, "im": v.imag}
+    return [{"element": [int(x) for x in a] if isinstance(a, tuple) else int(a),
+             "re": v.real, "im": v.imag}
             for a, v in sorted(f.items(), key=lambda kv: rank(kv[0]))]
 
 

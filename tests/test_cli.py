@@ -247,6 +247,14 @@ class TestReport:
         path = write(tmp_path / "r.json", {"something": "else"})
         assert cli.main(["report", "--in", path]) == 2
 
+    def test_non_numeric_residual(self, tmp_path, capsys):
+        data = {"suite": "x", "pass": True,
+                "checks": [{"name": "c", "max_residual": "small",
+                            "tolerance": 0.5, "pass": True}]}
+        path = write(tmp_path / "r.json", data)
+        assert cli.main(["report", "--in", path]) == 2
+        assert "malformed check records" in capsys.readouterr().err
+
 
 class TestNonFiniteInput:
     """Non-finite numbers in input files exit 2 with one error line."""
@@ -276,6 +284,15 @@ class TestNonFiniteInput:
         fn = write(tmp_path / "f.json", [{"element": [1], "re": float("inf"),
                                           "im": 0.0}])
         self.assert_input_error(self.run("fourier", "--group", group, "--in", fn))
+
+    def test_coefficient_modulus_past_float_range(self, tmp_path):
+        # Both parts are finite, but |1.5e308 + 1.5e308 i| overflows float64.
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        fn = write(tmp_path / "f.json", [{"element": [1], "re": 1.5e308,
+                                          "im": 1.5e308}])
+        proc = self.run("fourier", "--group", group, "--in", fn)
+        self.assert_input_error(proc)
+        assert "too large" in proc.stderr
 
     def test_nan_table_cocycle(self, tmp_path):
         group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import projalg as pa
 from projalg import cocycles, sampling
-from projalg.groups import CyclicPowerGroup
+from projalg.groups import CyclicPowerGroup, word_lengths
 from projalg.phases import reduce_phase
 
 
@@ -75,15 +75,44 @@ class TestValidate:
             pa.TabulatedCocycle(lattice2, np.zeros((2, 2)))
 
 
-# Rounding allowance between the chunked residual and the reduced one-shot value.
-ROUNDING = 2e-15
+# Allowance between one computed residual and its exact value: four phases
+# in (-pi, pi] summed and reduced mod 2 pi in float64.
+ROUNDING = 5e-15
 
 
-def one_shot_residuals(group, alpha):
-    """The reference: the exhaustive check over every order**3 triple at once."""
-    A = alpha.phase_matrix()
+def exhaustive_check(group, alpha, chunk=2 ** 18):
+    """The oracle: the constraint over every order**3 triple (a, b, c).
+
+    This is the chunked loop validate_cocycle ran before it checked
+    generator triples only.  Returns the largest residual, NaN if a phase is.
+    """
+    A = np.asarray(alpha.phase_matrix(), dtype=float)
     T = group.index_table()
-    return np.abs(reduce_phase(A[:, :, None] + A[T] - A[None] - A[:, T]))
+    n = group.order
+    rows = max(1, chunk // n ** 2)
+    tops = []
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        x = A[T[s:e]] + A[s:e, :, None] - A - A[s:e][:, T]
+        tops.append(np.max(np.abs(x - np.rint(x / cocycles.TWO_PI) * cocycles.TWO_PI)))
+    return float(np.max(tops))
+
+
+def generator_columns(group):
+    """Indices of the identity and the generators, ascending, and the depth."""
+    index = group.indexing()[1]
+    S = np.unique([0, *(index[s] for s in group.generators())])
+    depth = word_lengths(group.index_table(), S)
+    assert depth.min() >= 0, "the generators must reach every element"
+    return S, int(depth.max())
+
+
+def generator_residuals(group, alpha):
+    """The constraint on every generator triple (a, b, s) at once."""
+    A = np.asarray(alpha.phase_matrix(), dtype=float)
+    T = group.index_table()
+    S, _ = generator_columns(group)
+    return np.abs(reduce_phase(A[:, S][T] + A[:, :, None] - A[:, S] - A[:, T[:, S]]))
 
 
 def reported_triple(group, report):
@@ -93,7 +122,8 @@ def reported_triple(group, report):
     matched from the left.
     """
     names = {group.describe(x): x for x in group.elements()}
-    rest = report.checks[0].detail[len("worst triple ("):-1]
+    detail = report.checks[0].detail
+    rest = detail[len("worst triple ("):detail.rindex(") of ")]
     triple = []
     while rest:
         name = next(m for m in names if rest == m or rest.startswith(m + ", "))
@@ -102,10 +132,19 @@ def reported_triple(group, report):
     return tuple(triple)
 
 
-def chunk_sizes(order):
+def reported_indices(group, report):
+    """Index triple (a, b, j) of the reported worst triple, s = S[j]."""
+    a, b, s = (group.element_index(x) for x in reported_triple(group, report))
+    S, _ = generator_columns(group)
+    return a, b, int(np.searchsorted(S, s))
+
+
+def chunk_sizes(group):
     """One row per chunk, a row count that does not divide the order, the default."""
-    rows = [1] + [r for r in range(order - 1, 1, -1) if order % r][:1]
-    return [r * order ** 2 for r in rows] + [cocycles._CHUNK]
+    n = group.order
+    k = generator_columns(group)[0].size
+    rows = [1] + [r for r in range(n - 1, 1, -1) if n % r][:1]
+    return [r * n * k for r in rows] + [cocycles._CHUNK]
 
 
 def tampered(group, alpha, rng, delta):
@@ -121,14 +160,9 @@ S4 = pa.symmetric_group(4)
 
 @st.composite
 def validation_cases(draw):
-    """(group, cocycle) over (Z_n)^D (n <= 6, D <= 3) and S_3, S_4.
-
-    The one-shot oracle holds several order**3 arrays at once, so the
-    drawn cyclic groups stop at order 125; (Z_6)^3 has its own case below.
-    """
+    """(group, cocycle) over (Z_n)^D (n <= 6, D <= 3) and S_3, S_4."""
     group = draw(st.one_of(
-        st.builds(pa.make_cyclic_power, st.integers(1, 6), st.integers(1, 3))
-        .filter(lambda g: g.order <= 125),
+        st.builds(pa.make_cyclic_power, st.integers(1, 6), st.integers(1, 3)),
         st.sampled_from([S3, S4])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = ["zero", "coboundary"]
@@ -152,40 +186,48 @@ def validation_cases(draw):
     return group, alpha
 
 
-def check_against_one_shot(group, alpha):
-    oracle = one_shot_residuals(group, alpha)
-    top = oracle.max()
-    flat = np.sort(oracle, axis=None)
+def check_against_exhaustive(group, alpha):
+    top = exhaustive_check(group, alpha)
+    S, depth = generator_columns(group)
+    gen = generator_residuals(group, alpha)
+    flat = np.sort(gen, axis=None)
     unique_by_margin = flat.size == 1 or flat[-1] - flat[-2] > 2 * ROUNDING
-    for chunk in chunk_sizes(group.order):
+    for chunk in chunk_sizes(group):
         with mock.patch.object(cocycles, "_CHUNK", chunk):
             report = pa.validate_cocycle(group, alpha)
-        best = report.checks[0].max_residual
-        assert abs(best - top) <= ROUNDING
+        check = report.checks[0]
+        assert check.detail.endswith(
+            f" of {group.order}^2 x {S.size} generator triples, depth {depth}")
+        # Same verdict as the exhaustive check, and a residual that bounds it.
         assert report.passed == (top < 1e-10)
-        a, b, c = reported_triple(group, report)
-        assert abs(pa.cocycle_condition_residual(alpha, a, b, c) - best) <= ROUNDING
-        idx = tuple(group.element_index(x) for x in (a, b, c))
-        assert abs(oracle[idx] - top) <= 2 * ROUNDING
+        assert top <= check.max_residual + (3 * depth + 2) * ROUNDING
+        assert abs(check.max_residual - (3 * depth + 1) * gen.max()) <= (
+            (3 * depth + 1) * ROUNDING)
+        a, b, j = reported_indices(group, report)
+        assert abs(gen[a, b, j] - gen.max()) <= 2 * ROUNDING
+        assert abs(pa.cocycle_condition_residual(
+            alpha, *(group.element_at(int(i)) for i in (a, b, S[j])))
+            - gen.max()) <= 2 * ROUNDING
         if unique_by_margin:
-            assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+            assert (a, b, j) == np.unravel_index(np.argmax(gen), gen.shape)
 
 
 class TestChunkedValidation:
-    """The chunked exhaustive check against the one-shot expression it replaced."""
+    """The generator-triple check against the exhaustive chunked loop it replaced."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(validation_cases())
     def test_matches_one_shot(self, case):
-        check_against_one_shot(*case)
+        check_against_exhaustive(*case)
 
     def test_order_216_tampered_bicharacter(self):
         g = pa.make_cyclic_power(6, 3)
         coords = np.array(list(g.elements()))
         theta = np.array([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
         alpha = pa.TabulatedCocycle(g, 2 * np.pi * (coords @ theta @ coords.T) / 6)
-        check_against_one_shot(g, tampered(g, alpha, np.random.default_rng(4), 0.3))
+        check_against_exhaustive(g, alpha)
+        check_against_exhaustive(g, tampered(g, alpha, np.random.default_rng(4), 0.3))
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_ties_report_first_triple_in_c_order(self, z32, rows):
@@ -193,12 +235,13 @@ class TestChunkedValidation:
         table = np.zeros((9, 9))
         table[4, 7] = 0.5
         alpha = pa.TabulatedCocycle(z32, table)
-        oracle = one_shot_residuals(z32, alpha)
-        with mock.patch.object(cocycles, "_CHUNK", rows * 81):
+        gen = generator_residuals(z32, alpha)
+        S, depth = generator_columns(z32)
+        with mock.patch.object(cocycles, "_CHUNK", rows * 9 * S.size):
             report = pa.validate_cocycle(z32, alpha)
-        assert report.checks[0].max_residual == 0.5
-        idx = tuple(z32.element_index(x) for x in reported_triple(z32, report))
-        assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+        assert report.checks[0].max_residual == (3 * depth + 1) * 0.5
+        assert reported_indices(z32, report) == np.unravel_index(
+            np.argmax(gen), gen.shape)
 
     @pytest.mark.parametrize("rows", [1, 4])
     def test_nan_phase_fails_without_raising(self, z32, rows):
@@ -213,13 +256,16 @@ class TestChunkedValidation:
                 return table
 
         alpha = NaNCocycle(z32)
-        oracle = one_shot_residuals(z32, alpha)
-        with mock.patch.object(cocycles, "_CHUNK", rows * 81):
+        gen = generator_residuals(z32, alpha)
+        S, _ = generator_columns(z32)
+        with mock.patch.object(cocycles, "_CHUNK", rows * 9 * S.size):
             report = pa.validate_cocycle(z32, alpha)
         assert np.isnan(report.checks[0].max_residual)
+        assert np.isnan(exhaustive_check(z32, alpha))
         assert not report.passed
-        idx = tuple(z32.element_index(x) for x in reported_triple(z32, report))
-        assert idx == np.unravel_index(np.argmax(oracle), oracle.shape)
+        # argmax returns the first NaN in C order.
+        assert reported_indices(z32, report) == np.unravel_index(
+            np.argmax(gen), gen.shape)
 
     def test_one_element_group(self):
         g = pa.make_cyclic_power(1, 1)
@@ -228,23 +274,29 @@ class TestChunkedValidation:
         assert report.checks[0].max_residual == 0.0
 
     def test_peak_memory_is_chunk_sized(self):
-        g = pa.make_cyclic_power(6, 3)
-        alpha = pa.zero_cocycle(g)
-        order = g.order
-        # Two float64 work buffers of 2**18 triples (2 MB each) and a few
-        # order**2 index and phase tables; one order**3 float64 temporary of
-        # the one-shot check alone is 8 * 216**3 bytes, about 80 MB.
-        expected = 2 * 8 * max(cocycles._CHUNK, order ** 2) + 4 * 8 * order ** 2
-        bound = 16 * 2**20
-        assert expected < bound < 8 * order ** 3
-        tracemalloc.start()
-        try:
-            report = pa.validate_cocycle(g, alpha)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        assert peak < bound
+        for n in (6, 10):
+            g = pa.make_cyclic_power(n, 3)
+            alpha = pa.zero_cocycle(g)
+            order = g.order
+            # The multiplication table is cached on the group and shared by
+            # every finite-group operation; build it first so the peak is the
+            # check's own.
+            g.index_table()
+            k = generator_columns(g)[0].size
+            # Two float64 work buffers of 2**18 triples (2 MB each) and a few
+            # order x k phase and index columns; one order**3 float64 array
+            # of the exhaustive triples alone is 8 * order**3 bytes.
+            expected = 2 * 8 * max(cocycles._CHUNK, order * k) + 4 * 8 * order * k
+            bound = 16 * 2**20
+            assert expected < bound < 8 * order ** 3
+            tracemalloc.start()
+            try:
+                report = pa.validate_cocycle(g, alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.passed
+            assert peak < bound
 
 
 # -- sampled lattice checks ------------------------------------------------------

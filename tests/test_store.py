@@ -215,6 +215,12 @@ def test_overflowing_product_is_rejected(g):
             pa.deformed_convolution(f, f, alpha)
     with pytest.raises(ValueError, match="not finite"):
         u * math.inf
+    # Finite parts whose modulus overflows float64, as input and as a product.
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="too large"):
+        pa.GroupFunction(g, {a: big})
+    with pytest.raises(ValueError, match="too large"):
+        pa.AlgebraElement(g, alpha, {a: 1.0}) * big
 
 
 def test_internal_results_prune_like_the_constructor():
