@@ -14,8 +14,10 @@ multiplication as matrices indexed by group elements,
     L(a)[b, c] = delta_{ac, b} exp(i alpha(a, c)),
 
 together with the conjugation matrix C[a, b] = delta_{ab, e}, which is
-symmetric and intertwines them: C R(a) C^-1 = L(a).  Lattice groups use the
-operator forms :func:`apply_R` / :func:`apply_L` instead of matrices.
+symmetric and intertwines them: C R(a) C^-1 = L(a).  Only a call of
+:func:`regular_reps` builds these dense matrices; elsewhere their one entry
+per row is used in index space.  Lattice groups use the operator forms
+:func:`apply_R` / :func:`apply_L` instead of matrices.
 
 Every product of coefficient dicts runs through one of two kernels
 (:func:`_multiply`).  On a finite group, with multiplication table T and
@@ -259,7 +261,7 @@ def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _binned_sum(bins: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Complex sums of ``w`` into ``n`` bins, accumulated in C order."""
-    w = w.ravel()
+    bins, w = bins.ravel(), w.ravel()
     h = np.empty(n, dtype=complex)
     h.real = np.bincount(bins, w.real, n)
     h.imag = np.bincount(bins, w.imag, n)
@@ -319,24 +321,24 @@ def _require_regular_context(group: Group, alpha: Cocycle) -> None:
             "regular matrices assume a normalized cocycle; call normalize() first")
 
 
+def _densify(perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Read-only dense matrices: row j holds phase[..., j] in column perm[..., j]."""
+    out = np.zeros(perm.shape + perm.shape[-1:], dtype=complex)
+    np.put_along_axis(out, perm[..., None], phase[..., None], axis=-1)
+    out.setflags(write=False)
+    return out
+
+
 def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:
     """Materialize R(a), L(a), and C for a finite group with normalized alpha."""
     _require_regular_context(group, alpha)
-    n = group.order
     T = group.index_table()
-    A = alpha.phase_matrix()
-    ar = np.arange(n)
-
-    def monomial(rows, cols, values) -> np.ndarray:
-        m = np.zeros((n, n), dtype=complex)
-        m[rows, cols] = values
-        m.setflags(write=False)
-        return m
-
+    E = alpha.phase_exp()
+    left = T[group.inverse_indices()]
     elems = group.indexing()[0]
-    R = {a: monomial(ar, T[:, ia], np.exp(1j * A[:, ia])) for ia, a in enumerate(elems)}
-    L = {a: monomial(T[ia], ar, np.exp(1j * A[ia])) for ia, a in enumerate(elems)}
-    C = np.eye(n)[group.inverse_indices()]
+    R = dict(zip(elems, _densify(T.T, E.T)))
+    L = dict(zip(elems, _densify(left, np.take_along_axis(E, left, 1))))
+    C = np.eye(group.order)[group.inverse_indices()]
     C.setflags(write=False)
     return RegularRepPair(group, alpha, R, L, C)
 

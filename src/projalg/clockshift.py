@@ -7,9 +7,12 @@ unitary
 
     x(m) = exp(i pi m1 m2 / n) U1^m1 U2^m2,
 
-whose traces vanish away from the identity: Tr x(m) = n delta_{m,0}.  The
+whose traces vanish away from the identity: Tr x(m) = n delta_{m,0}.  Each
+x(m) is monomial, built in closed form: row j holds exp(i pi m1 m2 / n)
+omega^(m2 (j + m1)), omega = exp(2 pi i / n), in column j + m1 mod n.  Only
+:func:`element_matrices` and :func:`realize` build dense matrices.  The
 cocycle of this realization is *measured* from the matrix products rather
-than postulated, in the same batched pass over all pairs
+than postulated, in the same pass over all pairs
 (:func:`projalg.harmonic.projective_product_rule`) that checks the product
 rule; every downstream identity is checked against the matrices themselves,
 and for n = 2 the measured value at ((1,0),(0,1)) is -pi/2.
@@ -29,16 +32,16 @@ import operator
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _densify
 from .cocycles import TabulatedCocycle, normalize
 from .errors import RepresentationInconsistencyError
 from .groups import Group, make_cyclic_power
-from .harmonic import (MatrixRepresentation, deformed_convolution, fourier,
-                       projective_product_rule)
+from .harmonic import (MatrixRepresentation, _as_monomial, deformed_convolution,
+                       fourier, projective_product_rule)
 from .integration import GroupFunction, ati_integral, invert
 from .report import VerificationReport
 
-SUPPORTED_RANGE = range(2, 17)
+SUPPORTED_RANGE = range(2, 33)
 
 
 def _require_supported(n: int) -> None:
@@ -48,90 +51,81 @@ def _require_supported(n: int) -> None:
 
 
 def clock_shift_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(U1, U2): cyclic shift and diagonal clock, both of order n."""
+    """(U1, U2) = (x(1, 0), x(0, 1)): cyclic shift and diagonal clock, of order n."""
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"clock-shift matrices need n >= 2, got {n}")
-    ar = np.arange(n)
-    U1 = np.zeros((n, n), dtype=complex)
-    U1[ar, (ar + 1) % n] = 1.0
-    U2 = np.diag(np.exp(2j * np.pi * ar / n)).astype(complex)
-    U1.setflags(write=False)
-    U2.setflags(write=False)
-    return U1, U2
+    return realize(n, (1, 0)), realize(n, (0, 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _element_stack(n: int) -> np.ndarray:
-    """Read-only (n^2, n, n) stack of x(m), in (Z_n)^2 index order."""
-    U1, U2 = clock_shift_matrices(n)
-    pow1 = [np.eye(n, dtype=complex)]
-    pow2 = [np.eye(n, dtype=complex)]
-    for _ in range(n - 1):
-        pow1.append(pow1[-1] @ U1)
-        pow2.append(pow2[-1] @ U2)
-    stack = np.array([np.exp(1j * np.pi * m1 * m2 / n) * (pow1[m1] @ pow2[m2])
-                      for m1 in range(n) for m2 in range(n)])
-    stack.setflags(write=False)
-    return stack
+def _rows(n: int, m1, m2) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of x(m) for m1, m2 of one shape; exponents in pi / n, mod 2n."""
+    m1, m2 = np.asarray(m1)[..., None], np.asarray(m2)[..., None]
+    perm = (np.arange(n) + m1) % n
+    return perm, np.exp(1j * np.pi * ((m1 * m2 + 2 * m2 * perm) % (2 * n)) / n)
+
+
+def _family(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) of every x(m), each of shape (n^2, n), in index order."""
+    return _rows(n, *np.divmod(np.arange(n * n), n))
 
 
 def element_matrices(n: int) -> dict:
     """All phase-dressed unitaries x(m), keyed by canonical m in [0, n)^2."""
-    return dict(zip(make_cyclic_power(n, 2).indexing()[0], _element_stack(n)))
+    return dict(zip(make_cyclic_power(n, 2).indexing()[0], _densify(*_family(n))))
 
 
 def realize(n: int, m) -> np.ndarray:
     """The matrix x(m) = exp(i pi m1 m2 / n) U1^m1 U2^m2."""
-    group = make_cyclic_power(n, 2)
-    return _element_stack(n)[group.element_index(m)]
+    return _densify(*_rows(n, *make_cyclic_power(n, 2).canonical(m)))
 
 
 def measure_cocycle_from_matrices(group: Group, matrices, *,
                                   tol: float = 1e-10) -> TabulatedCocycle:
     """Extract the cocycle realized by a family of matrices.
 
-    One pass of :func:`projective_product_rule` measures each alpha(a, b)
-    and checks x(a) x(b) = exp(i alpha(a, b)) x(ab) entrywise; a family
-    that is not a projective representation raises with its worst pair.
+    ``matrices`` is taken as :class:`MatrixRepresentation` takes it.  One
+    pass of :func:`projective_product_rule` measures each alpha(a, b) and
+    checks x(a) x(b) = exp(i alpha(a, b)) x(ab) entrywise; a family that is
+    not a projective representation raises with its worst pair.  The
+    cocycle's ``_witness`` keeps the pass's worst residual and pair.
     """
-    stack = np.array([matrices[a] for a in group.indexing()[0]], dtype=complex)
-    table, worst, (a, b) = projective_product_rule(group, stack)
+    table, worst, (a, b) = projective_product_rule(group, *_as_monomial(group, matrices, tol))
     if not worst < tol:
         raise RepresentationInconsistencyError(
             f"x({group.describe(a)}) x({group.describe(b)}) is not a unit "
             f"phase times the product element (residual {worst:.3e}, "
             f"tol {tol:.1e})")
-    return TabulatedCocycle(group, table)
+    alpha = TabulatedCocycle(group, table)
+    alpha._witness = worst, (a, b)
+    return alpha
 
 
 @functools.lru_cache(maxsize=None)
 def measured_cocycle(n: int) -> TabulatedCocycle:
     """The cocycle of the phase-dressed realization, tabulated on (Z_n)^2.
 
-    Cached like :func:`_element_stack`: the table is read-only, so callers
-    share one measurement per n.
+    Cached: the table is read-only, so callers share one measurement per n.
     """
-    group = make_cyclic_power(n, 2)
-    return measure_cocycle_from_matrices(group, element_matrices(n))
+    return measure_cocycle_from_matrices(make_cyclic_power(n, 2), _family(n))
 
 
 def matrix_representation(n: int, *, normalized: bool = True) -> MatrixRepresentation:
     """The torus realization as a verified matrix representation.
 
     With ``normalized`` (default) the measured cocycle is normalized and the
-    matrices are dressed by the realizing gauge, so the representation's
+    phases are dressed by the realizing gauge, so the representation's
     cocycle has vanishing identity and inverse-pair phases -- the form the
     convolution and norm identities assume.  For n = 2 the measured cocycle
     is already normalized and the dressing is the identity.
     """
     group = make_cyclic_power(n, 2)
     alpha = measured_cocycle(n)
-    stack = _element_stack(n)
+    perm, phase = _family(n)
     if normalized and not alpha.normalized:
         alpha, phi = normalize(group, alpha)
-        stack = np.exp(-1j * phi.table())[:, None, None] * stack
-    return MatrixRepresentation(group, alpha, dict(zip(group.indexing()[0], stack)))
+        phase = np.exp(-1j * phi.table())[:, None] * phase
+    return MatrixRepresentation(group, alpha, (perm, phase))
 
 
 def trace_integral(n: int, a_matrix) -> complex:
@@ -147,7 +141,9 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
                       tol_trace: float = 1e-12) -> VerificationReport:
     """Tie the realization to the abstract algebra and transform machinery.
 
-    * the dressed matrices realize the measured cocycle on all pairs;
+    * the matrices realize the measured cocycle on all pairs: the report
+      gives the worst residual and pair of the cached measuring pass, and
+      building the dressed representation checks it again;
     * the matrix transform of the deformed convolution equals the matrix
       product of transforms (seeded random pairs);
     * (1/n) Tr agrees with the abstract integration functional on seeded
@@ -168,11 +164,11 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
                float(np.max(np.abs(comm - np.exp(2j * np.pi / n) * eye))),
                tol_conv)
 
-    _, worst, (a, b) = projective_product_rule(group, _element_stack(n))
+    rep = matrix_representation(n)
+    worst, (a, b) = measured_cocycle(n)._witness
     report.add("projective_product_rule", worst, tol_realize,
                detail=f"worst pair ({group.describe(a)}, {group.describe(b)})")
 
-    rep = matrix_representation(n)
     alpha = rep.cocycle
     worst = 0.0
     for _ in range(trials):

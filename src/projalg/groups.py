@@ -294,9 +294,14 @@ class CyclicPowerGroup(Group):
 
     def index_table(self) -> np.ndarray:
         if self._index_table is None:
-            coords = np.array(list(self.elements()), dtype=np.int64)
-            weights = self.n ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-            table = ((coords[:, None, :] + coords[None, :, :]) % self.n) @ weights
+            # Add the indices, then take n w off where a coordinate of weight
+            # w carries: one (order, order) bool mask at a time, no (N, N, D).
+            n, idx = self.n, np.arange(self.order, dtype=np.int64)
+            table = np.add.outer(idx, idx)
+            for w in n ** np.arange(self.d, dtype=np.int64):
+                c = idx // w % n
+                np.subtract(table, n * w, out=table,
+                            where=np.less_equal.outer(n - c, c))
             table.setflags(write=False)
             self._index_table = table
         return self._index_table

@@ -4,7 +4,7 @@ Three pictures of the transform f_hat = sum_a f(a) x(a) are supported:
 
 * formal -- the tautological embedding into the algebra (any group, any
   cocycle); inverted by the integration functional.
-* matrix -- x(a) realized by concrete complex matrices obeying the
+* matrix -- x(a) realized by concrete monomial matrices obeying the
   projective product rule; verified entrywise at construction.
 * character -- the vector case on (Z_n)^D, where the one-dimensional
   representations chi_q(a) = exp(-2 pi i q.a / n) diagonalize everything.
@@ -17,11 +17,10 @@ cocycle phase; :func:`deformed_convolution` is that product and
 from __future__ import annotations
 
 import cmath
-from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraElement, _multiply, regular_reps
+from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
 from .cocycles import Cocycle, _require_same_group, zero_cocycle
 from .errors import (ContextMismatchError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
@@ -46,83 +45,120 @@ class FormalRepresentation:
         return as_algebra_element(f, self.cocycle)
 
 
-def projective_product_rule(group: Group, stack: np.ndarray,
+def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
                             cocycle: Cocycle | None = None) -> tuple:
     """Compare P = M(a) M(b) with exp(i alpha(a, b)) Q, Q = M(ab), over all pairs.
 
-    ``stack[i]`` is M of element i in ``group.indexing()`` order; each a
-    takes one batched matmul over all b, so memory is O(order dim^2).
-    Without a ``cocycle``, alpha(a, b) is measured as the angle of the mean
-    ratio P / Q over the unit-modulus entries of Q.  Returns (phase table,
-    worst residual max|P - exp(i alpha) Q|, worst pair); a non-finite
-    entry gives a NaN residual, so callers accept only ``worst < tol``.
+    Row j of M(a) holds ``phase[a, j]`` in column ``perm[a, j]``, so row j
+    of P holds phase[a, j] phase[b, perm[a, j]] in column perm[b, perm[a, j]]:
+    O(order dim) work per a.  Without a ``cocycle``, alpha(a, b) is measured
+    as the angle of the mean ratio P / Q over the entries of Q of modulus
+    above 0.5.  Residuals and NaNs are those of dense matrices, where 0 * nan
+    is nan.  Returns (phase table, worst residual, worst pair); callers
+    accept only ``worst < tol``.
     """
     elems, _ = group.indexing()
     T = group.index_table()
+    order, dim = perm.shape
     table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
     res = np.empty(T.shape)
+    # nan_col[b, k] is nan where column k of M(b) holds a NaN, else 0.
+    bins = np.arange(order)[:, None] * dim + perm
+    nan_col = _binned_sum(bins, 0 * phase, order * dim).reshape(order, dim)
+    poisoned = bool(np.isnan(nan_col).any())
     with np.errstate(invalid="ignore", divide="ignore"):
-        for ia in range(group.order):
-            P = stack[ia] @ stack
-            Q = stack[T[ia]]
+        for ia in range(order):
+            p_val = phase[ia] * phase[:, perm[ia]]
+            q_col, q_val = perm[T[ia]], phase[T[ia]]
+            moved = perm[:, perm[ia]] != q_col
+            # P at Q's entry of each row, as a dense product computes it.
+            p_at_q = np.where(moved, 0 * phase[ia], p_val) if moved.any() else p_val
+            if poisoned:
+                p_at_q = p_at_q + np.take_along_axis(nan_col, q_col, 1)
             if cocycle is None:
-                mask = np.abs(Q) > 0.5
-                ratios = np.divide(P, Q, out=np.zeros_like(P), where=mask)
-                table[ia] = np.angle(ratios.sum(axis=(1, 2)) / mask.sum(axis=(1, 2)))
-            weights = np.exp(1j * table[ia])[:, None, None]
-            res[ia] = np.abs(P - weights * Q).max(axis=(1, 2))
+                mask = np.abs(q_val) > 0.5
+                ratios = np.where(mask, p_at_q / q_val, 0)
+                table[ia] = np.angle(ratios.sum(axis=1) / mask.sum(axis=1))
+            r = np.abs(p_at_q - np.exp(1j * table[ia])[:, None] * q_val)
+            if moved.any():
+                r = np.maximum(r, np.where(moved, np.abs(p_val), 0))
+            res[ia] = r.max(axis=1)
     # argmax returns the first NaN, so a non-finite pair is reported.
     ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
     return table, float(res[ia, ib]), (elems[ia], elems[ib])
 
 
+def _as_monomial(group: Group, matrices, tol: float) -> tuple:
+    """(perm, phase) of a family: a (perm, phase) pair as given, or converted
+    once from a mapping of each element to its dense square matrix.
+
+    Row j keeps its largest entry; a matrix with a non-finite entry, or any
+    other entry above ``tol``, raises RepresentationInconsistencyError.
+    """
+    if isinstance(matrices, tuple):
+        return matrices
+    perm, phase = [], []
+    for a in group.indexing()[0]:
+        if a not in matrices:
+            raise ValueError(f"missing matrix for element {group.describe(a)}")
+        m = np.asarray(matrices[a], dtype=complex)
+        if m.ndim != 2 or m.shape != (len(perm[0]) if perm else len(m),) * 2:
+            raise ValueError("representation matrices must be square, of one dimension")
+        cols = np.argmax(np.abs(m), axis=1)
+        vals = m[np.arange(len(m)), cols]
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, and fails below
+            off = float(np.max(np.abs(m - _densify(cols, vals))))
+        if not off <= tol:
+            raise RepresentationInconsistencyError(
+                f"the matrix of {group.describe(a)} is not monomial with finite "
+                f"entries: {off:.3e} off its rows' largest entries")
+        perm.append(cols)
+        phase.append(vals)
+    return np.array(perm), np.array(phase)
+
+
 class MatrixRepresentation:
     """Concrete matrices M(a) with M(a) M(b) = exp(i alpha(a, b)) M(ab).
 
-    The family is held as one read-only (order, dim, dim) stack in
-    ``group.indexing()`` order, and :func:`projective_product_rule` checks
-    it at construction; inconsistent or non-finite data raises rather than
-    silently carrying a wrong cocycle.
+    The family is monomial, held as two read-only (order, dim) arrays in
+    ``group.indexing()`` order: row j of M(a) holds ``phase[a, j]`` in
+    column ``perm[a, j]``.  ``matrices`` maps each element to its dense
+    matrix, or is the (perm, phase) pair itself.  :func:`projective_product_rule`
+    checks the family at construction; inconsistent or non-finite data
+    raises rather than silently carrying a wrong cocycle.
     """
 
     kind = "matrix"
 
-    def __init__(self, group: Group, cocycle: Cocycle, matrices: Mapping, *,
+    def __init__(self, group: Group, cocycle: Cocycle, matrices, *,
                  check: bool = True, tol: float = 1e-10):
         _require_same_group(group, cocycle)
         if not group.is_finite:
             raise UnsupportedOperationError(
                 "matrix representations are kept to finite groups")
-        family = []
-        for a in group.elements():
-            if a not in matrices:
-                raise ValueError(f"missing matrix for element {group.describe(a)}")
-            m = np.asarray(matrices[a], dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("representation matrices must be square")
-            if family and m.shape != family[0].shape:
-                raise ValueError("representation matrices must share one dimension")
-            family.append(m)
-        stack = np.stack(family)
-        stack.setflags(write=False)
-        self.group = group
-        self.cocycle = cocycle
-        self.dim = int(stack.shape[1])
-        self._stack = stack
+        perm, phase = _as_monomial(group, matrices, tol)
+        for arr in (perm, phase):
+            arr.setflags(write=False)
+        self.group, self.cocycle, self.perm, self.phase = group, cocycle, perm, phase
+        self.dim = int(perm.shape[1])
         if check:
-            _, worst, pair = projective_product_rule(group, stack, cocycle)
+            _, worst, pair = projective_product_rule(group, perm, phase, cocycle)
             if not worst < tol:
                 raise RepresentationInconsistencyError(
                     f"matrices break the projective product rule at pair {pair} "
                     f"with residual {worst:.3e} (tol {tol:.1e})")
 
     def matrix(self, a) -> np.ndarray:
-        return self._stack[self.group.element_index(a)]
+        ia = self.group.element_index(a)
+        return _densify(self.perm[ia], self.phase[ia])
 
     def transform(self, f: GroupFunction) -> np.ndarray:
+        """sum_a f(a) M(a), scattered entry by entry: O(order dim) work."""
         if f.group != self.group:
             raise ContextMismatchError("function lives on a different group")
-        return np.tensordot(_dense_vector(f), self._stack, axes=1)
+        d = self.dim
+        weights = _dense_vector(f)[:, None] * self.phase
+        return _binned_sum(np.arange(d) * d + self.perm, weights, d * d).reshape(d, d)
 
 
 class CharacterRepresentation:
@@ -200,11 +236,11 @@ def character_inverse(table, group: CyclicPowerGroup, *,
 
 
 def regular_matrix_rep(group: Group) -> MatrixRepresentation:
-    """The vector-case regular representation as a matrix picture."""
-    alpha = zero_cocycle(group)
-    pair = regular_reps(group, alpha)
+    """The vector-case regular representation: row b of R(a) holds 1 in column ba."""
+    family = (np.ascontiguousarray(group.index_table().T),
+              np.ones((group.order, group.order), dtype=complex))
     # Construction guarantees the product rule; skip the O(n^2) re-check.
-    return MatrixRepresentation(group, alpha, pair.R, check=False)
+    return MatrixRepresentation(group, zero_cocycle(group), family, check=False)
 
 
 def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunction:
@@ -213,14 +249,14 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
     Uses f(a) = (1/dim) Tr[M(a)^dagger fhat], valid whenever
     (1/dim) Tr[M(a)^dagger M(b)] = delta_{a,b} -- true for the regular
     representation and for the torus realizations built in
-    :mod:`projalg.clockshift`.
+    :mod:`projalg.clockshift`.  Here that is a gather: the trace is
+    sum_j conj(phase[a, j]) fhat[j, perm[a, j]].
     """
     fhat = np.asarray(fhat, dtype=complex)
     if fhat.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
-    # Tr[M(a)^dagger fhat] is the elementwise inner product of M(a) and fhat.
-    flat = rep._stack.reshape(rep.group.order, -1)
-    vals = (flat @ fhat.conj().ravel()).conj() / rep.dim
+    gathered = fhat[np.arange(rep.dim), rep.perm]
+    vals = (rep.phase.conj() * gathered).sum(axis=1) / rep.dim
     return _from_vector(rep.group, vals)
 
 
@@ -233,8 +269,7 @@ def invert_vector_finite(fhat, group: Group,
     sum_b f(b) R(b); the latter works for any finite group because the
     regular representation contains each irreducible with multiplicity equal
     to its dimension, so (1/order) Tr[fhat R(a^-1)] equals the sum over
-    irreducible representations.  R(a) has its one entry of row b at column
-    ba, so no R(a) is built: f(a) = (1/order) sum_b fhat[b, T[b, a]].
+    irreducible representations.
     """
     if not group.is_finite:
         raise UnsupportedOperationError("vector-case inversion needs a finite group")
@@ -248,8 +283,7 @@ def invert_vector_finite(fhat, group: Group,
     if isinstance(group, CyclicPowerGroup) and fhat.shape == (group.n,) * group.d:
         return character_inverse(fhat, group)
     if fhat.shape == (group.order, group.order):
-        gathered = np.take_along_axis(fhat, group.index_table(), 1)
-        return _from_vector(group, gathered.sum(axis=0) / group.order)
+        return matrix_rep_inverse(fhat, regular_matrix_rep(group))
     raise ValueError(
         f"transform shape {fhat.shape} matches neither a character table nor "
         f"a regular-representation matrix for {group!r}")

@@ -7,7 +7,7 @@ Cocycle files:    {"kind": "zero"}
                   {"kind": "bilinear", "theta": [[...], ...]}
                   {"kind": "table", "alpha": [[...], ...]}
                   {"kind": "coboundary", "phi": [...]}
-                  {"kind": "clockshift"}            (cyclic_power, d = 2, 2 <= n <= 16)
+                  {"kind": "clockshift"}            (cyclic_power, d = 2, 2 <= n <= 32)
 Function files:   [{"element": [..] | index, "re": ..., "im": ...}, ...]
 
 Algebra elements share the function schema: a serialized element is the list

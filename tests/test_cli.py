@@ -227,6 +227,13 @@ class TestClockshiftCommand:
     def test_out_of_range_exits_two(self):
         assert cli.main(["clockshift", "--n", "99"]) == 2
 
+    def test_top_of_the_range(self):
+        proc = subprocess.run([sys.executable, "-m", "projalg", "clockshift",
+                               "--n", "32"], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+
 
 class TestReport:
     def test_passing_report(self, tmp_path, z4_group, capsys):
@@ -353,7 +360,7 @@ class TestLatticeCoordinateRange:
 
 
 class TestClockshiftRange:
-    """A clockshift cocycle outside 2 <= n <= 16 is refused before any work."""
+    """A clockshift cocycle outside 2 <= n <= 32 is refused before any work."""
 
     assert_input_error = TestNonFiniteInput.assert_input_error
 
@@ -369,8 +376,8 @@ class TestClockshiftRange:
         fn = write(tmp_path / "f.json", [{"element": [1, 0], "re": 1.0, "im": 0.0}])
         return ["--group", group, "--cocycle", cocycle], fn
 
-    def test_verify_n17_exits_two(self, tmp_path):
-        common, _ = self.files(tmp_path, 17)
+    def test_verify_n33_exits_two(self, tmp_path):
+        common, _ = self.files(tmp_path, 33)
         started = time.perf_counter()
         self.assert_input_error(self.run("verify", *common))
         assert time.perf_counter() - started < 20
@@ -383,7 +390,7 @@ class TestClockshiftRange:
         assert time.perf_counter() - started < 20
 
     def test_edges_of_the_range(self, tmp_path):
-        for n in (2, 16):
+        for n in (2, 32):
             common, fn = self.files(tmp_path, n)
             assert cli.main(["fourier", *common, "--in", fn, "--rep", "matrix",
                              "--roundtrip", "--out", str(tmp_path / "o.json")]) == 0

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestConsistency:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            pa.consistency_check(17)
+            pa.consistency_check(33)
 
     def test_matrix_representation_cocycle_is_normalized(self):
         for n in (2, 3):
@@ -190,6 +191,33 @@ def test_matrix_fourier_measures_the_cocycle_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out.json")])
     assert code == 0
     assert len(passes) == 2
+
+
+def test_clockshift_command_measures_the_cocycle_once(monkeypatch):
+    """`clockshift --n N` reports the cached measurement's worst residual.
+
+    One product-rule pass measures the cocycle and a second checks the dressed
+    representation; the raw family is not measured again for the report.
+    """
+    passes = []
+    real = harmonic.projective_product_rule
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "projective_product_rule", counting)
+    monkeypatch.setattr(clockshift, "projective_product_rule", counting)
+    clockshift.measured_cocycle.cache_clear()
+    assert cli.main(["clockshift", "--n", "4", "--out", os.devnull]) == 0
+    assert len(passes) == 2
+    group = pa.make_cyclic_power(4, 2)
+    _, worst, pair = real(group, *clockshift._family(4))
+    check = next(c for c in pa.consistency_check(4, trials=1).checks
+                 if c.name == "projective_product_rule")
+    assert check.max_residual == worst
+    assert check.detail == (f"worst pair ({group.describe(pair[0])}, "
+                            f"{group.describe(pair[1])})")
 
 
 def test_matrix_fourier_normalizes_the_cocycle_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ class TestCyclicPower:
         inv = g.inverse_indices()
         for i, a in enumerate(elems):
             assert g.element_at(int(inv[i])) == g.inv(a)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 1), (5, 2), (4, 4), (6, 3), (32, 2)])
+    def test_index_table_matches_coordinate_sums(self, n, d):
+        """Bit-identical to the (N, N, D) coordinate-sum table it replaced."""
+        coords = np.array(list(make_cyclic_power(n, d).elements()), dtype=np.int64)
+        weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        expected = ((coords[:, None, :] + coords[None, :, :]) % n) @ weights
+        table = make_cyclic_power(n, d).index_table()
+        assert table.dtype == expected.dtype
+        assert np.array_equal(table, expected)
+
+    def test_index_table_memory(self):
+        g = make_cyclic_power(10, 3)
+        tracemalloc.start()
+        try:
+            table = g.index_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table.nbytes
 
 
 class TestLattice:

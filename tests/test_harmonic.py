@@ -251,6 +251,12 @@ class TestMatrixRepresentation:
             pa.MatrixRepresentation(z2, pa.zero_cocycle(z2),
                                     {(0,): np.eye(2)})
 
+    @pytest.mark.parametrize("second", [np.ones((3, 2)), np.eye(3), np.ones(2)])
+    def test_shapes_must_be_square_and_shared(self, z2, second):
+        with pytest.raises(ValueError, match="square"):
+            pa.MatrixRepresentation(z2, pa.zero_cocycle(z2),
+                                    {(0,): np.eye(2), (1,): second})
+
     def test_matrix_rep_inverse_round_trip(self, rng):
         rep = pa.matrix_representation(3)
         f = random_function(rep.group, rng)

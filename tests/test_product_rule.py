@@ -1,21 +1,26 @@
 """The one-pass product-rule check against the per-pair loops it replaced.
 
 ``projective_product_rule`` measures or checks M(a) M(b) = exp(i alpha(a, b))
-M(ab) for a whole matrix family, and ``self_conjugacy_residual`` evaluates
+M(ab) for a whole monomial family, and ``self_conjugacy_residual`` evaluates
 C R(a) C = L(a) in index space.  The reference functions below are the loops
 ``measure_cocycle_from_matrices``, ``MatrixRepresentation``,
 ``consistency_check`` and the self-conjugacy checks used to run, one pair (or
-one dense matrix product) at a time.
+one dense matrix product) at a time, and the batched dense matmul pass
+(``ref_product_rule``) that held the family as an (order, dim, dim) stack.
 """
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projalg as pa
+from projalg import clockshift
 from projalg.algebra import self_conjugacy_residual
-from projalg.harmonic import projective_product_rule
+from projalg.harmonic import _as_monomial, projective_product_rule
 from projalg.phases import reduce_phase
 
 S3 = pa.symmetric_group(3)
@@ -67,6 +72,40 @@ def ref_self_conjugacy(group, alpha):
     return worst
 
 
+def ref_product_rule(group, stack, cocycle=None):
+    """The batched dense pass: (table, worst, pair, per-pair residuals).
+
+    ``stack[i]`` is M of element i in ``group.indexing()`` order; each a takes
+    one batched matmul over all b.
+    """
+    elems, _ = group.indexing()
+    T = group.index_table()
+    table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix().copy()
+    res = np.empty(T.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for ia in range(group.order):
+            P = stack[ia] @ stack
+            Q = stack[T[ia]]
+            if cocycle is None:
+                mask = np.abs(Q) > 0.5
+                ratios = np.divide(P, Q, out=np.zeros_like(P), where=mask)
+                table[ia] = np.angle(ratios.sum(axis=(1, 2)) / mask.sum(axis=(1, 2)))
+            weights = np.exp(1j * table[ia])[:, None, None]
+            res[ia] = np.abs(P - weights * Q).max(axis=(1, 2))
+    ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
+    return table, float(res[ia, ib]), (elems[ia], elems[ib]), res
+
+
+def dense(perm, phase):
+    """(order, dim, dim) stack of a monomial family, built entry by entry."""
+    order, dim = perm.shape
+    stack = np.zeros((order, dim, dim), dtype=complex)
+    for a in range(order):
+        for j in range(dim):
+            stack[a, j, perm[a, j]] = phase[a, j]
+    return stack
+
+
 def ref_transform(rep, f):
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for a, v in f.items():
@@ -93,8 +132,8 @@ def torus(n, dressed):
     return g, mats
 
 
-def _stack(group, matrices):
-    return np.array([matrices[a] for a in group.indexing()[0]])
+def _arrays(group, matrices):
+    return _as_monomial(group, matrices, 1e-10)
 
 
 def tampered(n):
@@ -126,7 +165,7 @@ def test_residual_matches_loop(n):
     g, mats = torus(n, dressed=False)
     alpha = pa.measured_cocycle(n)
     worst_ref, _ = ref_product_residual(g, alpha, mats)
-    _, worst, _ = projective_product_rule(g, _stack(g, mats), alpha)
+    _, worst, _ = projective_product_rule(g, *_arrays(g, mats), alpha)
     assert worst < 1e-13 and abs(worst - worst_ref) < 1e-14
     report = pa.consistency_check(n, trials=1)
     check = next(c for c in report.checks if c.name == "projective_product_rule")
@@ -139,7 +178,7 @@ def test_worst_pair_is_the_broken_one():
     mats = dict(pa.element_matrices(3))
     mats[(2, 1)] = mats[(2, 1)] * np.exp(0.2j)
     ref_worst, ref_pair = ref_product_residual(g, alpha, mats)
-    _, worst, pair = projective_product_rule(g, _stack(g, mats), alpha)
+    _, worst, pair = projective_product_rule(g, *_arrays(g, mats), alpha)
     assert pair == ref_pair
     assert abs(worst - ref_worst) < 1e-14
 
@@ -252,3 +291,180 @@ def test_self_conjugacy_detects_a_broken_cocycle():
     assert self_conjugacy_residual(g, alpha) == ref
     with pytest.raises(pa.RepresentationInconsistencyError):
         pa.conjugation_matrix(g, alpha)
+
+
+# -- monomial pass against the dense stack ------------------------------------------
+
+
+def _coboundary_regular(group, seed):
+    """(perm, phase, cocycle) of the right regular family of a coboundary."""
+    alpha = _coboundary(group, seed)
+    return group.index_table().T, alpha.phase_exp().T, alpha
+
+
+FAMILIES = [
+    lambda: _coboundary_regular(pa.make_cyclic_power(3, 1), 3),
+    lambda: _coboundary_regular(pa.make_cyclic_power(2, 2), 4),
+    lambda: _coboundary_regular(S3, 5),
+    lambda: (*clockshift._family(2), pa.measured_cocycle(2)),
+    lambda: (*clockshift._family(3), pa.measured_cocycle(3)),
+]
+
+
+@st.composite
+def monomial_families(draw):
+    """A valid monomial family, relabelled by a random monomial unitary V
+    (M -> V M V^dagger), then tampered: phase turns and modulus changes of
+    single entries, two rows sent to one column, a NaN entry.
+
+    Turns stay within 0.5 rad, so each pair's ratios P / Q lie in a half
+    plane and their mean is far from 0: the measured angle is well
+    conditioned, and both summation orders agree to rounding.
+    """
+    perm, phase, alpha = FAMILIES[draw(st.integers(0, len(FAMILIES) - 1))]()
+    group = alpha.group
+    order, dim = perm.shape
+    sigma = np.array(draw(st.permutations(range(dim))))
+    turn = np.exp(1j * np.array(draw(st.lists(st.floats(-np.pi, np.pi),
+                                              min_size=dim, max_size=dim))))
+    # Row j of V M(a) V^dagger holds turn[j] phase[a, sigma[j]] conj(turn[k])
+    # in column k = sigma^-1(perm[a, sigma[j]]).
+    inv = np.argsort(sigma)
+    perm = inv[perm[:, sigma]]
+    phase = turn * phase[:, sigma] * turn[perm].conj()
+    entry = st.tuples(st.integers(0, order - 1), st.integers(0, dim - 1))
+    for kind, (a, j) in draw(st.lists(st.tuples(
+            st.sampled_from(["turn", "scale", "collide", "nan"]), entry), max_size=3)):
+        if kind == "turn":
+            phase[a, j] *= np.exp(1j * draw(st.floats(-0.5, 0.5)))
+        elif kind == "scale":
+            phase[a, j] *= draw(st.floats(0.3, 2.0))
+        elif kind == "collide" and dim > 1:
+            perm[a, j] = perm[a, (j + 1) % dim]
+        elif kind == "nan":
+            phase[a, j] = np.nan
+    return group, perm, phase, draw(st.sampled_from([None, alpha]))
+
+
+def assert_matches_dense_stack(group, perm, phase, cocycle):
+    table, worst, pair = projective_product_rule(group, perm, phase, cocycle)
+    ref_table, ref_worst, ref_pair, ref_res = ref_product_rule(
+        group, dense(perm, phase), cocycle)
+    nan = np.isnan(ref_table)
+    assert np.array_equal(np.isnan(table), nan)
+    assert np.max(np.abs(reduce_phase(table - ref_table)[~nan]), initial=0.0) < 1e-14
+    if np.isnan(ref_worst):
+        assert np.isnan(worst) and pair == ref_pair
+        return
+    assert abs(worst - ref_worst) < 1e-14
+    # Pairs whose residuals tie to rounding are told apart by summation
+    # order alone, so a tie may name any of its pairs.
+    index = group.indexing()[1]
+    tied = ref_res >= ref_worst - 1e-14
+    assert tied[index[pair[0]], index[pair[1]]]
+    if tied.sum() == 1:
+        assert pair == ref_pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_families())
+def test_monomial_pass_matches_dense_stack(family):
+    assert_matches_dense_stack(*family)
+
+
+def _crafted(kind):
+    """Families on Z_3 where a row of P and of Q sit in different columns.
+
+    "moved": row 0 of M(1) is tripled and row 1 of M(2) shares row 0's
+    column, so row 0 of M(1) M(2) alone holds the largest modulus, off Q's
+    column.  "nan": row 0 of M(2) is NaN and no row of M(1) reaches it, so
+    only 0 * nan carries it into M(1) M(2), down the column Q's row 2 uses.
+    """
+    perm, phase, alpha = _coboundary_regular(pa.make_cyclic_power(3, 1), 3)
+    perm, phase = perm.copy(), phase.copy()
+    if kind == "moved":
+        phase[1, 0] *= 3.0
+        perm[2, 1] = perm[2, 0]
+    else:
+        phase[2, 0] = np.nan
+        perm[1, 2] = perm[1, 1]
+    return alpha.group, perm, phase, alpha
+
+
+@pytest.mark.parametrize("measure", [False, True])
+@pytest.mark.parametrize("kind", ["moved", "nan"])
+def test_crafted_families_match_dense_stack(kind, measure):
+    group, perm, phase, alpha = _crafted(kind)
+    assert_matches_dense_stack(group, perm, phase, None if measure else alpha)
+    if kind == "moved":
+        _, worst, pair = projective_product_rule(group, perm, phase, alpha)
+        assert abs(worst - 3.0) < 1e-12 and pair == ((1,), (2,))
+    else:
+        assert np.isnan(projective_product_rule(group, perm, phase)[0][1, 2])
+
+
+def _unitary(dim, seed):
+    z = np.random.default_rng(seed).standard_normal((dim, 2 * dim)).view(complex)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _conjugated(n, V):
+    g = pa.make_cyclic_power(n, 2)
+    return g, {m: V @ x @ V.conj().T for m, x in pa.element_matrices(n).items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_non_monomial_family_is_rejected(n):
+    """A unitary conjugate of the clock/shift family realizes the same cocycle,
+    but its matrices are not monomial, so it is refused, naming an element."""
+    g, mats = _conjugated(n, _unitary(n, n))
+    with pytest.raises(pa.RepresentationInconsistencyError, match="not monomial"):
+        pa.MatrixRepresentation(g, pa.measured_cocycle(n), mats)
+    with pytest.raises(pa.RepresentationInconsistencyError, match="not monomial"):
+        pa.measure_cocycle_from_matrices(g, mats)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_non_finite_matrix_is_named(entry):
+    g, mats = torus(3, dressed=False)
+    bad = mats[(1, 2)].copy()
+    bad[1, 0] = entry
+    mats = {**mats, (1, 2): bad}
+    for build in (lambda: pa.MatrixRepresentation(g, pa.measured_cocycle(3), mats,
+                                                  check=False),
+                  lambda: pa.measure_cocycle_from_matrices(g, mats)):
+        with pytest.raises(pa.RepresentationInconsistencyError,
+                           match=r"matrix of \(1, 2\) is not monomial with finite"):
+            build()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dft_conjugate_stays_monomial(n):
+    """The DFT maps the shift to a clock and the clock to a shift (up to
+    inverses), so the DFT-conjugated family is monomial again and realizes
+    the same cocycle."""
+    k = np.arange(n)
+    F = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    g, mats = _conjugated(n, F)
+    measured = pa.measure_cocycle_from_matrices(g, mats).phase_matrix()
+    assert np.max(np.abs(reduce_phase(
+        measured - pa.measured_cocycle(n).phase_matrix()))) < 1e-12
+    pa.MatrixRepresentation(g, pa.measured_cocycle(n), mats)
+
+
+def test_regular_transform_round_trip_memory(rng):
+    """The regular family on (Z_6)^3 is two (216, 216) arrays: no R(a), L(a)
+    or (order, dim, dim) stack is built to transform and invert."""
+    group = pa.make_cyclic_power(6, 3)
+    f = pa.GroupFunction(group, {a: complex(*rng.standard_normal(2))
+                                 for a in group.elements()})
+    tracemalloc.start()
+    try:
+        rep = pa.regular_matrix_rep(group)
+        back = pa.matrix_rep_inverse(pa.fourier(f, rep), rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.max_diff(f) < 1e-12
+    assert peak < 8 * 2 ** 20
