@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import sampling
 from .algebra import self_conjugacy_residual
 from .clockshift import consistency_check, matrix_representation
@@ -25,10 +23,10 @@ from .errors import (BackingMismatchError, ContextMismatchError,
                      GroupConstructionError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
 from .groups import CyclicPowerGroup, Group
-from .harmonic import (FormalRepresentation, character_inverse,
-                       character_transform, deformed_convolution, fourier,
-                       matrix_rep_inverse, plancherel_values,
-                       regular_matrix_rep)
+from .harmonic import (FormalRepresentation, _is_zero_cocycle,
+                       character_inverse, character_transform,
+                       deformed_convolution, fourier, matrix_rep_inverse,
+                       plancherel_values, regular_matrix_rep)
 from .integration import (GroupFunction, as_algebra_element, completeness_check,
                           invert)
 from .report import CheckResult, VerificationReport, dumps_canonical
@@ -179,14 +177,6 @@ def _finish(report: VerificationReport, out: str | None) -> None:
 
 
 # -- fourier ---------------------------------------------------------------
-
-
-def _is_zero_cocycle(alpha: Cocycle) -> bool:
-    g = alpha.group
-    if g.is_finite:
-        return float(np.max(np.abs(alpha.phase_matrix()))) < 1e-14
-    theta = getattr(alpha, "theta", None)
-    return theta is not None and float(np.max(np.abs(theta))) < 1e-14
 
 
 def _normalized(cfg: RunConfig) -> Cocycle:

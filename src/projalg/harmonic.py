@@ -8,10 +8,13 @@ Three pictures of the transform f_hat = sum_a f(a) x(a) are supported:
   projective product rule; verified entrywise at construction.
 * character -- the vector case on (Z_n)^D, where the one-dimensional
   representations chi_q(a) = exp(-2 pi i q.a / n) diagonalize everything.
+  Integration over the dual group is the D-dimensional DFT, so the
+  transform and its inverse are numpy's ``fftn`` and ``ifftn``.
 
 Multiplying transforms deforms the convolution on the function side by the
-cocycle phase; :func:`deformed_convolution` is that product and
-:func:`moyal_star` is its exact spectral image on character transforms.
+cocycle phase; :func:`deformed_convolution` is that product.
+:func:`moyal_star` is its image on character transforms: inverse FFT, the
+finite-group product kernel, forward FFT, for any cocycle.
 """
 
 from __future__ import annotations
@@ -189,11 +192,15 @@ def fourier(f: GroupFunction, rep) -> "AlgebraElement | np.ndarray | complex":
     return rep.transform(f)
 
 
-def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
-    """X[q, a] = exp(-2 pi i q.a / n) over the element enumeration order."""
+def _require_cyclic_power(group: Group) -> CyclicPowerGroup:
     if not isinstance(group, CyclicPowerGroup):
         raise UnsupportedOperationError("character tables need a cyclic-power group")
-    coords = np.array(list(group.elements()), dtype=np.int64)
+    return group
+
+
+def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
+    """X[q, a] = exp(-2 pi i q.a / n) over the element enumeration order."""
+    coords = np.array(list(_require_cyclic_power(group).elements()), dtype=np.int64)
     dots = coords @ coords.T
     return np.exp(-2j * np.pi * dots / group.n)
 
@@ -210,29 +217,34 @@ def _from_vector(group: Group, vec: np.ndarray) -> GroupFunction:
     return GroupFunction._canonical(group, dict(zip(group.indexing()[0], vec.tolist())))
 
 
+def _is_zero_cocycle(alpha: Cocycle) -> bool:
+    """Whether a finite-group cocycle is the vector case: every phase below 1e-14."""
+    return float(np.max(np.abs(alpha.phase_matrix()))) < 1e-14
+
+
 def character_transform(f: GroupFunction, *,
                         volume_normalized: bool = False) -> np.ndarray:
-    """Full character table of f, shaped (n,) * D.
+    """Full character table of f, shaped (n,) * D: the D-dimensional DFT.
 
     With ``volume_normalized`` the sum carries a 1/order factor (the
     compact-group convention); the matching flag on
     :func:`character_inverse` undoes it.
     """
-    g = f.group
-    out = character_matrix(g) @ _dense_vector(f)
-    if volume_normalized:
-        out = out / g.order
-    return out.reshape((g.n,) * g.d)
+    g = _require_cyclic_power(f.group)
+    return np.fft.fftn(_dense_vector(f).reshape((g.n,) * g.d),
+                       norm="forward" if volume_normalized else "backward")
 
 
 def character_inverse(table, group: CyclicPowerGroup, *,
                       volume_normalized: bool = False) -> GroupFunction:
-    """Inverse of :func:`character_transform`: f(a) = (1/order) sum_q table[q] conj(chi_q(a))."""
-    X = character_matrix(group)     # raises off (Z_n)^D
-    vec = X.conj().T @ np.asarray(table, dtype=complex).reshape(group.order)
-    if not volume_normalized:
-        vec = vec / group.order
-    return _from_vector(group, vec)
+    """Inverse of :func:`character_transform`: f(a) = (1/order) sum_q table[q] conj(chi_q(a)).
+
+    ``table`` may have any shape with ``order`` entries, in C order.
+    """
+    g = _require_cyclic_power(group)
+    grid = np.asarray(table, dtype=complex).reshape((g.n,) * g.d)
+    vec = np.fft.ifftn(grid, norm="forward" if volume_normalized else "backward")
+    return _from_vector(g, vec.ravel())
 
 
 def regular_matrix_rep(group: Group) -> MatrixRepresentation:
@@ -273,12 +285,10 @@ def invert_vector_finite(fhat, group: Group,
     """
     if not group.is_finite:
         raise UnsupportedOperationError("vector-case inversion needs a finite group")
-    if cocycle is not None:
-        mat = cocycle.phase_matrix()
-        if float(np.max(np.abs(mat))) > 1e-12:
-            raise UnsupportedOperationError(
-                "inversion by summing representations applies to the vector "
-                "case; use the algebraic inverse for projective data")
+    if cocycle is not None and not _is_zero_cocycle(cocycle):
+        raise UnsupportedOperationError(
+            "inversion by summing representations applies to the vector "
+            "case; use the algebraic inverse for projective data")
     fhat = np.asarray(fhat, dtype=complex)
     if isinstance(group, CyclicPowerGroup) and fhat.shape == (group.n,) * group.d:
         return character_inverse(fhat, group)
@@ -331,26 +341,18 @@ def plancherel_check(f: GroupFunction, alpha: Cocycle, *,
 def moyal_star(ftilde, gtilde, alpha: Cocycle) -> np.ndarray:
     """Star product of character transforms on (Z_n)^D.
 
-    Computed by the exact spectral double sum
-
-        h_tilde(q) = sum_{a,b} f(a) g(b) exp(i alpha(a, b)) chi_q(a) chi_q(b),
-
-    where f and g are recovered from the inputs by the inverse character
-    transform.  The result is the character transform of
-    deformed_convolution(f, g, alpha); with the zero cocycle it reduces to
-    the pointwise product.
+    f and g are recovered by the inverse FFT, multiplied once by the
+    finite-group product kernel, sum_{a,b} f(a) g(b) exp(i alpha(a, b)) x(a + b),
+    and the product is transformed back by the forward FFT.  Any cocycle is
+    accepted, normalized or not; for a normalized one the result is the
+    character transform of deformed_convolution(f, g, alpha), and for the
+    zero cocycle it is the pointwise product.
     """
-    group = alpha.group
-    if not isinstance(group, CyclicPowerGroup):
-        raise UnsupportedOperationError("the star product lives on (Z_n)^D")
+    group = _require_cyclic_power(alpha.group)
     shape = (group.n,) * group.d
     ft = np.asarray(ftilde, dtype=complex)
     gt = np.asarray(gtilde, dtype=complex)
     if ft.shape != shape or gt.shape != shape:
         raise ValueError(f"dual tables must have shape {shape}")
-    fv = _dense_vector(character_inverse(ft, group))
-    gv = _dense_vector(character_inverse(gt, group))
-    X = character_matrix(group)
-    W = np.outer(fv, gv) * np.exp(1j * alpha.phase_matrix())
-    out = np.einsum("qa,ab,qb->q", X, W, X)
-    return out.reshape(shape)
+    f, g = (character_inverse(t, group)._coeffs for t in (ft, gt))
+    return character_transform(GroupFunction._canonical(group, _multiply(group, alpha, f, g)))

@@ -146,6 +146,16 @@ class TestFourier:
         assert cli.main(["fourier", "--group", torus_group, "--cocycle", cocycle,
                          "--in", fn, "--rep", "character"]) == 2
 
+    @pytest.mark.parametrize("phase, code", [(1e-13, 2), (0.0, 0)])
+    def test_character_rep_needs_phases_below_1e_14(self, tmp_path, phase, code):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 4, "d": 2})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "table", "alpha": [[phase] * 16] * 16})
+        fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 1.0, "im": 0.0}])
+        assert cli.main(["fourier", "--group", group, "--cocycle", cocycle,
+                         "--in", fn, "--rep", "character", "--roundtrip",
+                         "--out", str(tmp_path / "out.json")]) == code
+
     def test_bad_function_file_exits_two(self, tmp_path, z4_group):
         fn = write(tmp_path / "f.json", [{"element": [0, 1], "re": 1.0}])
         assert cli.main(["fourier", "--group", z4_group, "--in", fn]) == 2
