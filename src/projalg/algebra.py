@@ -19,10 +19,11 @@ symmetric and intertwines them: C R(a) C^-1 = L(a).  Only a call of
 per row is used in index space.  Lattice groups use the operator forms
 :func:`apply_R` / :func:`apply_L` instead of matrices.
 
-Every product of coefficient dicts runs through one of two kernels
+Every product of coefficient stores runs through one of two kernels
 (:func:`_multiply`).  On a finite group, with multiplication table T and
 product weights E = exp(i alpha), the dense index-space kernel
-:func:`_finite_product` maps the supports sf, sg to element indices and sums
+:func:`_finite_product` takes coefficient vectors in index order, finds their
+supports sf, sg and sums
 
     h = bincount(T[sf][:, sg], f[sf, None] * g[None, sg] * E[sf][:, sg])
 
@@ -63,19 +64,13 @@ def _coefficients(group: Group, pairs) -> dict:
     return acc
 
 
-def _inverse_keys(group: Group, keys) -> list:
-    """Inverses of canonical keys, without calling ``group.canonical``."""
-    if not group.is_finite:
-        return [tuple(-x for x in a) for a in keys]
-    elems, index = group.indexing()
-    return [elems[i] for i in group.inverse_indices()[[index[a] for a in keys]].tolist()]
-
-
 class _CoefficientStore:
     """A group and an immutable dict of complex coefficients on canonical keys.
 
     Public constructors canonicalize keys once, through :func:`_coefficients`;
     internal results use :meth:`_canonical`, and conversions share the dict.
+    On finite groups only :meth:`_vector` and :meth:`_from_vector` convert
+    between the dict and a dense vector in ``group.indexing()`` order.
     """
 
     __slots__ = ("group", "_coeffs")
@@ -91,6 +86,19 @@ class _CoefficientStore:
             setattr(store, name, value)
         store._keep(group, coeffs)
         return store
+
+    @classmethod
+    def _from_vector(cls, group: Group, vec: np.ndarray, **fields):
+        """Wrap a complex vector in ``group.indexing()`` order, checked and
+        pruned by :meth:`_keep`, so a NaN entry is rejected, not dropped."""
+        return cls._canonical(group, dict(zip(group.indexing()[0], vec.tolist())), **fields)
+
+    def _vector(self) -> np.ndarray:
+        """The coefficients as a complex vector in ``group.indexing()`` order."""
+        index = self.group.indexing()[1]
+        vec = np.zeros(self.group.order, dtype=complex)
+        vec[[index[a] for a in self._coeffs]] = list(self._coeffs.values())
+        return vec
 
     def _keep(self, group: Group, coeffs: dict) -> None:
         """Reject NaN, inf and overflowing moduli; prune below PRUNE_TOL."""
@@ -184,36 +192,33 @@ class AlgebraElement(_CoefficientStore):
     __rmul__ = __mul__
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self._like(_multiply(self.group, self.cocycle,
-                                    self._coeffs, other._coeffs))
+        return _multiply(self.cocycle, self, other)
 
     def star(self) -> "AlgebraElement":
         """Involution: x(a) -> x(a^-1) with conjugated coefficients."""
         if not self.cocycle.normalized:
             raise NormalizationRequiredError(
                 "the involution needs alpha(a, a^-1) = 0; normalize the cocycle first")
-        return self._like(dict(zip(_inverse_keys(self.group, self._coeffs),
-                                   [v.conjugate() for v in self._coeffs.values()])))
+        g = self.group
+        if g.is_finite:
+            return AlgebraElement._from_vector(
+                g, self._vector().conj()[g.inverse_indices()], cocycle=self.cocycle)
+        return self._like({tuple(-x for x in a): v.conjugate()
+                           for a, v in self._coeffs.items()})
 
 
-def _finite_product(group: Group, E: np.ndarray, f: Mapping,
-                    g: Mapping) -> dict:
-    """sum_{a,b} f(a) g(b) E[a, b] x(ab) on a finite group, pruned at PRUNE_TOL.
+def _finite_product(group: Group, E: np.ndarray, f: np.ndarray,
+                    g: np.ndarray) -> np.ndarray:
+    """h[ab] = sum_{a,b} f[a] g[b] E[a, b] for vectors in ``group.indexing()`` order.
 
-    Keys of ``f`` and ``g`` must be canonical; ``E`` is indexed like
-    ``group.index_table()``.  Only the support pairs are gathered, so
-    memory is O(|f| |g|), never order**2.
+    ``E`` is indexed like ``group.index_table()``.  Only the support pairs
+    are gathered, so memory is O(|supp f| |supp g|), never order**2.  The
+    result is not pruned.
     """
-    if not f or not g:
-        return {}
-    elems, index = group.indexing()
-    rows = np.ix_([index[a] for a in f], [index[b] for b in g])
-    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
-    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
-    h = _binned_sum(group.index_table()[rows].ravel(),
-                    fv[:, None] * gv[None, :] * E[rows], group.order)
-    return {elems[i]: complex(h[i])
-            for i in np.flatnonzero(np.abs(h) >= PRUNE_TOL)}
+    sf, sg = np.flatnonzero(f), np.flatnonzero(g)
+    rows = np.ix_(sf, sg)
+    return _binned_sum(group.index_table()[rows],
+                       f[sf, None] * g[None, sg] * E[rows], group.order)
 
 
 def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
@@ -234,7 +239,7 @@ def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
     keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, d))
     w = fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))
     h = _binned_sum(bins, w, len(keys))
-    keep = np.flatnonzero(np.abs(h) >= PRUNE_TOL)
+    keep = np.flatnonzero(~(np.abs(h) < PRUNE_TOL))  # NaN is kept, and rejected
     rows = keys[keep]
     far = np.flatnonzero(np.abs(rows).max(axis=1) > LATTICE_COORD_LIMIT)
     if far.size:
@@ -268,11 +273,14 @@ def _binned_sum(bins: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _multiply(group: Group, alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
-    """Coefficients of (sum f(a) x(a)) (sum g(b) x(b)) over canonical keys."""
-    if group.is_finite:
-        return _finite_product(group, alpha.phase_exp(), f, g)
-    return _lattice_product(alpha, f, g)
+def _multiply(alpha: Cocycle, f: _CoefficientStore, g: _CoefficientStore):
+    """(sum f(a) x(a)) (sum g(b) x(b)) under ``alpha``, as a store like f."""
+    fields = {"cocycle": f.cocycle} if isinstance(f, AlgebraElement) else {}
+    if f.group.is_finite:
+        h = _finite_product(f.group, alpha.phase_exp(), f._vector(), g._vector())
+        return type(f)._from_vector(f.group, h, **fields)
+    h = _lattice_product(alpha, f._coeffs, g._coeffs)
+    return type(f)._canonical(f.group, h, **fields)
 
 
 def generator(group: Group, alpha: Cocycle, a) -> AlgebraElement:

@@ -16,6 +16,7 @@ zero, so only the quantized automorphisms survive.
 from __future__ import annotations
 
 import cmath
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +26,8 @@ from .algebra import AlgebraElement
 from .cocycles import Cocycle, _require_same_group
 from .errors import ContextMismatchError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group, LatticeGroup
-from .integration import GroupFunction, as_algebra_element, ati_integral, invert
+from .integration import (GroupFunction, _random_function, as_algebra_element,
+                          ati_integral, invert)
 from .report import VerificationReport
 
 
@@ -58,8 +60,8 @@ class CoordinateDerivation(Derivation):
 class SigmaDerivation(Derivation):
     """Derivation from a user-supplied additive map sigma: G -> C.
 
-    The constructor rejects non-additive maps: exhaustively on finite
-    groups, on seeded samples for lattices.
+    The constructor rejects non-additive or NaN maps: exhaustively on finite
+    groups (one call of ``fn`` per element), on seeded samples for lattices.
     """
 
     def __init__(self, group: Group, fn: Callable, *, samples: int = 400,
@@ -67,18 +69,24 @@ class SigmaDerivation(Derivation):
         self.group = group
         self._fn = fn
         if group.is_finite:
-            pairs = [(a, b) for a in group.elements() for b in group.elements()]
+            elems = group.indexing()[0]
+            sig = np.array([complex(fn(a)) for a in elems])
+            lhs, rhs = sig[group.index_table()], sig[:, None] + sig[None, :]
+            pairs = itertools.product(elems, repeat=2)
         else:
-            rng = sampling.rng_from_seed(seed)
-            pairs = sampling.sample_pairs(group, rng, samples, box=box)
-        for a, b in pairs:
-            lhs = complex(fn(group.prod(a, b)))
-            rhs = complex(fn(a)) + complex(fn(b))
-            if abs(lhs - rhs) > tol:
-                raise ValueError(
-                    f"sigma is not additive on ({group.describe(a)}, "
-                    f"{group.describe(b)}): sigma(ab)={lhs!r} but "
-                    f"sigma(a)+sigma(b)={rhs!r}")
+            A, B = sampling.lattice_points(group, sampling.rng_from_seed(seed),
+                                           samples, 2, box=box)
+            pairs = list(zip(map(tuple, A.tolist()), map(tuple, B.tolist())))
+            lhs = np.array([complex(fn(group.prod(a, b))) for a, b in pairs])
+            rhs = np.array([complex(fn(a)) + complex(fn(b)) for a, b in pairs])
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= tol))
+        if bad.size:
+            k = int(bad[0])
+            a, b = next(itertools.islice(pairs, k, None))
+            raise ValueError(
+                f"sigma is not additive on ({group.describe(a)}, "
+                f"{group.describe(b)}): sigma(ab)={complex(lhs.flat[k])!r} but "
+                f"sigma(a)+sigma(b)={complex(rhs.flat[k])!r}")
 
     def sigma(self, a) -> complex:
         return complex(self._fn(self.group.canonical(a)))
@@ -93,8 +101,8 @@ def derive(d: Derivation, u: AlgebraElement) -> AlgebraElement:
 
 def _random_element(group: Group, alpha: Cocycle, rng, *, box: int = 4,
                     support: int = 4) -> AlgebraElement:
-    coeffs = sampling.random_coefficients(group, rng, box=box, support=support)
-    return AlgebraElement(group, alpha, coeffs)
+    return as_algebra_element(_random_function(group, rng, box=box, support=support),
+                              alpha)
 
 
 def check_leibniz(d: Derivation, group: Group, alpha: Cocycle, *,
@@ -192,7 +200,7 @@ def measure_invariance_check(s: Automorphism, group: Group, alpha: Cocycle, *,
     report.add("integral_invariance", worst_int, tol, detail=f"{trials} trials")
     worst_phase = 0.0
     for _ in range(trials):
-        f = GroupFunction(group, sampling.random_coefficients(group, rng, box=box))
+        f = _random_function(group, rng, box=box)
         fhat = as_algebra_element(f, alpha)
         g = invert(apply_automorphism(s, fhat))
         expected = GroupFunction(group, {m: s.phase_factor(m) * v

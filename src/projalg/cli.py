@@ -22,13 +22,13 @@ from .cocycles import Cocycle, check_identities, normalize, validate_cocycle
 from .errors import (BackingMismatchError, ContextMismatchError,
                      GroupConstructionError, NormalizationRequiredError,
                      RepresentationInconsistencyError, UnsupportedOperationError)
-from .groups import CyclicPowerGroup, Group
+from .groups import VALIDATION_ORDER_LIMIT, CyclicPowerGroup, Group
 from .harmonic import (FormalRepresentation, _is_zero_cocycle,
                        character_inverse, character_transform,
                        deformed_convolution, fourier, matrix_rep_inverse,
                        plancherel_values, regular_matrix_rep)
-from .integration import (GroupFunction, as_algebra_element, completeness_check,
-                          invert)
+from .integration import (GroupFunction, _random_function, as_algebra_element,
+                          completeness_check, invert)
 from .report import CheckResult, VerificationReport, dumps_canonical
 from .serialize import (cocycle_from_spec, function_from_spec,
                         function_to_spec, group_from_spec, matrix_to_spec)
@@ -90,6 +90,9 @@ def _parse_seed(text: str) -> int:
 
 def _config(args) -> RunConfig:
     group = _parse(args.group, "group", group_from_spec, _load_json(args.group))
+    if group.is_finite and group.order > VALIDATION_ORDER_LIMIT:
+        raise InputError(f"group order {group.order} exceeds the limit "
+                         f"{VALIDATION_ORDER_LIMIT} of finite groups")
     path = getattr(args, "cocycle", None)
     spec = {"kind": "zero"} if path is None else _load_json(path)
     cocycle = _parse(path, "cocycle", cocycle_from_spec, spec, group)
@@ -142,16 +145,18 @@ def cmd_verify(args) -> int:
     rng = sampling.rng_from_seed(cfg.seed)
     worst = 0.0
     for _ in range(VERIFY_TRIALS):
-        f = GroupFunction(group, sampling.random_coefficients(group, rng))
+        f = _random_function(group, rng)
         lhs, rhs = plancherel_values(f, alpha_n)
-        worst = max(worst, abs(lhs - rhs))
+        # Both sides sum ``order`` terms, and their rounding grows with the
+        # sum, so the residual is relative to sum |f|^2 once that exceeds 1.
+        worst = max(worst, abs(lhs - rhs) / max(1.0, rhs))
     report.add("plancherel", worst, _tol(cfg, 1e-12),
-               detail=f"{VERIFY_TRIALS} random functions")
+               detail=f"{VERIFY_TRIALS} random functions, relative to sum |f|^2")
 
     worst = 0.0
     for _ in range(VERIFY_TRIALS):
-        f = GroupFunction(group, sampling.random_coefficients(group, rng))
-        g = GroupFunction(group, sampling.random_coefficients(group, rng))
+        f = _random_function(group, rng)
+        g = _random_function(group, rng)
         h = deformed_convolution(f, g, alpha_n)
         rhs = as_algebra_element(f, alpha_n) * as_algebra_element(g, alpha_n)
         worst = max(worst, h.max_diff(rhs))
@@ -231,8 +236,8 @@ def cmd_fourier(args) -> int:
         lhs, rhs = plancherel_values(f, alpha_n)
     except ValueError as exc:
         raise InputError(f"cannot multiply the input: {exc}") from exc
-    checks = {"plancherel": {"lhs": lhs.real, "rhs": rhs,
-                             "pass": bool(abs(lhs - rhs) < _tol(cfg, 1e-12))}}
+    checks = {"plancherel": {"lhs": lhs.real, "rhs": rhs, "pass": bool(
+        abs(lhs - rhs) < _tol(cfg, 1e-12) * max(1.0, rhs))}}
     if roundtrip is not None:
         checks["roundtrip"] = _check_dict(f.max_diff(roundtrip), _tol(cfg, 1e-12))
     _emit(dumps_canonical({"transform": transform, "checks": checks}), cfg.out)

@@ -32,13 +32,13 @@ import operator
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _densify
+from .algebra import _densify
 from .cocycles import TabulatedCocycle, normalize
 from .errors import RepresentationInconsistencyError
 from .groups import Group, make_cyclic_power
 from .harmonic import (MatrixRepresentation, _as_monomial, deformed_convolution,
                        fourier, projective_product_rule)
-from .integration import GroupFunction, ati_integral, invert
+from .integration import _random_function, as_algebra_element, ati_integral, invert
 from .report import VerificationReport
 
 SUPPORTED_RANGE = range(2, 33)
@@ -172,8 +172,8 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
     alpha = rep.cocycle
     worst = 0.0
     for _ in range(trials):
-        f = GroupFunction(group, sampling.random_coefficients(group, rng))
-        g = GroupFunction(group, sampling.random_coefficients(group, rng))
+        f = _random_function(group, rng)
+        g = _random_function(group, rng)
         h = deformed_convolution(f, g, alpha)
         lhs = fourier(h, rep)
         rhs = fourier(f, rep) @ fourier(g, rep)
@@ -187,8 +187,7 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
 
     worst = 0.0
     for _ in range(trials):
-        coeffs = sampling.random_coefficients(group, rng)
-        u = AlgebraElement(group, alpha, coeffs)
+        u = as_algebra_element(_random_function(group, rng), alpha)
         fhat = fourier(invert(u), rep)
         worst = max(worst, abs(trace_integral(n, fhat) - ati_integral(u)))
     report.add("trace_vs_algebraic_integral", worst, tol_trace,

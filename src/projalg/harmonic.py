@@ -160,7 +160,7 @@ class MatrixRepresentation:
         if f.group != self.group:
             raise ContextMismatchError("function lives on a different group")
         d = self.dim
-        weights = _dense_vector(f)[:, None] * self.phase
+        weights = f._vector()[:, None] * self.phase
         return _binned_sum(np.arange(d) * d + self.perm, weights, d * d).reshape(d, d)
 
 
@@ -170,10 +170,7 @@ class CharacterRepresentation:
     kind = "character"
 
     def __init__(self, group: CyclicPowerGroup, q):
-        if not isinstance(group, CyclicPowerGroup):
-            raise UnsupportedOperationError(
-                "character labels q need a cyclic-power group")
-        self.group = group
+        self.group = _require_cyclic_power(group)
         self.q = group.canonical(q)
 
     def value(self, a) -> complex:
@@ -205,18 +202,6 @@ def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
     return np.exp(-2j * np.pi * dots / group.n)
 
 
-def _dense_vector(f: GroupFunction) -> np.ndarray:
-    _, index = f.group.indexing()
-    vec = np.zeros(f.group.order, dtype=complex)
-    vec[[index[a] for a in f.support]] = list(f._coeffs.values())
-    return vec
-
-
-def _from_vector(group: Group, vec: np.ndarray) -> GroupFunction:
-    """Inverse of :func:`_dense_vector`: values in ``group.indexing()`` order."""
-    return GroupFunction._canonical(group, dict(zip(group.indexing()[0], vec.tolist())))
-
-
 def _is_zero_cocycle(alpha: Cocycle) -> bool:
     """Whether a finite-group cocycle is the vector case: every phase below 1e-14."""
     return float(np.max(np.abs(alpha.phase_matrix()))) < 1e-14
@@ -231,7 +216,7 @@ def character_transform(f: GroupFunction, *,
     :func:`character_inverse` undoes it.
     """
     g = _require_cyclic_power(f.group)
-    return np.fft.fftn(_dense_vector(f).reshape((g.n,) * g.d),
+    return np.fft.fftn(f._vector().reshape((g.n,) * g.d),
                        norm="forward" if volume_normalized else "backward")
 
 
@@ -244,7 +229,7 @@ def character_inverse(table, group: CyclicPowerGroup, *,
     g = _require_cyclic_power(group)
     grid = np.asarray(table, dtype=complex).reshape((g.n,) * g.d)
     vec = np.fft.ifftn(grid, norm="forward" if volume_normalized else "backward")
-    return _from_vector(g, vec.ravel())
+    return GroupFunction._from_vector(g, vec.ravel())
 
 
 def regular_matrix_rep(group: Group) -> MatrixRepresentation:
@@ -269,7 +254,7 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
     gathered = fhat[np.arange(rep.dim), rep.perm]
     vals = (rep.phase.conj() * gathered).sum(axis=1) / rep.dim
-    return _from_vector(rep.group, vals)
+    return GroupFunction._from_vector(rep.group, vals)
 
 
 def invert_vector_finite(fhat, group: Group,
@@ -317,8 +302,7 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "deformed convolution assumes a normalized cocycle")
-    g = f1.group
-    return GroupFunction._canonical(g, _multiply(g, alpha, f1._coeffs, f2._coeffs))
+    return _multiply(alpha, f1, f2)
 
 
 def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]:
@@ -354,5 +338,5 @@ def moyal_star(ftilde, gtilde, alpha: Cocycle) -> np.ndarray:
     gt = np.asarray(gtilde, dtype=complex)
     if ft.shape != shape or gt.shape != shape:
         raise ValueError(f"dual tables must have shape {shape}")
-    f, g = (character_inverse(t, group)._coeffs for t in (ft, gt))
-    return character_transform(GroupFunction._canonical(group, _multiply(group, alpha, f, g)))
+    f, g = (character_inverse(t, group) for t in (ft, gt))
+    return character_transform(_multiply(alpha, f, g))

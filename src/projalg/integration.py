@@ -16,7 +16,8 @@ import cmath
 
 import numpy as np
 
-from .algebra import AlgebraElement, _CoefficientStore, _inverse_keys
+from . import sampling
+from .algebra import AlgebraElement, _CoefficientStore
 from .cocycles import Cocycle, _require_same_group, zero_cocycle
 from .errors import (ContextMismatchError, CrossCheckError,
                      NormalizationRequiredError, UnsupportedOperationError)
@@ -42,6 +43,20 @@ class GroupFunction(_CoefficientStore):
     def _check_context(self, other: "GroupFunction") -> None:
         if self.group != other.group:
             raise ContextMismatchError("functions live on different groups")
+
+
+def _random_function(group: Group, rng, *, box: int = 4,
+                     support: int = 5) -> GroupFunction:
+    """Standard complex normal values: on a finite group everywhere, in one
+    draw giving the numbers of one :func:`sampling.random_complex` per element;
+    on a lattice at ``support`` points of the box (duplicates collapse)."""
+    if group.is_finite:
+        re, im = rng.standard_normal((group.order, 2)).T
+        return GroupFunction._from_vector(group, re + 1j * im)
+    coeffs = {}
+    for _ in range(support):
+        coeffs[sampling.random_element(group, rng, box=box)] = sampling.random_complex(rng)
+    return GroupFunction(group, coeffs)
 
 
 def as_algebra_element(f: GroupFunction, alpha: Cocycle) -> AlgebraElement:
@@ -82,16 +97,19 @@ def invert(u: AlgebraElement) -> GroupFunction:
     """Recover f(a) = integral(u x(a^-1)); exact for normalized cocycles.
 
     Only the term u(a) x(a) x(a^-1) = u(a) exp(i alpha(a, a^-1)) x(e) of
-    that product reaches the identity, so f(a) is computed from it
-    directly, one phase per support element.
+    that product reaches the identity, so f(a) = u(a) exp(i alpha(a, a^-1)):
+    f[i] = u[i] E[i, inv[i]] on a finite group, one phase per point on a lattice.
     """
     if not u.cocycle.normalized:
         raise NormalizationRequiredError(
             "inversion needs alpha(a, a^-1) = 0; normalize the cocycle first")
     g, alpha = u.group, u.cocycle
-    vals = {a: v * cmath.exp(1j * alpha.phase(a, b))
-            for (a, v), b in zip(u.items(), _inverse_keys(g, u.support))}
-    return GroupFunction._canonical(g, vals)
+    if g.is_finite:
+        E = alpha.phase_exp()[np.arange(g.order), g.inverse_indices()]
+        return GroupFunction._from_vector(g, u._vector() * E)
+    return GroupFunction._canonical(g, {
+        a: v * cmath.exp(1j * alpha.phase(a, tuple(-x for x in a)))
+        for a, v in u.items()})
 
 
 def scalar_product(f: GroupFunction, g: GroupFunction,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import projalg as pa
+from projalg import sampling
 
 
 def random_lattice_element(group, alpha, rng, *, terms=4, box=4):
@@ -55,6 +56,54 @@ class TestSigmaValidation:
     def test_non_additive_on_lattice_rejected(self, lattice2):
         with pytest.raises(ValueError, match="additive"):
             pa.SigmaDerivation(lattice2, lambda m: float(m[0] ** 2))
+
+    @pytest.mark.parametrize("make", [lambda: pa.make_cyclic_power(4, 2),
+                                      lambda: pa.symmetric_group(3)])
+    def test_sigma_is_called_once_per_element(self, make):
+        g = make()
+        calls = []
+
+        def sigma(a):
+            calls.append(a)
+            return 0.0
+
+        pa.SigmaDerivation(g, sigma)
+        assert calls == list(g.elements())
+
+    def test_nan_sigma_rejected(self, z3, lattice2):
+        with pytest.raises(ValueError, match="additive"):
+            pa.SigmaDerivation(z3, lambda a: float("nan") if a == (2,) else 0.0)
+        with pytest.raises(ValueError, match="additive"):
+            pa.SigmaDerivation(lattice2, lambda m: float("nan") if m[0] > 3 else 0.0)
+
+    @staticmethod
+    def first_failure(g, fn, pairs):
+        """The message of the per-pair loop: its first non-additive pair."""
+        for a, b in pairs:
+            lhs, rhs = complex(fn(g.prod(a, b))), complex(fn(a)) + complex(fn(b))
+            if not abs(lhs - rhs) <= 1e-12:
+                return (f"sigma is not additive on ({g.describe(a)}, {g.describe(b)}): "
+                        f"sigma(ab)={lhs!r} but sigma(a)+sigma(b)={rhs!r}")
+
+    def test_finite_failure_names_the_first_pair_in_order(self, s3):
+        def fn(a):
+            return 0.25 * a + 1j * (a == 4)
+
+        pairs = [(a, b) for a in s3.elements() for b in s3.elements()]
+        with pytest.raises(ValueError) as err:
+            pa.SigmaDerivation(s3, fn)
+        assert str(err.value) == self.first_failure(s3, fn, pairs)
+
+    def test_lattice_failure_names_the_first_sampled_pair(self, lattice2):
+        def fn(m):
+            return float(m[0] * m[1])
+
+        rng = sampling.rng_from_seed(9)
+        pairs = [(sampling.random_element(lattice2, rng, box=5),
+                  sampling.random_element(lattice2, rng, box=5)) for _ in range(400)]
+        with pytest.raises(ValueError) as err:
+            pa.SigmaDerivation(lattice2, fn, seed=9)
+        assert str(err.value) == self.first_failure(lattice2, fn, pairs)
 
 
 class TestLeibniz:

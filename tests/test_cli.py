@@ -408,6 +408,31 @@ class TestClockshiftRange:
         assert cli.main(["fourier", *common, "--in", fn]) == 2
 
 
+class TestOrderBound:
+    """Finite groups of order above groups.VALIDATION_ORDER_LIMIT are refused
+    with exit 2 before any table is built."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @pytest.mark.parametrize("d", [14, 64])
+    def test_large_cyclic_power_exits_two(self, tmp_path, d):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 2, "d": d})
+        fn = write(tmp_path / "f.json", [{"element": [1] * d, "re": 1.0, "im": 0.0}])
+        for argv in (["verify"], ["fourier", "--in", fn],
+                     ["convolve", "--in", fn, "--in2", fn]):
+            proc = self.run(argv[0], "--group", group, *argv[1:])
+            self.assert_input_error(proc)
+            assert f"group order {2 ** d} exceeds the limit 1024" in proc.stderr
+
+    def test_the_limit_itself_is_accepted(self, tmp_path):
+        for d, code in ((10, 0), (11, 2)):
+            group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 2, "d": d})
+            fn = write(tmp_path / "f.json", [{"element": [1] * d, "re": 1.0, "im": 0.0}])
+            assert cli.main(["fourier", "--group", group, "--in", fn,
+                             "--out", str(tmp_path / "o.json")]) == code
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))

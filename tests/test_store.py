@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import projalg as pa
-from projalg import groups, serialize
-from projalg.algebra import _CoefficientStore
+from projalg import cli, cocycles, groups, sampling, serialize
+from projalg.algebra import PRUNE_TOL, _CoefficientStore
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -215,12 +215,123 @@ def test_overflowing_product_is_rejected(g):
             pa.deformed_convolution(f, f, alpha)
     with pytest.raises(ValueError, match="not finite"):
         u * math.inf
+    # Every entry of w * w is inf - inf = NaN: rejected, not pruned to zero.
+    w = pa.AlgebraElement(g, alpha, {a: complex(1e200, 1e200)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            w * w
+        with pytest.raises(ValueError, match="not finite"):
+            pa.deformed_convolution(*[pa.GroupFunction(g, dict(w.items()))] * 2, alpha)
     # Finite parts whose modulus overflows float64, as input and as a product.
     big = complex(1.5e308, 1.5e308)
     with pytest.raises(ValueError, match="too large"):
         pa.GroupFunction(g, {a: big})
     with pytest.raises(ValueError, match="too large"):
         pa.AlgebraElement(g, alpha, {a: 1.0}) * big
+
+
+@pytest.mark.parametrize("g", [pa.make_cyclic_power(2, 1), pa.symmetric_group(3)])
+def test_cancelling_overflow_is_rejected(g):
+    # b is its own inverse, so both entries of the product are inf - inf = NaN.
+    alpha, e, b = pa.zero_cocycle(g), g.identity(), g.element_at(1)
+    u = pa.AlgebraElement(g, alpha, {e: 1e200, b: 1e200})
+    v = pa.AlgebraElement(g, alpha, {e: 1e200, b: -1e200})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            u * v
+
+
+FINITE_GROUPS = [pa.make_cyclic_power(1, 1), pa.make_cyclic_power(1, 3),
+                 pa.make_cyclic_power(3, 2), pa.make_cyclic_power(2, 3),
+                 pa.make_cyclic_power(5, 1), pa.symmetric_group(3),
+                 pa.symmetric_group(4),
+                 pa.make_finite_from_table([[0, 1], [1, 0]], ["e", "s"])]
+
+
+@pytest.mark.parametrize("g", FINITE_GROUPS, ids=repr)
+def test_vector_round_trip_is_exact(g):
+    rng = np.random.default_rng(g.order)
+    vec = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    vec[rng.random(g.order) < 0.3] = 0
+    vec[rng.random(g.order) < 0.2] *= 1e-16          # below PRUNE_TOL
+    kept = np.where(np.abs(vec) < PRUNE_TOL, 0, vec)
+    alpha = pa.zero_cocycle(g)
+    elems = g.indexing()[0]
+    for cls, fields in ((pa.GroupFunction, {}), (pa.AlgebraElement, {"cocycle": alpha})):
+        store = cls._from_vector(g, vec, **fields)
+        assert type(store) is cls
+        assert_canonical_result(store)
+        assert np.array_equal(store._vector(), kept)
+        assert list(store._coeffs) == [elems[i] for i in np.flatnonzero(kept)]
+        again = cls._from_vector(g, store._vector(), **fields)
+        assert list(again._coeffs.items()) == list(store._coeffs.items())
+    # A public store with keys in any order gives the same vector.
+    order = rng.permutation(g.order)
+    f = pa.GroupFunction(g, {elems[i]: complex(kept[i]) for i in order if kept[i]})
+    assert np.array_equal(f._vector(), kept)
+    assert pa.GroupFunction._from_vector(g, f._vector())._coeffs == f._coeffs
+
+
+@pytest.mark.parametrize("g", FINITE_GROUPS[:6] + [pa.make_lattice(2)], ids=repr)
+def test_random_functions_keep_the_per_element_stream(g):
+    """One draw for a finite group gives the numbers of one draw per element."""
+    from projalg.integration import _random_function
+    rng, ref = sampling.rng_from_seed(7), sampling.rng_from_seed(7)
+    f = _random_function(g, rng)
+    if g.is_finite:
+        coeffs = {a: complex(sampling.random_complex(ref)) for a in g.elements()}
+    else:
+        coeffs = {}
+        for _ in range(5):
+            coeffs[sampling.random_element(g, ref)] = complex(sampling.random_complex(ref))
+    expected = pa.GroupFunction(g, coeffs)
+    assert list(f._coeffs.items()) == list(expected._coeffs.items())
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+@pytest.mark.parametrize("kind, n, d", [("cyclic", 3, 2), ("cyclic", 4, 1),
+                                        ("sym", 3, 0), ("sym", 4, 0)])
+def test_finite_invert_and_star_make_no_phase_call(kind, n, d, monkeypatch):
+    g = build_group(kind, n, d)
+    alpha = normalized_cocycles(kind, n, d)[1]
+    rng = np.random.default_rng(5)
+    u = pa.AlgebraElement(g, alpha, {g.element_at(int(i)): complex(*rng.normal(size=2))
+                                     for i in rng.choice(g.order, g.order // 2 + 1)})
+    # The per-element routes, as oracles.
+    inverted = {a: v * np.exp(1j * alpha.phase(a, g.inv(a))) for a, v in u.items()}
+    starred = {g.inv(a): v.conjugate() for a, v in u.items()}
+
+    calls = []
+    for cls in (cocycles.Cocycle, cocycles.TabulatedCocycle):
+        real = cls.phase
+
+        def counting(self, a, b, _real=real):
+            calls.append((a, b))
+            return _real(self, a, b)
+
+        monkeypatch.setattr(cls, "phase", counting)
+    back, star = pa.invert(u), u.star()
+    assert calls == []
+    assert back.max_diff(pa.GroupFunction(g, inverted)) < 1e-15
+    assert star._coeffs == pa.AlgebraElement(g, alpha, starred)._coeffs
+    assert_canonical_result(back)
+    assert_canonical_result(star)
+
+
+def test_verify_draws_its_random_inputs_without_canonical(tmp_path, monkeypatch):
+    group = tmp_path / "g.json"
+    group.write_text('{"kind": "cyclic_power", "n": 4, "d": 2}', encoding="utf-8")
+    calls = []
+    real = groups.CyclicPowerGroup.canonical
+
+    def counting(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(groups.CyclicPowerGroup, "canonical", counting)
+    assert cli.main(["verify", "--group", str(group), "--out",
+                     str(tmp_path / "r.json")]) == 0
+    assert calls == []
 
 
 def test_internal_results_prune_like_the_constructor():
