@@ -91,7 +91,10 @@ class _CoefficientStore:
     def _from_vector(cls, group: Group, vec: np.ndarray, **fields):
         """Wrap a complex vector in ``group.indexing()`` order, checked and
         pruned by :meth:`_keep`, so a NaN entry is rejected, not dropped."""
-        return cls._canonical(group, dict(zip(group.indexing()[0], vec.tolist())), **fields)
+        elems, keep = group.indexing()[0], np.flatnonzero(~(np.abs(vec) < PRUNE_TOL))
+        if keep.size < len(vec):
+            elems, vec = [elems[i] for i in keep.tolist()], vec[keep]
+        return cls._canonical(group, dict(zip(elems, vec.tolist())), **fields)
 
     def _vector(self) -> np.ndarray:
         """The coefficients as a complex vector in ``group.indexing()`` order."""

@@ -477,32 +477,26 @@ def check_identities(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
         T = group.index_table()
         inv = group.inverse_indices()
         ar = np.arange(group.order)
-        r1 = np.abs(reduce_phase(A[inv, ar] - A[ar, inv]))
         prod_inv = A[T, inv]                        # alpha(ab, b^-1)
-        r2 = np.abs(reduce_phase(A + prod_inv))
         M = A[np.ix_(inv, inv)]                     # alpha(a^-1, b^-1)
-        r3 = np.abs(reduce_phase(M + A.T))
-        r4 = np.abs(reduce_phase(prod_inv - M.T))
-        report.add("inverse_pair_symmetry", float(r1.max()), tol)
-        report.add("product_cancellation", float(r2.max()), tol)
-        report.add("inverse_antisymmetry", float(r3.max()), tol)
-        report.add("inverse_exchange", float(r4.max()), tol)
+        sides = (A[inv, ar] - A[ar, inv], A + prod_inv, M + A.T, prod_inv - M.T)
+        detail = None
     else:
         a, b = sampling.lattice_points(group, sampling.rng_from_seed(seed),
                                        samples, 2, box=box)
         ia, ib, ab = -a, -b, a + b
         prod_inv = alpha.phases(ab, ib)
+        sides = (alpha.phases(ib, b) - alpha.phases(b, ib),
+                 alpha.phases(a, b) + prod_inv,
+                 alpha.phases(ia, ib) + alpha.phases(b, a),
+                 prod_inv - alpha.phases(ib, ia))
+        detail = f"{samples} sampled pairs, box {box}"
+    names = ("inverse_pair_symmetry", "product_cancellation",
+             "inverse_antisymmetry", "inverse_exchange")
+    for name, r in zip(names, sides):
         # np.max propagates NaN, so a NaN phase fails the check.
-        worst = [float(np.max(np.abs(reduce_phase(r)), initial=0.0)) for r in (
-            alpha.phases(ib, b) - alpha.phases(b, ib),
-            alpha.phases(a, b) + prod_inv,
-            alpha.phases(ia, ib) + alpha.phases(b, a),
-            prod_inv - alpha.phases(ib, ia))]
-        report.add("inverse_pair_symmetry", worst[0], tol,
-                   detail=f"{samples} sampled pairs, box {box}")
-        report.add("product_cancellation", worst[1], tol)
-        report.add("inverse_antisymmetry", worst[2], tol)
-        report.add("inverse_exchange", worst[3], tol)
+        report.add(name, float(np.max(np.abs(reduce_phase(r)), initial=0.0)), tol,
+                   detail=detail if name == names[0] else None)
     return report
 
 

@@ -38,21 +38,28 @@ class GroupFunction(_CoefficientStore):
     get = _CoefficientStore.coeff
 
     def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self._coeffs.values()))
+        return float(sum(abs(v) ** 2 for v in _identity_order(self)))
 
     def _check_context(self, other: "GroupFunction") -> None:
         if self.group != other.group:
             raise ContextMismatchError("functions live on different groups")
 
 
+def _identity_order(f: _CoefficientStore) -> list:
+    """f's values in the order in which f* g sums its identity coefficient:
+    over a^-1 in index order on a finite group, in key order on a lattice."""
+    if f.group.is_finite:
+        return f._vector()[f.group.inverse_indices()].tolist()
+    return list(f._coeffs.values())
+
+
 def _random_function(group: Group, rng, *, box: int = 4,
                      support: int = 5) -> GroupFunction:
     """Standard complex normal values: on a finite group everywhere, in one
-    draw giving the numbers of one :func:`sampling.random_complex` per element;
-    on a lattice at ``support`` points of the box (duplicates collapse)."""
+    :func:`sampling.random_complex` draw; on a lattice at ``support`` points
+    of the box (duplicates collapse)."""
     if group.is_finite:
-        re, im = rng.standard_normal((group.order, 2)).T
-        return GroupFunction._from_vector(group, re + 1j * im)
+        return GroupFunction._from_vector(group, sampling.random_complex(rng, group.order))
     coeffs = {}
     for _ in range(support):
         coeffs[sampling.random_element(group, rng, box=box)] = sampling.random_complex(rng)
@@ -127,7 +134,11 @@ def scalar_product(f: GroupFunction, g: GroupFunction,
     if not alpha.normalized:
         raise NormalizationRequiredError(
             "the algebra route needs a normalized cocycle")
-    direct = sum(v.conjugate() * g.get(a) for a, v in f.items())
+    if f.group.is_finite:
+        pairs = zip(_identity_order(f), _identity_order(g))
+    else:
+        pairs = ((v, g.get(a)) for a, v in f.items())
+    direct = sum(v.conjugate() * w for v, w in pairs)
     via_algebra = ati_integral(as_algebra_element(f, alpha).star()
                                * as_algebra_element(g, alpha))
     if abs(via_algebra - direct) > tol:

@@ -18,7 +18,12 @@ def rng_from_seed(seed=None) -> np.random.Generator:
 
 
 def random_complex(rng, size=None):
-    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    """Standard complex normals, real then imaginary part of each in turn, so
+    ``size=n`` draws the numbers of n calls without ``size``."""
+    if size is None:
+        return rng.standard_normal() + 1j * rng.standard_normal()
+    re, im = rng.standard_normal((size, 2)).T
+    return re + 1j * im
 
 
 def random_element(group, rng, *, box: int = 4):

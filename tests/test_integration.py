@@ -147,6 +147,20 @@ class TestScalarProduct:
         with pytest.raises(pa.ContextMismatchError):
             pa.scalar_product(random_function(z2, rng), random_function(z4, rng))
 
+    @pytest.mark.parametrize("check", ["scalar_product", "plancherel_check"])
+    def test_routes_agree_at_order_1000(self, check, rng):
+        """The direct sums add their terms in the order of the identity bin of
+        f* g, so the routes agree to rounding of each term, not of the sum."""
+        from projalg.integration import _random_function
+        g = pa.make_cyclic_power(10, 3)
+        for alpha in (pa.zero_cocycle(g), normalized_coboundary(g, rng)):
+            for _ in range(10):
+                f, h = _random_function(g, rng), _random_function(g, rng)
+                if check == "scalar_product":
+                    pa.scalar_product(f, h, alpha)  # raises beyond 1e-13
+                else:
+                    assert pa.plancherel_check(f, alpha).passed
+
 
 def test_group_function_canonicalizes_and_prunes():
     g = pa.make_cyclic_power(4, 1)
