@@ -430,7 +430,10 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
         # per inverse pair keeps phi(a) + phi(a^-1) = alpha(a, a^-1) exact.
         pair = A[np.minimum(ar, inv), np.maximum(ar, inv)]
         phi = GaugePhase.from_table(group, (pair + A[0, 0]) / 2.0)
-        return gauge_transform(alpha, phi), phi
+        # alpha'(a, a^-1) is 0 by construction, in floats only to ulps of |A|.
+        table = gauge_transform(alpha, phi).phase_matrix().copy()
+        table[ar, inv] = 0.0
+        return TabulatedCocycle(group, table), phi
     if isinstance(alpha, BilinearCocycle):
         theta = alpha.theta
         anti = (theta - theta.T) / 2.0

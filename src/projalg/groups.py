@@ -26,6 +26,9 @@ from .errors import GroupConstructionError, UnsupportedOperationError
 # on the N^2 |S| triples (a, b, s) with s in a generating set S, |S| <= log2 N.
 VALIDATION_ORDER_LIMIT = 1024
 
+# Largest D of (Z_n)^D and Z^D that the CLI accepts; the library accepts any.
+DIMENSION_LIMIT = 64
+
 # Largest |coordinate| of a lattice element.  float64 holds every integer up
 # to 2**53, so bilinear phases computed in float64 see the exact coordinate,
 # and sums of two coordinates stay far inside int64.

@@ -232,12 +232,28 @@ def character_inverse(table, group: CyclicPowerGroup, *,
     return GroupFunction._from_vector(g, vec.ravel())
 
 
-def regular_matrix_rep(group: Group) -> MatrixRepresentation:
-    """The vector-case regular representation: row b of R(a) holds 1 in column ba."""
+def regular_matrix_rep(group: Group, cocycle: Cocycle | None = None) -> MatrixRepresentation:
+    """The twisted right regular representation of ``cocycle`` (default zero): row b
+    of R(a) holds exp(i alpha(b, a)) in column ba, so (perm, phase) is (T.T, E.T)."""
+    alpha = zero_cocycle(group) if cocycle is None else cocycle
     family = (np.ascontiguousarray(group.index_table().T),
-              np.ones((group.order, group.order), dtype=complex))
+              np.ascontiguousarray(alpha.phase_exp().T))
     # Construction guarantees the product rule; skip the O(n^2) re-check.
-    return MatrixRepresentation(group, zero_cocycle(group), family, check=False)
+    return MatrixRepresentation(group, alpha, family, check=False)
+
+
+def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
+                                 g: GroupFunction, h: GroupFunction, v) -> float:
+    """max|rho(h) v - rho(f) (rho(g) v)| / max(1, max|rho(f) (rho(g) v)|): 0 up to
+    rounding, which grows with the sums, for h = deformed_convolution(f, g, rep.cocycle).
+    Row j of M(a) v is phase[a, j] v[perm[a, j]], so rho(u) v is one gather and
+    one vector-matrix product: no dense matrix and no product kernel."""
+    for u in (f, g, h):
+        _require_same_group(rep.group, u)
+    moved = rep.phase * v[rep.perm]  # row a holds M(a) v; g and h share it
+    rhs = f._vector() @ (rep.phase * (g._vector() @ moved)[rep.perm])
+    lhs = h._vector() @ moved
+    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
 def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunction:

@@ -199,7 +199,7 @@ class TestConvolve:
                          "--in", f1, "--in2", f2, "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["checks"]["transform_product"]["max_residual"] < 1e-12
+        assert data["checks"]["convolution_theorem"]["max_residual"] < 1e-12
 
     def test_zero_cocycle_matches_plain_convolution(self, tmp_path, z4_group):
         import projalg as pa
@@ -301,6 +301,11 @@ class TestNonFiniteInput:
         fn = write(tmp_path / "f.json", [{"element": [1], "re": float("inf"),
                                           "im": 0.0}])
         self.assert_input_error(self.run("fourier", "--group", group, "--in", fn))
+
+    def test_infinite_group_size(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": float("inf"),
+                                            "d": 2})
+        self.assert_input_error(self.run("verify", "--group", group))
 
     def test_coefficient_modulus_past_float_range(self, tmp_path):
         # Both parts are finite, but |1.5e308 + 1.5e308 i| overflows float64.
@@ -441,3 +446,85 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def bicharacter_files(tmp_path, n):
+    """(Z_n)^2 and the unreduced table 2 pi a_0 b_1 / n, as bench/workloads.py writes it."""
+    coords = [[a, b] for a in range(n) for b in range(n)]
+    group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": n, "d": 2})
+    cocycle = write(tmp_path / "c.json", {"kind": "table", "alpha": [
+        [2 * np.pi * a[0] * b[1] / n for b in coords] for a in coords]})
+    return group, cocycle
+
+
+class TestConvolutionTheorem:
+    """The convolution_theorem record and the twisted regular matrix picture."""
+
+    def test_verify_at_order_1024_with_the_unreduced_bicharacter(self, tmp_path):
+        group, cocycle = bicharacter_files(tmp_path, 32)
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--group", group, "--cocycle", cocycle,
+                         "--seed", "1", "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert "convolution_theorem" in names
+        assert "deformed_convolution_product" not in names
+
+    def test_matrix_fourier_with_a_table_cocycle(self, tmp_path):
+        import projalg as pa
+        from projalg.serialize import cocycle_from_spec
+        group, cocycle = bicharacter_files(tmp_path, 4)
+        fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 0.6, "im": 0.0},
+                                         {"element": [3, 1], "re": 0.0, "im": 0.8}])
+        out = tmp_path / "o.json"
+        assert cli.main(["fourier", "--group", group, "--cocycle", cocycle, "--in", fn,
+                         "--rep", "matrix", "--roundtrip", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["checks"]["roundtrip"]["pass"]
+        mat = np.array([[complex(re, im) for re, im in row]
+                        for row in data["transform"]["matrix"]])
+        g = pa.make_cyclic_power(4, 2)
+        alpha = cocycle_from_spec(json.loads(open(cocycle).read()), g)
+        R = pa.regular_reps(g, pa.normalize(g, alpha)[0]).R
+        assert np.allclose(mat, 0.6 * R[(1, 2)] + 0.8j * R[(3, 1)], atol=1e-15)
+
+    def test_convolve_on_a_finite_group(self, tmp_path):
+        group, cocycle = bicharacter_files(tmp_path, 3)
+        f1 = write(tmp_path / "f1.json", [{"element": [1, 2], "re": 1.0, "im": 2.0},
+                                          {"element": [2, 0], "re": -0.5, "im": 0.0}])
+        f2 = write(tmp_path / "f2.json", [{"element": [0, 1], "re": 0.5, "im": 0.5}])
+        out = tmp_path / "h.json"
+        assert cli.main(["convolve", "--group", group, "--cocycle", cocycle,
+                         "--in", f1, "--in2", f2, "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert list(checks) == ["convolution_theorem"]
+        assert checks["convolution_theorem"]["max_residual"] < 1e-15
+
+    def test_lattice_has_no_convolution_record(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "bilinear", "theta": [[0.3, 0.7], [-0.2, 0.1]]})
+        fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 0.6, "im": 0.0}])
+        out = tmp_path / "o.json"
+        assert cli.main(["convolve", "--group", group, "--cocycle", cocycle,
+                         "--in", fn, "--in2", fn, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"] == {}
+        assert cli.main(["verify", "--group", group, "--cocycle", cocycle,
+                         "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert not any("convolution" in name for name in names)
+
+
+class TestDimensionBound:
+    """A group dimension above groups.DIMENSION_LIMIT exits 2 before any array
+    is built; the sizes here are ones whose arrays could never be allocated."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @pytest.mark.parametrize("spec", [{"kind": "lattice", "d": 10 ** 6},
+                                      {"kind": "cyclic_power", "n": 1, "d": 10 ** 12}])
+    def test_huge_dimension_exits_two(self, tmp_path, spec):
+        group = write(tmp_path / "g.json", spec)
+        proc = self.run("verify", "--group", group)
+        self.assert_input_error(proc)
+        assert f"group dimension {spec['d']} exceeds the limit 64" in proc.stderr

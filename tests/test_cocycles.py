@@ -566,6 +566,18 @@ class TestNormalize:
         assert out.normalized
         assert pa.check_identities(g, out).passed
 
+    def test_inverse_pairs_are_exact_zeros_on_an_unreduced_table(self):
+        # A[a, a^-1] and A[a^-1, a] of 2 pi a_0 b_1 / 32 reach ~190 rad, so
+        # after reduce_phase they agree only to ulps of that magnitude.
+        g = pa.make_cyclic_power(32, 2)
+        coords = np.array(list(g.elements()))
+        alpha = pa.TabulatedCocycle(
+            g, 2 * np.pi * np.outer(coords[:, 0], coords[:, 1]) / 32)
+        out, _ = pa.normalize(g, alpha)
+        table = out.phase_matrix()
+        assert np.all(table[np.arange(g.order), g.inverse_indices()] == 0.0)
+        assert np.all(table[0] == 0.0) and np.all(table[:, 0] == 0.0)
+
     def test_idempotent(self, z32, rng):
         alpha = pa.coboundary(z32, random_phase_table(z32, rng))
         once, _ = pa.normalize(z32, alpha)

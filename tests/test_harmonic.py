@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -390,3 +391,95 @@ class TestRegularInverseGather:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+
+def bicharacter(n, d=2):
+    """alpha(a, b) = 2 pi a_0 b_1 / n on (Z_n)^d, tabulated unreduced."""
+    g = pa.make_cyclic_power(n, d)
+    coords = np.array(list(g.elements()))
+    return g, pa.TabulatedCocycle(g, 2 * np.pi * np.outer(coords[:, 0], coords[:, 1]) / n)
+
+
+def nontrivial_cases():
+    s3 = pa.symmetric_group(3)
+    vals = np.random.default_rng(3).uniform(-np.pi, np.pi, s3.order)
+    vals[0] = 0.0
+    # S_3 has only coboundaries; this one is not normalized.
+    cob = pa.coboundary(s3, pa.GaugePhase.from_table(s3, vals))
+    return [(s3, cob), bicharacter(6)]
+
+
+@pytest.fixture
+def mutant_kernel(monkeypatch):
+    """The finite product kernel with alpha(b, a) in place of alpha(a, b)."""
+    from projalg import algebra
+    kernel = algebra._finite_product
+    monkeypatch.setattr(algebra, "_finite_product",
+                        lambda group, E, f, g: kernel(group, E.T, f, g))
+
+
+class TestConvolutionTheorem:
+    """rho(f ⋆_alpha g) v = rho(f) (rho(g) v) in the twisted regular picture."""
+
+    @pytest.mark.parametrize("group, alpha", nontrivial_cases())
+    def test_twisted_regular_rep_passes_the_product_rule(self, group, alpha):
+        rep = pa.regular_matrix_rep(group, alpha)
+        assert rep.cocycle is alpha
+        assert rep.perm.flags.c_contiguous and rep.phase.flags.c_contiguous
+        pa.MatrixRepresentation(group, alpha, (rep.perm, rep.phase), check=True)
+        with pytest.raises(pa.RepresentationInconsistencyError):
+            pa.MatrixRepresentation(group, pa.zero_cocycle(group),
+                                    (rep.perm, rep.phase), check=True)
+
+    @pytest.mark.parametrize("group, alpha", nontrivial_cases())
+    def test_matrices_are_the_regular_reps(self, group, alpha):
+        alpha_n, _ = pa.normalize(group, alpha)
+        rep = pa.regular_matrix_rep(group, alpha_n)
+        R = pa.regular_reps(group, alpha_n).R
+        for a in group.elements():
+            assert np.array_equal(rep.matrix(a), R[a])
+
+    @pytest.mark.parametrize("group, alpha", nontrivial_cases())
+    def test_residual_matches_dense_matrices(self, group, alpha, rng):
+        alpha_n, _ = pa.normalize(group, alpha)
+        rep = pa.regular_matrix_rep(group, alpha_n)
+        f, g = random_function(group, rng), random_function(group, rng)
+        v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+        h = pa.deformed_convolution(f, g, alpha_n)
+        assert harmonic.convolution_theorem_residual(rep, f, g, h, v) < 1e-14
+        # A wrong h: the dense oracle and the gather agree on its residual.
+        wrong = pa.deformed_convolution(g, f, alpha_n)
+        rhs = pa.fourier(f, rep) @ (pa.fourier(g, rep) @ v)
+        expected = (np.max(np.abs(pa.fourier(wrong, rep) @ v - rhs))
+                    / max(1.0, np.max(np.abs(rhs))))
+        got = harmonic.convolution_theorem_residual(rep, f, g, wrong, v)
+        assert got == pytest.approx(expected, rel=1e-9)
+        assert got > 0.1
+
+    def test_context_mismatch(self, z4, rng):
+        rep = pa.regular_matrix_rep(pa.make_cyclic_power(2, 2))
+        f = random_function(z4, rng)
+        with pytest.raises(pa.ContextMismatchError):
+            harmonic.convolution_theorem_residual(rep, f, f, f, np.ones(4))
+
+    def test_verify_catches_a_mutant_kernel(self, tmp_path, mutant_kernel):
+        from projalg import cli
+        group, alpha = bicharacter(6)
+        gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+        gpath.write_text('{"kind": "cyclic_power", "n": 6, "d": 2}')
+        cpath.write_text(json.dumps({"kind": "table",
+                                     "alpha": alpha.phase_matrix().tolist()}))
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--group", str(gpath), "--cocycle", str(cpath),
+                         "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert checks["convolution_theorem"]["max_residual"] > 0.1
+        assert not checks["convolution_theorem"]["pass"]
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_clockshift_catches_a_mutant_kernel(self, n, mutant_kernel):
+        report = pa.consistency_check(n, trials=3)
+        check = next(c for c in report.checks
+                     if c.name == "deformed_convolution_transform")
+        assert check.max_residual > 0.1
+        assert not report.passed
