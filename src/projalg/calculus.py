@@ -24,7 +24,7 @@ import numpy as np
 from . import sampling
 from .algebra import AlgebraElement
 from .cocycles import Cocycle, _require_same_group
-from .errors import ContextMismatchError, UnsupportedOperationError
+from .errors import UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group, LatticeGroup
 from .integration import (GroupFunction, _random_function, as_algebra_element,
                           ati_integral, invert)
@@ -94,8 +94,7 @@ class SigmaDerivation(Derivation):
 
 def derive(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     """Apply D: x(a) -> sigma(a) x(a) extended linearly."""
-    if u.group != d.group:
-        raise ContextMismatchError("derivation was built on a different group")
+    _require_same_group(d.group, u)
     return u._like({a: d.sigma(a) * v for a, v in u.items()})
 
 
@@ -161,8 +160,7 @@ class Automorphism:
         return cmath.exp(-1j * sum(p * x for p, x in zip(self.phi, m)))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        if self.group != other.group:
-            raise ContextMismatchError("automorphisms live on different groups")
+        _require_same_group(self.group, other)
         return Automorphism(self.group,
                             [a + b for a, b in zip(self.phi, other.phi)])
 
@@ -172,8 +170,7 @@ class Automorphism:
 
 def apply_automorphism(s: Automorphism, u: AlgebraElement) -> AlgebraElement:
     """S(phi) u: each coefficient picks up exp(-i phi . m)."""
-    if u.group != s.group:
-        raise ContextMismatchError("automorphism was built on a different group")
+    _require_same_group(s.group, u)
     return u._like({m: s.phase_factor(m) * v for m, v in u.items()})
 
 

@@ -138,8 +138,7 @@ def trace_integral(n: int, a_matrix) -> complex:
 
 
 def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
-                      tol_realize: float = 1e-11, tol_conv: float = 1e-12,
-                      tol_trace: float = 1e-12) -> VerificationReport:
+                      tol: float | None = None) -> VerificationReport:
     """Tie the realization to the abstract algebra and transform machinery.
 
     * the matrices realize the measured cocycle on all pairs: the report
@@ -149,8 +148,11 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
       product of transforms on a random vector (seeded random pairs);
     * (1/n) Tr agrees with the abstract integration functional on seeded
       random elements, transported through inversion and the transform.
+
+    ``tol`` replaces every tolerance: by default 1e-11 for the product rule, else 1e-12.
     """
     _require_supported(n)
+    tol_rule, tol = (1e-11, 1e-12) if tol is None else (tol, tol)
     group = make_cyclic_power(n, 2)
     report = VerificationReport(suite=f"clockshift_n{n}")
     rng = sampling.rng_from_seed(seed)
@@ -159,15 +161,15 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
     eye = np.eye(n)
     pow_res = max(float(np.max(np.abs(np.linalg.matrix_power(U, n) - eye)))
                   for U in (U1, U2))
-    report.add("generator_order", pow_res, tol_conv)
+    report.add("generator_order", pow_res, tol)
     comm = U1 @ U2 @ U1.conj().T @ U2.conj().T
     report.add("commutator_phase",
                float(np.max(np.abs(comm - np.exp(2j * np.pi / n) * eye))),
-               tol_conv)
+               tol)
 
     rep = matrix_representation(n)
     worst, (a, b) = measured_cocycle(n)._witness
-    report.add("projective_product_rule", worst, tol_realize,
+    report.add("projective_product_rule", worst, tol_rule,
                detail=f"worst pair ({group.describe(a)}, {group.describe(b)})")
 
     alpha = rep.cocycle
@@ -178,7 +180,7 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
         h = deformed_convolution(f, g, alpha)
         v = sampling.random_complex(rng, n)
         worst = max(worst, convolution_theorem_residual(rep, f, g, h, v))
-    report.add("deformed_convolution_transform", worst, tol_conv,
+    report.add("deformed_convolution_transform", worst, tol,
                detail=f"{trials} random pairs, relative to transform magnitude")
 
     worst = 0.0
@@ -186,6 +188,6 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
         u = as_algebra_element(_random_function(group, rng), alpha)
         fhat = fourier(invert(u), rep)
         worst = max(worst, abs(trace_integral(n, fhat) - ati_integral(u)))
-    report.add("trace_vs_algebraic_integral", worst, tol_trace,
+    report.add("trace_vs_algebraic_integral", worst, tol,
                detail=f"{trials} random elements")
     return report

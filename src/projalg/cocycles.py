@@ -35,7 +35,7 @@ import numpy as np
 from . import sampling
 from .errors import (BackingMismatchError, ContextMismatchError,
                      NormalizationRequiredError, UnsupportedOperationError)
-from .groups import Group, LatticeGroup, word_lengths
+from .groups import LATTICE_COORD_LIMIT, Group, LatticeGroup, word_lengths
 from .phases import TWO_PI, reduce_phase
 from .report import VerificationReport
 
@@ -95,8 +95,7 @@ class GaugePhase:
     def table(self) -> np.ndarray:
         """Dense per-index values; finite groups only."""
         g = self.group
-        if not g.is_finite:
-            raise UnsupportedOperationError("dense phase tables need a finite group")
+        _require_finite_group(g, "a dense phase table")
         if isinstance(self._backing, np.ndarray):
             return self._backing
         return np.array([self.value(a) for a in g.elements()])
@@ -135,8 +134,7 @@ class Cocycle:
     def phase_matrix(self) -> np.ndarray:
         """Full (order, order) phase table; finite groups only."""
         g = self.group
-        if not g.is_finite:
-            raise UnsupportedOperationError("phase tables need a finite group")
+        _require_finite_group(g, "a phase table")
         elems = list(g.elements())
         return np.array([[self.phase(a, b) for b in elems] for a in elems])
 
@@ -206,6 +204,9 @@ class BilinearCocycle(Cocycle):
         if th.shape != (group.d, group.d):
             raise ValueError(f"expected a {group.d}x{group.d} form, got {th.shape}")
         _require_finite(th, "bilinear form")
+        # Summed as Python floats, which overflow to inf without a warning.
+        if sum(map(abs, th.ravel().tolist())) * LATTICE_COORD_LIMIT ** 2 == np.inf:
+            raise ValueError("bilinear form overflows at coordinates up to 2**53")
         th.setflags(write=False)
         self.group = group
         self._theta = th
@@ -283,6 +284,17 @@ def _require_same_group(group: Group, obj) -> None:
     if obj.group != group:
         raise ContextMismatchError(
             f"{type(obj).__name__} built on {obj.group!r} used with {group!r}")
+
+
+def _require_normalized(alpha: Cocycle, what: str) -> None:
+    if not alpha.normalized:
+        raise NormalizationRequiredError(
+            f"{what} needs a normalized cocycle; call normalize() first")
+
+
+def _require_finite_group(group: Group, what: str) -> None:
+    if not group.is_finite:
+        raise UnsupportedOperationError(f"{what} needs a finite group")
 
 
 def cocycle_condition_residual(alpha: Cocycle, a, b, c) -> float:
@@ -471,9 +483,7 @@ def check_identities(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     fails it.
     """
     _require_same_group(group, alpha)
-    if not alpha.normalized:
-        raise NormalizationRequiredError(
-            "identity checks apply to normalized cocycles; call normalize() first")
+    _require_normalized(alpha, "the identity check")
     report = VerificationReport(suite="cocycle_identities")
     if group.is_finite:
         A = alpha.phase_matrix()

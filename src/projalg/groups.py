@@ -26,7 +26,7 @@ from .errors import GroupConstructionError, UnsupportedOperationError
 # on the N^2 |S| triples (a, b, s) with s in a generating set S, |S| <= log2 N.
 VALIDATION_ORDER_LIMIT = 1024
 
-# Largest D of (Z_n)^D and Z^D that the CLI accepts; the library accepts any.
+# Largest D of (Z_n)^D and Z^D that group specs may ask for; constructors accept any.
 DIMENSION_LIMIT = 64
 
 # Largest |coordinate| of a lattice element.  float64 holds every integer up

@@ -24,9 +24,9 @@ import cmath
 import numpy as np
 
 from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
-from .cocycles import Cocycle, _require_same_group, zero_cocycle
-from .errors import (ContextMismatchError, NormalizationRequiredError,
-                     RepresentationInconsistencyError, UnsupportedOperationError)
+from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
+                       _require_same_group, zero_cocycle)
+from .errors import RepresentationInconsistencyError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group
 from .integration import GroupFunction, as_algebra_element, ati_integral
 from .report import VerificationReport
@@ -43,8 +43,6 @@ class FormalRepresentation:
         self.cocycle = cocycle
 
     def transform(self, f: GroupFunction) -> AlgebraElement:
-        if f.group != self.group:
-            raise ContextMismatchError("function lives on a different group")
         return as_algebra_element(f, self.cocycle)
 
 
@@ -136,9 +134,7 @@ class MatrixRepresentation:
     def __init__(self, group: Group, cocycle: Cocycle, matrices, *,
                  check: bool = True, tol: float = 1e-10):
         _require_same_group(group, cocycle)
-        if not group.is_finite:
-            raise UnsupportedOperationError(
-                "matrix representations are kept to finite groups")
+        _require_finite_group(group, "a matrix representation")
         perm, phase = _as_monomial(group, matrices, tol)
         for arr in (perm, phase):
             arr.setflags(write=False)
@@ -157,8 +153,7 @@ class MatrixRepresentation:
 
     def transform(self, f: GroupFunction) -> np.ndarray:
         """sum_a f(a) M(a), scattered entry by entry: O(order dim) work."""
-        if f.group != self.group:
-            raise ContextMismatchError("function lives on a different group")
+        _require_same_group(self.group, f)
         d = self.dim
         weights = f._vector()[:, None] * self.phase
         return _binned_sum(np.arange(d) * d + self.perm, weights, d * d).reshape(d, d)
@@ -179,8 +174,7 @@ class CharacterRepresentation:
         return cmath.exp(-2j * np.pi * dot / self.group.n)
 
     def transform(self, f: GroupFunction) -> complex:
-        if f.group != self.group:
-            raise ContextMismatchError("function lives on a different group")
+        _require_same_group(self.group, f)
         return sum(v * self.value(a) for a, v in f.items())
 
 
@@ -284,8 +278,7 @@ def invert_vector_finite(fhat, group: Group,
     to its dimension, so (1/order) Tr[fhat R(a^-1)] equals the sum over
     irreducible representations.
     """
-    if not group.is_finite:
-        raise UnsupportedOperationError("vector-case inversion needs a finite group")
+    _require_finite_group(group, "vector-case inversion")
     if cocycle is not None and not _is_zero_cocycle(cocycle):
         raise UnsupportedOperationError(
             "inversion by summing representations applies to the vector "
@@ -315,9 +308,7 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
     """
     f1._check_context(f2)
     _require_same_group(f1.group, alpha)
-    if not alpha.normalized:
-        raise NormalizationRequiredError(
-            "deformed convolution assumes a normalized cocycle")
+    _require_normalized(alpha, "deformed convolution")
     return _multiply(alpha, f1, f2)
 
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import sampling
 from .algebra import AlgebraElement, _CoefficientStore
-from .cocycles import Cocycle, _require_same_group, zero_cocycle
-from .errors import (ContextMismatchError, CrossCheckError,
-                     NormalizationRequiredError, UnsupportedOperationError)
+from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
+                       _require_same_group, zero_cocycle)
+from .errors import CrossCheckError
 from .groups import Group
 from .report import VerificationReport
 
@@ -41,8 +41,7 @@ class GroupFunction(_CoefficientStore):
         return float(sum(abs(v) ** 2 for v in _identity_order(self)))
 
     def _check_context(self, other: "GroupFunction") -> None:
-        if self.group != other.group:
-            raise ContextMismatchError("functions live on different groups")
+        _require_same_group(self.group, other)
 
 
 def _identity_order(f: _CoefficientStore) -> list:
@@ -86,10 +85,8 @@ def completeness_check(group: Group, alpha: Cocycle, *,
     the equivalence between identity-coefficient extraction and the
     conjugation-matrix form of the functional.
     """
-    if not group.is_finite:
-        raise UnsupportedOperationError("completeness is a finite-group check")
-    if not alpha.normalized:
-        raise NormalizationRequiredError("completeness assumes a normalized cocycle")
+    _require_finite_group(group, "the completeness check")
+    _require_normalized(alpha, "the completeness check")
     # x(b) x(c^-1) = E[b, c^-1] x(bc^-1); its integral survives only where
     # bc^-1 is the identity, which is index 0 in every finite group.
     inv = group.inverse_indices()
@@ -107,9 +104,7 @@ def invert(u: AlgebraElement) -> GroupFunction:
     that product reaches the identity, so f(a) = u(a) exp(i alpha(a, a^-1)):
     f[i] = u[i] E[i, inv[i]] on a finite group, one phase per point on a lattice.
     """
-    if not u.cocycle.normalized:
-        raise NormalizationRequiredError(
-            "inversion needs alpha(a, a^-1) = 0; normalize the cocycle first")
+    _require_normalized(u.cocycle, "inversion")
     g, alpha = u.group, u.cocycle
     if g.is_finite:
         E = alpha.phase_exp()[np.arange(g.order), g.inverse_indices()]
@@ -131,9 +126,7 @@ def scalar_product(f: GroupFunction, g: GroupFunction,
     f._check_context(g)
     if alpha is None:
         alpha = zero_cocycle(f.group)
-    if not alpha.normalized:
-        raise NormalizationRequiredError(
-            "the algebra route needs a normalized cocycle")
+    _require_normalized(alpha, "the algebra route of the scalar product")
     if f.group.is_finite:
         pairs = zip(_identity_order(f), _identity_order(g))
     else:

@@ -22,20 +22,30 @@ from .algebra import AlgebraElement, _coefficients
 from .clockshift import _require_supported, measured_cocycle
 from .cocycles import (BilinearCocycle, Cocycle, GaugePhase, TabulatedCocycle,
                        coboundary, zero_cocycle)
-from .groups import (CyclicPowerGroup, FiniteTableGroup, Group, LatticeGroup,
-                     make_cyclic_power, make_finite_from_table, make_lattice)
+from .groups import (DIMENSION_LIMIT, VALIDATION_ORDER_LIMIT, CyclicPowerGroup,
+                     FiniteTableGroup, Group, LatticeGroup, make_cyclic_power,
+                     make_finite_from_table, make_lattice)
 from .integration import GroupFunction, as_algebra_element
 
 
 def group_from_spec(spec: dict) -> Group:
+    """The group of a spec.  D above DIMENSION_LIMIT is refused before (Z_n)^D
+    computes n**D; an order above VALIDATION_ORDER_LIMIT, after it."""
     kind = spec.get("kind")
-    if kind == "cyclic_power":
-        return make_cyclic_power(int(spec["n"]), int(spec["d"]))
-    if kind == "lattice":
-        return make_lattice(int(spec["d"]))
     if kind == "table":
         return make_finite_from_table(spec["table"], spec.get("elements"))
-    raise ValueError(f"unknown group kind {kind!r}")
+    if kind not in ("cyclic_power", "lattice"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    d = int(spec["d"])
+    if d > DIMENSION_LIMIT:
+        raise ValueError(f"group dimension {d} exceeds the limit {DIMENSION_LIMIT}")
+    if kind == "lattice":
+        return make_lattice(d)
+    group = make_cyclic_power(int(spec["n"]), d)
+    if group.order > VALIDATION_ORDER_LIMIT:
+        raise ValueError(f"group order {group.order} exceeds the limit "
+                         f"{VALIDATION_ORDER_LIMIT} of finite groups")
+    return group
 
 
 def group_to_spec(group: Group) -> dict:
@@ -102,4 +112,4 @@ def element_from_spec(items, group: Group, cocycle: Cocycle) -> AlgebraElement:
 def matrix_to_spec(mat: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = np.asarray(mat, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()

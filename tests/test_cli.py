@@ -528,3 +528,63 @@ class TestDimensionBound:
         proc = self.run("verify", "--group", group)
         self.assert_input_error(proc)
         assert f"group dimension {spec['d']} exceeds the limit 64" in proc.stderr
+
+
+class TestUnreadableFile:
+    """A file that json cannot read exits 2 with one error line, not a traceback."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @pytest.mark.parametrize("content", [
+        b'{"kind": "lattice", "d": ' + b"1" * 5000 + b"}",  # past the int-string limit
+        b"[" * 100_000 + b"]" * 100_000,                    # nested past the recursion limit
+        b'\xff\xfe{"kind": "lattice", "d": 2}',             # not UTF-8
+    ], ids=["long-integer", "deep-nesting", "not-utf8"])
+    def test_group_file(self, tmp_path, content):
+        group = tmp_path / "g.json"
+        group.write_bytes(content)
+        proc = self.run("verify", "--group", str(group))
+        self.assert_input_error(proc)
+        assert "is not valid JSON" in proc.stderr
+
+    def test_long_integer_in_a_function_file(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        fn = tmp_path / "f.json"
+        fn.write_text('[{"element": [1, 2], "re": ' + "7" * 5000 + "}]")
+        self.assert_input_error(self.run("fourier", "--group", group, "--in", str(fn)))
+
+
+class TestBilinearOverflow:
+    """A bilinear form whose phases overflow at coordinates up to 2**53 is refused."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    def test_overflowing_form_exits_two(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "bilinear", "theta": [[1e308, 0.0], [0.0, 1e308]]})
+        proc = self.run("verify", "--group", group, "--cocycle", cocycle)
+        self.assert_input_error(proc)
+        assert "bilinear form overflows" in proc.stderr
+
+    def test_large_finite_form_is_accepted(self, tmp_path):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        cocycle = write(tmp_path / "c.json",
+                        {"kind": "bilinear", "theta": [[1e200, 0.0], [0.0, 1e200]]})
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--group", group, "--cocycle", cocycle,
+                         "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["pass"] is False
+
+
+def test_verify_tol_reaches_the_clockshift_records(tmp_path):
+    group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 4, "d": 2})
+    cocycle = write(tmp_path / "c.json", {"kind": "clockshift"})
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--group", group, "--cocycle", cocycle,
+                     "--tol", "1e-3", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert sum(c["name"].startswith("clockshift.") for c in checks) == 5
+    assert {c["tolerance"] for c in checks} == {1e-3}

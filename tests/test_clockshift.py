@@ -254,3 +254,15 @@ def test_matrix_fourier_normalizes_the_cocycle_once(tmp_path, monkeypatch):
     assert calls == {"normalize": 1, "validate_cocycle": 1}
     checks = json.loads((tmp_path / "out.json").read_text())["checks"]
     assert checks["plancherel"]["pass"] and checks["roundtrip"]["pass"]
+
+
+class TestConsistencyTolerance:
+    def test_default_tolerances(self):
+        tolerances = {c.name: c.tolerance for c in pa.consistency_check(3).checks}
+        assert tolerances.pop("projective_product_rule") == 1e-11
+        assert set(tolerances.values()) == {1e-12}
+
+    def test_one_tolerance_for_every_check(self):
+        report = pa.consistency_check(3, tol=1e-3)
+        assert len(report.checks) == 5
+        assert {c.tolerance for c in report.checks} == {1e-3}

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -628,6 +629,18 @@ class TestNonFiniteInput:
     def test_bilinear_rejects_inf(self, lattice2):
         with pytest.raises(ValueError, match="non-finite"):
             pa.BilinearCocycle(lattice2, [[0.0, np.inf], [0.0, 0.0]])
+
+    def test_bilinear_rejects_a_form_that_overflows(self, lattice2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                pa.BilinearCocycle(lattice2, [[1e308, 0.0], [0.0, 1e308]])
+            with pytest.raises(ValueError, match="overflows"):
+                pa.BilinearCocycle(lattice2, [[1e300, -1e300], [1e300, 1e300]])
+        # sum |theta| 2**106 is finite here, so every phase is finite.
+        alpha = pa.BilinearCocycle(lattice2, [[1e200, 0.0], [0.0, 1e200]])
+        edge = 2 ** 53
+        assert np.isfinite(alpha.phases(np.array([[edge, -edge]]), np.array([[edge, edge]])))
 
     def test_gauge_table_rejects_nan(self, z3):
         with pytest.raises(ValueError, match="non-finite"):

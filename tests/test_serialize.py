@@ -111,3 +111,31 @@ class TestElementSpecs:
 def test_matrix_spec_shape():
     spec = serialize.matrix_to_spec(np.array([[1j, 0], [0, -1]]))
     assert spec == [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+
+
+def test_matrix_spec_matches_entrywise_lists():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m[0, :] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -0.0 - 0.0j]
+    spec = serialize.matrix_to_spec(m)
+    oracle = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    assert repr(spec) == repr(oracle)  # repr tells -0.0 from 0.0
+
+
+class TestGroupSpecBounds:
+    """group_from_spec is the one reader of a group spec and holds its bounds."""
+
+    @pytest.mark.parametrize("d", ["100000000", 100000000, 65.0, 10 ** 12])
+    def test_dimension_refused_before_construction(self, d, monkeypatch):
+        def never(*args):
+            raise AssertionError("constructed a group past the dimension bound")
+        monkeypatch.setattr(serialize, "make_cyclic_power", never)
+        monkeypatch.setattr(serialize, "make_lattice", never)
+        for spec in ({"kind": "cyclic_power", "n": 3, "d": d}, {"kind": "lattice", "d": d}):
+            with pytest.raises(ValueError, match="group dimension .* exceeds the limit 64"):
+                serialize.group_from_spec(spec)
+
+    def test_order_bound(self):
+        assert serialize.group_from_spec({"kind": "cyclic_power", "n": "2", "d": "10"}).order == 1024
+        with pytest.raises(ValueError, match="group order 2048 exceeds the limit 1024"):
+            serialize.group_from_spec({"kind": "cyclic_power", "n": 2, "d": 11})
