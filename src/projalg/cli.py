@@ -99,7 +99,8 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with Path(out).open("w", encoding="utf-8") as fh:
+            fh.writelines((text, "\n"))  # no text + "\n" copy
 
 
 def _tol(cfg: RunConfig, default: float) -> float:

@@ -4,7 +4,8 @@ Reports collect named numeric checks (max residual vs. tolerance). The JSON
 form is canonical: keys sorted, floats printed with 17 significant digits
 (round-trip safe for doubles), no whitespace variation.  Wall-clock timing is
 kept on the object but deliberately left out of the serialization so that
-identical runs produce byte-identical files.
+identical runs produce byte-identical files.  A float array of up to 64 bits,
+whose ``tolist()`` gives Python floats, is written as those nested lists.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 
 @dataclass
@@ -98,6 +101,8 @@ def _dumps(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return _quote(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.type in (np.half, np.single, np.double):
+        return _dump_floats(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_dumps, obj)) + "]"
     if isinstance(obj, dict):
@@ -110,3 +115,15 @@ def _dumps(obj) -> str:
                 raise TypeError(f"report keys must be strings, got {key!r}")
         return "{" + ",".join([_quote(k) + ":" + _dumps(obj[k]) for k in keys]) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+def _dump_floats(a: np.ndarray) -> str:
+    finite = np.isfinite(a).ravel()
+    if not finite.all():
+        raise ValueError(f"non-finite float in report: {float(a.ravel()[finite.argmin()])!r}")
+    if not (a.ndim and a.size):  # a scalar, or no row to fill a template
+        return _dumps(a.tolist())
+    row = "%.17g"  # format(x, ".17g") of each Python float tolist() gives
+    for n in reversed(a.shape[1:]):
+        row = "[" + ",".join([row] * n) + "]"
+    return "[" + ",".join([row % tuple(r.ravel().tolist()) for r in a]) + "]"

@@ -43,7 +43,9 @@ def group_from_spec(spec: dict) -> Group:
         return make_lattice(d)
     group = make_cyclic_power(int(spec["n"]), d)
     if group.order > VALIDATION_ORDER_LIMIT:
-        raise ValueError(f"group order {group.order} exceeds the limit "
+        # str() refuses ints past 4300 digits, so a long order is named as n**D.
+        order = group.order if group.order.bit_length() <= 256 else f"{group.n}**{d}"
+        raise ValueError(f"group order {order} exceeds the limit "
                          f"{VALIDATION_ORDER_LIMIT} of finite groups")
     return group
 
@@ -109,7 +111,7 @@ def element_from_spec(items, group: Group, cocycle: Cocycle) -> AlgebraElement:
     return as_algebra_element(function_from_spec(items, group), cocycle)
 
 
-def matrix_to_spec(mat: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
+def matrix_to_spec(mat: np.ndarray) -> np.ndarray:
+    """The (rows, cols, 2) float array of [re, im] pairs."""
     m = np.asarray(mat, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    return np.stack((m.real, m.imag), axis=-1)

@@ -430,6 +430,15 @@ class TestOrderBound:
             self.assert_input_error(proc)
             assert f"group order {2 ** d} exceeds the limit 1024" in proc.stderr
 
+    def test_order_past_the_int_string_limit_names_the_bound(self, tmp_path):
+        # n**D has 6,400 digits, more than str() of an int may print.
+        group = write(tmp_path / "g.json",
+                      {"kind": "cyclic_power", "n": "9" * 100, "d": 64})
+        proc = self.run("verify", "--group", group)
+        self.assert_input_error(proc)
+        assert "exceeds the limit 1024" in proc.stderr
+        assert "4300 digits" not in proc.stderr
+
     def test_the_limit_itself_is_accepted(self, tmp_path):
         for d, code in ((10, 0), (11, 2)):
             group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 2, "d": d})

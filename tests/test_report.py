@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import projalg as pa
 
@@ -82,6 +84,74 @@ documents = st.recursive(
 @given(documents)
 def test_matches_token_list_writer(doc):
     assert outcome(pa.dumps_canonical, doc) == outcome(ref_dumps, doc)
+
+
+# Float arrays are written as the nested lists tolist() gives.
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+array_shapes = st.one_of(
+    st.sampled_from([(), (0,), (0, 2), (2, 0), (2, 0, 2)]),
+    hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+
+
+@st.composite
+def float_arrays(draw):
+    a = draw(hnp.arrays(np.float64, array_shapes, elements=edge_floats))
+    if a.size and draw(st.integers(0, 7)) == 0:
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    # A transposed view is written in its own C order, as tolist() reads it.
+    return a.T if draw(st.booleans()) else a
+
+
+def as_lists(doc):
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(as_lists, doc))
+    if isinstance(doc, dict):
+        return {k: as_lists(v) for k, v in doc.items()}
+    return doc
+
+
+documents_with_arrays = st.recursive(
+    st.one_of(scalars, float_arrays()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_arrays())
+def test_float_array_matches_its_lists(a):
+    assert outcome(pa.dumps_canonical, a) == outcome(ref_dumps, a.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents_with_arrays)
+def test_documents_with_arrays_match_their_lists(doc):
+    # The first bad leaf in output order decides the error.
+    assert outcome(pa.dumps_canonical, doc) == outcome(ref_dumps, as_lists(doc))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([1, 2]), np.array([1j]), np.array([True]), np.array([1.0], dtype=object),
+    np.zeros((2, 0), dtype=int), np.array([1.0], dtype=np.longdouble)])
+def test_non_float_arrays_are_refused(a):
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        pa.dumps_canonical({"a": a})
+    assert outcome(pa.dumps_canonical, a) == outcome(ref_dumps, a)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, ">f8"])
+def test_other_float_dtypes_match_their_lists(dtype):
+    a = np.random.default_rng(1).standard_normal((3, 4, 2)).astype(dtype)
+    assert pa.dumps_canonical(a[:, ::2]) == ref_dumps(a[:, ::2].tolist())
 
 
 @pytest.mark.parametrize("doc, error", [

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import projalg as pa
 from projalg import serialize
+
+from test_report import ref_dumps
 
 
 class TestGroupSpecs:
@@ -109,8 +113,11 @@ class TestElementSpecs:
 
 
 def test_matrix_spec_shape():
-    spec = serialize.matrix_to_spec(np.array([[1j, 0], [0, -1]]))
-    assert spec == [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    m = np.array([[1j, 0], [0, -1]])
+    oracle = [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    spec = serialize.matrix_to_spec(m)
+    assert spec.tolist() == oracle
+    assert pa.dumps_canonical(spec) == ref_dumps(oracle)
 
 
 def test_matrix_spec_matches_entrywise_lists():
@@ -119,7 +126,22 @@ def test_matrix_spec_matches_entrywise_lists():
     m[0, :] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -0.0 - 0.0j]
     spec = serialize.matrix_to_spec(m)
     oracle = [[[float(x.real), float(x.imag)] for x in row] for row in m]
-    assert repr(spec) == repr(oracle)  # repr tells -0.0 from 0.0
+    assert repr(spec.tolist()) == repr(oracle)  # repr tells -0.0 from 0.0
+    assert pa.dumps_canonical(spec) == ref_dumps(oracle)
+
+
+def test_matrix_report_peak_memory():
+    """Writing a transform holds the output and its rows, not a Python float
+    per entry: nested lists of floats peaked at 5x the output length."""
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((216, 216)) + 1j * rng.standard_normal((216, 216))
+    tracemalloc.start()
+    try:
+        text = pa.dumps_canonical({"transform": {"matrix": serialize.matrix_to_spec(m)}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
 
 
 class TestGroupSpecBounds:
