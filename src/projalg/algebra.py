@@ -30,10 +30,12 @@ supports sf, sg and sums
 into ``order`` bins, so it costs O(|supp f| |supp g|) array work and no
 per-pair Python call.  The lattice kernel :func:`_lattice_product` has the
 same shape: elements of Z^D cannot be indexed up front, so the pair sums
-Sa[:, None] + Sb[None] of the int64 support arrays are numbered by a
-lexicographic sort and the weights f(a) g(b) exp(i alpha.phases(Sa, Sb)) are
-summed into those bins.  Bilinear cocycles give every phase in one array
-expression; other lattice cocycles fall back to one ``phase`` call per pair.
+of the int64 support arrays Sa, Sb are numbered in lexicographic order, by
+their cell in the bounding box of the sums when it has no more cells than
+there are pairs, else by a row sort of Sa[:, None] + Sb[None], and the
+weights f(a) g(b) exp(i alpha.phases(Sa, Sb)) are summed into those bins.
+Bilinear cocycles give every phase in one array expression; other lattice
+cocycles fall back to one ``phase`` call per pair.
 """
 
 from __future__ import annotations
@@ -226,8 +228,8 @@ def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
 
     Keys of ``f`` and ``g`` must be canonical, so every coordinate is within
     LATTICE_COORD_LIMIT and the int64 pair sums cannot wrap.  The result
-    keys are the distinct pair sums; a kept one beyond the limit raises
-    ValueError, as ``LatticeGroup.canonical`` would.
+    keys are the distinct pair sums in lexicographic order; a kept one
+    beyond the limit raises ValueError, as ``LatticeGroup.canonical`` would.
     """
     if not f or not g:
         return {}
@@ -236,16 +238,30 @@ def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
     Sb = np.array(list(g), dtype=np.int64).reshape(len(g), d)
     fv = np.fromiter(f.values(), dtype=complex, count=len(f))
     gv = np.fromiter(g.values(), dtype=complex, count=len(g))
-    keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, d))
-    w = fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))
+    lo = Sa.min(axis=0) + Sb.min(axis=0)
+    box = (Sa.max(axis=0) + Sb.max(axis=0) - lo + 1).tolist()
+    if math.prod(box) <= len(f) * len(g):  # a bin per cell of the box of sums
+        keys = np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=-1) + lo
+        bins = np.add.outer(np.ravel_multi_index((Sa - Sa.min(axis=0)).T, box),
+                            np.ravel_multi_index((Sb - Sb.min(axis=0)).T, box))
+    else:
+        keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, d))
+    # The weights about 4096 at a time, each block the same broadcast
+    # expression: the bits of one expression, with temporaries of a block.
+    w = np.empty((len(f), len(g)), dtype=complex)
+    step = max(1, 4096 // len(g))
+    for i in range(0, len(f), step):
+        r = slice(i, i + step)
+        w[r] = fv[r, None] * gv[None] * np.exp(1j * alpha.phases(Sa[r, None], Sb[None]))
     h = _binned_sum(bins, w, len(keys))
+    del bins, w  # pair-sized: freed before the result dict is built
     keep = np.flatnonzero(~(np.abs(h) < PRUNE_TOL))  # NaN is kept, and rejected
     rows = keys[keep]
     far = np.flatnonzero(np.abs(rows).max(axis=1) > LATTICE_COORD_LIMIT)
     if far.size:
         raise ValueError(f"lattice coordinates {rows[far[0]].tolist()} exceed "
                          f"2**53 in absolute value")
-    return dict(zip(map(tuple, rows.tolist()), h[keep].tolist()))
+    return dict(zip(zip(*rows.T.tolist()), h[keep].tolist()))  # no list per key
 
 
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -266,10 +282,8 @@ def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _binned_sum(bins: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Complex sums of ``w`` into ``n`` bins, accumulated in C order."""
-    bins, w = bins.ravel(), w.ravel()
-    h = np.empty(n, dtype=complex)
-    h.real = np.bincount(bins, w.real, n)
-    h.imag = np.bincount(bins, w.imag, n)
+    h = np.zeros(n, dtype=complex)
+    np.add.at(h, bins.ravel(), w.ravel())
     return h
 
 

@@ -3,7 +3,7 @@
 All outputs are canonical JSON (sorted keys, 17-significant-digit floats),
 so identical configs and seeds produce byte-identical files.  Exit codes:
 0 all checks pass, 1 a mathematical check failed, 2 unreadable or invalid
-input.
+input, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .harmonic import (FormalRepresentation, _is_zero_cocycle,
 from .integration import (GroupFunction, _random_function, completeness_check,
                           invert)
 from .report import CheckResult, VerificationReport, dumps_canonical
-from .serialize import (cocycle_from_spec, function_from_spec,
-                        function_to_spec, group_from_spec, matrix_to_spec)
+from .serialize import (character_to_spec, cocycle_from_spec,
+                        function_from_spec, function_to_spec, group_from_spec,
+                        matrix_to_spec)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,9 +99,12 @@ def _config(args) -> RunConfig:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text)
-    else:
+        return
+    try:
         with Path(out).open("w", encoding="utf-8") as fh:
             fh.writelines((text, "\n"))  # no text + "\n" copy
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _tol(cfg: RunConfig, default: float) -> float:
@@ -216,9 +220,7 @@ def cmd_fourier(args) -> int:
             raise InputError("character transforms apply to the zero cocycle "
                              "(vector case) only")
         table = character_transform(f)
-        transform = [{"q": list(q), "re": complex(table[q]).real,
-                      "im": complex(table[q]).imag}
-                     for q in group.elements()]
+        transform = character_to_spec(table)
         roundtrip = character_inverse(table, group) if args.roundtrip else None
     else:  # matrix; argparse restricts the choices
         if not group.is_finite:
@@ -257,7 +259,9 @@ def cmd_convolve(args) -> int:
         residual = convolution_theorem_residual(regular_matrix_rep(group, alpha_n),
                                                 f1, f2, h, v)
         checks["convolution_theorem"] = _check_dict(residual, _tol(cfg, 1e-12))
-    _emit(dumps_canonical({"result": function_to_spec(h), "checks": checks}), cfg.out)
+    result = function_to_spec(h)
+    del h  # its dict is about the size of the text: free it before writing
+    _emit(dumps_canonical({"result": result, "checks": checks}), cfg.out)
     ok = all(c["pass"] for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

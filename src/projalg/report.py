@@ -5,7 +5,8 @@ form is canonical: keys sorted, floats printed with 17 significant digits
 (round-trip safe for doubles), no whitespace variation.  Wall-clock timing is
 kept on the object but deliberately left out of the serialization so that
 identical runs produce byte-identical files.  A float array of up to 64 bits,
-whose ``tolist()`` gives Python floats, is written as those nested lists.
+whose ``tolist()`` gives Python floats, is written as those nested lists, and
+a 1-D structured array of such float and integer fields as a list of objects.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ def _dumps(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return _quote(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.type in (np.half, np.single, np.double):
+    if isinstance(obj, np.ndarray) and obj.dtype.type in _FLOATS:
         return _dump_floats(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
+        return _dump_records(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_dumps, obj)) + "]"
     if isinstance(obj, dict):
@@ -117,13 +120,50 @@ def _dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
-def _dump_floats(a: np.ndarray) -> str:
+_FLOATS = (np.half, np.single, np.double)  # tolist() gives Python floats
+
+
+def _require_finite(a: np.ndarray) -> None:
     finite = np.isfinite(a).ravel()
     if not finite.all():
         raise ValueError(f"non-finite float in report: {float(a.ravel()[finite.argmin()])!r}")
+
+
+def _template(spec: str, shape: tuple) -> str:
+    for n in reversed(shape):
+        spec = "[" + ",".join([spec] * n) + "]"
+    return spec
+
+
+def _dump_floats(a: np.ndarray) -> str:
+    _require_finite(a)
     if not (a.ndim and a.size):  # a scalar, or no row to fill a template
         return _dumps(a.tolist())
-    row = "%.17g"  # format(x, ".17g") of each Python float tolist() gives
-    for n in reversed(a.shape[1:]):
-        row = "[" + ",".join([row] * n) + "]"
+    row = _template("%.17g", a.shape[1:])  # format(x, ".17g") of each Python float
     return "[" + ",".join([row % tuple(r.ravel().tolist()) for r in a]) + "]"
+
+
+def _dump_records(a: np.ndarray) -> str:
+    """Objects with sorted keys, one %-template per row, filled from ``flat``:
+    a view of ``a`` with one scalar field per value, in key order."""
+    names, formats, offsets, parts = [], [], [], []
+    for key in sorted(a.dtype.names):
+        field, offset = a.dtype.fields[key][:2]
+        base, count = field.base, math.prod(field.shape)
+        if base.type not in _FLOATS and base.kind not in "iu":
+            raise TypeError(f"cannot serialize {type(a).__name__} deterministically")
+        spec = _template("%.17g" if base.kind == "f" else "%d", field.shape)
+        parts.append(_quote(key).replace("%", "%%") + ":" + spec)
+        names += [str(len(names) + i) for i in range(count)]
+        formats += [base] * count
+        offsets += range(offset, offset + count * base.itemsize, base.itemsize)
+    flat = a.view(np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                            "itemsize": a.dtype.itemsize}))
+    floats = [n for n, f in zip(names, formats) if f.kind == "f"]
+    if floats:
+        _require_finite(np.stack([flat[n] for n in floats], axis=-1))
+    row = "{" + ",".join(parts) + "}"
+    # A str per block of rows, not per row of the whole array at once.
+    blocks = (",".join([row % r.item() for r in flat[i:i + 256]])
+              for i in range(0, len(flat), 256))
+    return "[" + ",".join(blocks) + "]"

@@ -11,7 +11,7 @@ Cocycle files:    {"kind": "zero"}
 Function files:   [{"element": [..] | index, "re": ..., "im": ...}, ...]
 
 Algebra elements share the function schema: a serialized element is the list
-of its coefficients.
+of its coefficients.  Outputs hold the records in one structured array.
 """
 
 from __future__ import annotations
@@ -96,12 +96,26 @@ def function_from_spec(items, group: Group) -> GroupFunction:
     return GroupFunction._canonical(group, _coefficients(group, pairs))
 
 
-def function_to_spec(f: "GroupFunction | AlgebraElement") -> list:
-    g = f.group
-    rank = g.indexing()[1].__getitem__ if g.is_finite else (lambda a: a)
-    return [{"element": [int(x) for x in a] if isinstance(a, tuple) else int(a),
-             "re": v.real, "im": v.imag}
-            for a, v in sorted(f.items(), key=lambda kv: rank(kv[0]))]
+def function_to_spec(f: "GroupFunction | AlgebraElement") -> np.ndarray:
+    """The records of ``f`` in index order: key order on a table group,
+    lexicographic order of the coordinates otherwise."""
+    table = isinstance(f.group, FiniteTableGroup)
+    keys = np.array(list(f.support), dtype=np.int64).reshape(len(f), 1 if table else f.group.d)
+    order = np.lexsort(keys.T[::-1])
+    values = np.fromiter((v for _, v in f.items()), dtype=complex, count=len(f))
+    return _records("element", keys[order, 0] if table else keys[order], values[order])
+
+
+def character_to_spec(table: np.ndarray) -> np.ndarray:
+    """The records of a character table, q in C order."""
+    return _records("q", np.indices(table.shape).reshape(table.ndim, -1).T, table.ravel())
+
+
+def _records(name: str, elements: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.empty(len(values), dtype=[(name, np.int64, elements.shape[1:]),
+                                       ("im", float), ("re", float)])
+    out[name], out["im"], out["re"] = elements, values.imag, values.real
+    return out
 
 
 element_to_spec = function_to_spec

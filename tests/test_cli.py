@@ -447,6 +447,27 @@ class TestOrderBound:
                              "--out", str(tmp_path / "o.json")]) == code
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one error line naming it."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @pytest.mark.parametrize("command", ["verify", "fourier", "convolve", "clockshift"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_exits_two(self, tmp_path, command, target):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 0.5, "im": 0.0}])
+        argv = {"verify": ["verify", "--group", group],
+                "fourier": ["fourier", "--group", group, "--in", fn],
+                "convolve": ["convolve", "--group", group, "--in", fn, "--in2", fn],
+                "clockshift": ["clockshift", "--n", "2"]}[command]
+        out = tmp_path / "nope" / "x.json" if target == "missing_dir" else tmp_path
+        proc = self.run(*argv, "--out", str(out))
+        self.assert_input_error(proc)
+        assert proc.stderr.startswith(f"error: cannot write {out}: ")
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))

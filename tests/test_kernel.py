@@ -7,6 +7,7 @@ cocycles and sparse supports, for finite groups and for the lattice Z^D.
 """
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,3 +393,107 @@ def test_lattice_product_leaving_the_coordinate_range_raises():
     with pytest.raises(ValueError, match="2\\*\\*53"):
         pa.deformed_convolution(pa.GroupFunction.delta(g, (0, -LATTICE_COORD_LIMIT)),
                                 pa.GroupFunction.delta(g, (0, -1)), alpha)
+
+
+# -- the lattice kernel's two numberings of the pair sums ---------------------------
+
+
+def ref_sorted_product(alpha, f, g):
+    """The sort-only lattice kernel: every pair sum numbered by a row sort,
+    the weights (f (x) g) exp(i alpha) in one expression, bincount sums."""
+    d = alpha.group.d
+    Sa = np.array(list(f), dtype=np.int64).reshape(len(f), d)
+    Sb = np.array(list(g), dtype=np.int64).reshape(len(g), d)
+    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
+    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
+    keys, bins = np.unique((Sa[:, None] + Sb[None]).reshape(-1, d), axis=0,
+                           return_inverse=True)
+    w = (fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))).ravel()
+    h = np.empty(len(keys), dtype=complex)
+    h.real = np.bincount(bins.ravel(), w.real, len(keys))
+    h.imag = np.bincount(bins.ravel(), w.imag, len(keys))
+    keep = np.flatnonzero(~(np.abs(h) < algebra.PRUNE_TOL))
+    return dict(zip(map(tuple, keys[keep].tolist()), h[keep].tolist()))
+
+
+def assert_same_bits(h, ref):
+    assert list(h.items()) == list(ref.items())
+    values = np.array(list(h.values()), dtype=complex)
+    assert np.array_equal(values.view(np.uint64),
+                          np.array(list(ref.values()), dtype=complex).view(np.uint64))
+
+
+@st.composite
+def lattice_supports(draw, group, rng):
+    """A dense box of up to 30 points, anywhere within 2**51 of the origin,
+    or up to 6 points spread to 2**52."""
+    d = group.d
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        offset = draw(st.integers(-2**51, 2**51))
+        pts = rng.integers(-r, r, size=(draw(st.integers(1, 30)), d), endpoint=True) + offset
+    else:
+        pts = rng.integers(-2**52, 2**52, size=(draw(st.integers(1, 6)), d), endpoint=True)
+    return {tuple(p): complex(*rng.standard_normal(2)) for p in pts.tolist()}
+
+
+@SETTINGS
+@given(lattice_contexts(), st.data())
+def test_lattice_product_matches_the_sorted_kernel_bit_for_bit(ctx, data):
+    group, alpha, rng = ctx
+    f = data.draw(lattice_supports(group, rng))
+    g = data.draw(lattice_supports(group, rng))
+    assert_same_bits(algebra._lattice_product(alpha, f, g), ref_sorted_product(alpha, f, g))
+
+
+def _box_functions(n, seed):
+    """Two n-point functions in [-20, 20]^2, the 81 x 81 box of sums."""
+    rng = np.random.default_rng(seed)
+    box = [(x, y) for x in range(-20, 21) for y in range(-20, 21)]
+    return [{box[i]: complex(*rng.standard_normal(2))
+             for i in rng.choice(len(box), n, replace=False).tolist()} for _ in range(2)]
+
+
+BOX_ALPHA = pa.BilinearCocycle(pa.make_lattice(2), [[0.3, -0.8], [0.45, 0.1]])
+
+
+def test_dense_box_product_sorts_no_pair_sums(monkeypatch):
+    f, g = _box_functions(200, 1)
+
+    def never(S):
+        raise AssertionError("sorted the pair sums of a dense box")
+
+    ref = ref_sorted_product(BOX_ALPHA, f, g)
+    monkeypatch.setattr(algebra, "_distinct_rows", never)
+    assert_same_bits(algebra._lattice_product(BOX_ALPHA, f, g), ref)
+
+
+def test_wide_product_sorts_its_pair_sums(monkeypatch):
+    rng = np.random.default_rng(2)
+    f, g = ({tuple(p): 1.0 + 0.5j for p in rng.integers(-2**52, 2**52, size=(5, 2)).tolist()}
+            for _ in range(2))
+    calls = []
+
+    def counting(S, _real=algebra._distinct_rows):
+        calls.append(len(S))
+        return _real(S)
+
+    monkeypatch.setattr(algebra, "_distinct_rows", counting)
+    assert_same_bits(algebra._lattice_product(BOX_ALPHA, f, g),
+                     ref_sorted_product(BOX_ALPHA, f, g))
+    assert calls == [25]
+
+
+def test_dense_box_product_temporaries():
+    """Beyond its result, a 200 x 200 product holds the pair weights and bins
+    and a block of temporaries: the sort-only kernel peaked near 48 bytes a pair."""
+    f, g = _box_functions(200, 3)
+    algebra._lattice_product(BOX_ALPHA, f, g)
+    tracemalloc.start()
+    try:
+        h = algebra._lattice_product(BOX_ALPHA, f, g)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h) > 5000
+    assert (peak - retained) / (200 * 200) <= 32

@@ -176,3 +176,61 @@ def test_report_bytes():
                 '1.2500000000000001e-16,"name":"c","pass":true,"tolerance":'
                 '9.9999999999999998e-13}],"pass":true,"suite":"s"}')
     assert report.to_json() == expected == ref_dumps(report.to_dict())
+
+
+# 1-D structured arrays are written as the list of dicts their records spell.
+field_names = st.sampled_from(["element", "im", "re", "q", "a%d", "%", "é"])
+field_dtypes = st.sampled_from([np.float64, np.float32, np.float16, ">f8",
+                                np.int64, np.int8, np.uint16, ">i4"])
+field_shapes = st.sampled_from([(), (), (2,), (3,), (0,), (2, 2)])
+
+
+@st.composite
+def record_arrays(draw):
+    names = draw(st.lists(field_names, min_size=1, max_size=4, unique=True))
+    dtype = np.dtype([(n, draw(field_dtypes), draw(field_shapes)) for n in names])
+    a = np.zeros(draw(st.integers(0, 5)), dtype=dtype)
+    raw = a.view(np.uint8).reshape(len(a), dtype.itemsize)
+    raw[...] = draw(hnp.arrays(np.uint8, raw.shape))  # any bits: every field value
+    for name in names:
+        column = a[name]
+        if column.dtype.base.kind == "f" and column.size and draw(st.booleans()):
+            # Mostly finite floats, with the edge values.
+            column[...] = draw(hnp.arrays(np.float64, column.shape, elements=edge_floats))
+    return a[::-1] if draw(st.booleans()) else a  # a strided view too
+
+
+def as_dicts(a: np.ndarray) -> list:
+    columns = {name: a[name].tolist() for name in a.dtype.names}
+    return [{name: column[i] for name, column in columns.items()} for i in range(len(a))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_arrays())
+def test_record_array_matches_its_dicts(a):
+    # Float fields may hold NaN or inf: the first in output order decides the error.
+    assert outcome(pa.dumps_canonical, a) == outcome(ref_dumps, as_dicts(a))
+    assert outcome(pa.dumps_canonical, {"r": a}) == outcome(ref_dumps, {"r": as_dicts(a)})
+
+
+def test_non_finite_record_field_names_the_first_value():
+    a = np.zeros(3, dtype=[("element", np.int64, (2,)), ("im", float), ("re", float)])
+    a["re"][1], a["im"][2], a["re"][2] = -math.inf, math.nan, math.inf
+    with pytest.raises(ValueError, match=r"^non-finite float in report: -inf$"):
+        pa.dumps_canonical(a)
+    assert outcome(pa.dumps_canonical, a) == outcome(ref_dumps, as_dicts(a))
+
+
+@pytest.mark.parametrize("dtype", [
+    [("flag", bool)], [("re", float), ("z", complex)], [("s", "U2")],
+    [("inner", [("re", float)])], [("x", np.longdouble)], []])
+def test_unsupported_record_fields_are_refused(dtype):
+    a = np.zeros(2, dtype=dtype)
+    with pytest.raises(TypeError, match="cannot serialize ndarray deterministically"):
+        pa.dumps_canonical({"a": a})
+
+
+def test_only_one_dimensional_record_arrays_are_written():
+    a = np.zeros((2, 2), dtype=[("re", float)])
+    with pytest.raises(TypeError, match="cannot serialize ndarray deterministically"):
+        pa.dumps_canonical(a)

@@ -1,10 +1,14 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projalg as pa
 from projalg import serialize
+from projalg.groups import LATTICE_COORD_LIMIT
 
 from test_report import ref_dumps
 
@@ -67,17 +71,22 @@ class TestCocycleSpecs:
             serialize.cocycle_from_spec({"kind": "clockshift"}, z4)
 
 
+def records(spec) -> list:
+    """The records a function file holds: the canonical text, read back."""
+    return json.loads(pa.dumps_canonical(spec))
+
+
 class TestFunctionSpecs:
     def test_round_trip_vector_group(self, z22):
         f = pa.GroupFunction(z22, {(1, 0): 1.5 - 2j, (0, 1): 3j})
-        spec = serialize.function_to_spec(f)
+        spec = records(serialize.function_to_spec(f))
         back = serialize.function_from_spec(spec, z22)
         assert back.max_diff(f) == 0.0
         assert all(isinstance(rec["element"], list) for rec in spec)
 
     def test_round_trip_table_group(self, s3):
         f = pa.GroupFunction(s3, {1: 2.0, 4: -1j})
-        spec = serialize.function_to_spec(f)
+        spec = records(serialize.function_to_spec(f))
         assert all(isinstance(rec["element"], int) for rec in spec)
         assert serialize.function_from_spec(spec, s3).max_diff(f) == 0.0
 
@@ -99,7 +108,7 @@ class TestFunctionSpecs:
 
     def test_deterministic_ordering(self, z22):
         f = pa.GroupFunction(z22, {(1, 1): 1.0, (0, 1): 2.0, (1, 0): 3.0})
-        spec = serialize.function_to_spec(f)
+        spec = records(serialize.function_to_spec(f))
         assert [rec["element"] for rec in spec] == [[0, 1], [1, 0], [1, 1]]
 
 
@@ -107,9 +116,86 @@ class TestElementSpecs:
     def test_round_trip(self, z22):
         alpha = pa.measured_cocycle(2)
         u = pa.generator(z22, alpha, (1, 0)) + 2j * pa.generator(z22, alpha, (1, 1))
-        spec = serialize.element_to_spec(u)
+        spec = records(serialize.element_to_spec(u))
         back = serialize.element_from_spec(spec, z22, alpha)
         assert back.max_diff(u) == 0.0
+
+
+# -- function records against the list of dicts they replaced ---------------------
+
+
+def ref_function_to_spec(f) -> list:
+    """The previous records: one dict per coefficient, in element index order."""
+    g = f.group
+    rank = g.indexing()[1].__getitem__ if g.is_finite else (lambda a: a)
+    return [{"element": [int(x) for x in a] if isinstance(a, tuple) else int(a),
+             "re": v.real, "im": v.imag}
+            for a, v in sorted(f.items(), key=lambda kv: rank(kv[0]))]
+
+
+# Parts whose moduli stay finite, with signed zeros and the largest scales.
+parts = st.one_of(st.floats(-1e308, 1e308),
+                  st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324]))
+
+function_groups = st.one_of(
+    st.sampled_from([pa.symmetric_group(3), pa.symmetric_group(4)]),
+    st.builds(pa.make_cyclic_power, st.integers(1, 5), st.integers(1, 3)),
+    st.builds(pa.make_lattice, st.integers(1, 3)))
+
+
+@st.composite
+def functions(draw):
+    group = draw(function_groups)
+    if group.is_finite:
+        keys = st.integers(0, group.order - 1).map(group.element_at)
+    else:
+        limit = LATTICE_COORD_LIMIT
+        coord = st.one_of(st.integers(-3, 3), st.integers(-limit, limit))
+        keys = st.tuples(*[coord] * group.d)
+    coeffs = draw(st.dictionaries(keys, st.builds(complex, parts, parts), max_size=12))
+    return pa.GroupFunction(group, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(functions())
+def test_function_records_match_the_dicts(f):
+    assert pa.dumps_canonical(serialize.function_to_spec(f)) == ref_dumps(
+        ref_function_to_spec(f))
+
+
+@pytest.mark.parametrize("group", [pa.symmetric_group(3), pa.make_cyclic_power(3, 2),
+                                   pa.make_lattice(1), pa.make_lattice(3)])
+def test_empty_function_writes_an_empty_list(group):
+    spec = serialize.function_to_spec(pa.GroupFunction(group, {}))
+    assert pa.dumps_canonical(spec) == "[]" == ref_dumps([])
+    assert pa.dumps_canonical({"result": spec}) == '{"result":[]}'
+
+
+def test_character_records_match_the_dicts():
+    g = pa.make_cyclic_power(3, 2)
+    f = pa.GroupFunction(g, {(1, 2): 0.5 - 1j, (2, 0): -0.0 + 1e308j})
+    table = pa.character_transform(f)
+    oracle = [{"q": list(q), "re": complex(table[q]).real, "im": complex(table[q]).imag}
+              for q in g.elements()]
+    assert pa.dumps_canonical(serialize.character_to_spec(table)) == ref_dumps(oracle)
+
+
+def test_function_record_peak_memory():
+    """Writing 5,000 records holds the text and a block of rows, not a dict
+    and a str per record."""
+    rng = np.random.default_rng(2)
+    points = rng.integers(-10**6, 10**6, size=(5000, 2)).tolist()
+    f = pa.GroupFunction(pa.make_lattice(2), {
+        tuple(p): complex(*rng.standard_normal(2)) for p in points})
+    spec = serialize.function_to_spec(f)
+    tracemalloc.start()
+    try:
+        text = pa.dumps_canonical(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(text)) == len(f) > 4900
+    assert peak <= 3 * len(text)
 
 
 def test_matrix_spec_shape():
