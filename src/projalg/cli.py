@@ -82,9 +82,12 @@ def _load_function(path: str, group: Group) -> GroupFunction:
 
 def _parse_seed(text: str) -> int:
     try:
-        return int(text, 16)
+        seed = int(text, 16)
     except ValueError as exc:
         raise InputError(f"seed must be hexadecimal, got {text!r}") from exc
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {text!r}")
+    return seed
 
 
 def _config(args) -> RunConfig:

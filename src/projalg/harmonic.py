@@ -27,7 +27,7 @@ from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
 from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
                        _require_same_group, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
-from .groups import CyclicPowerGroup, Group
+from .groups import LATTICE_COORD_LIMIT, CyclicPowerGroup, Group
 from .integration import GroupFunction, as_algebra_element, ati_integral
 from .report import VerificationReport
 
@@ -152,11 +152,12 @@ class MatrixRepresentation:
         return _densify(self.perm[ia], self.phase[ia])
 
     def transform(self, f: GroupFunction) -> np.ndarray:
-        """sum_a f(a) M(a), scattered entry by entry: O(order dim) work."""
+        """sum_a f(a) M(a), scattered over (j, a): O(order dim) work.  An entry's
+        terms share j, so they add in order of a, and (T.T, E.T) is read in place."""
         _require_same_group(self.group, f)
         d = self.dim
         weights = f._vector()[:, None] * self.phase
-        return _binned_sum(np.arange(d) * d + self.perm, weights, d * d).reshape(d, d)
+        return _binned_sum((np.arange(d) * d + self.perm).T, weights.T, d * d).reshape(d, d)
 
 
 class CharacterRepresentation:
@@ -228,10 +229,10 @@ def character_inverse(table, group: CyclicPowerGroup, *,
 
 def regular_matrix_rep(group: Group, cocycle: Cocycle | None = None) -> MatrixRepresentation:
     """The twisted right regular representation of ``cocycle`` (default zero): row b
-    of R(a) holds exp(i alpha(b, a)) in column ba, so (perm, phase) is (T.T, E.T)."""
+    of R(a) holds exp(i alpha(b, a)) in column ba, so (perm, phase) is (T.T, E.T),
+    held as transposed views of the tables, not copied."""
     alpha = zero_cocycle(group) if cocycle is None else cocycle
-    family = (np.ascontiguousarray(group.index_table().T),
-              np.ascontiguousarray(alpha.phase_exp().T))
+    family = (group.index_table().T, alpha.phase_exp().T)
     # Construction guarantees the product rule; skip the O(n^2) re-check.
     return MatrixRepresentation(group, alpha, family, check=False)
 
@@ -241,12 +242,14 @@ def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
     """max|rho(h) v - rho(f) (rho(g) v)| / max(1, max|rho(f) (rho(g) v)|): 0 up to
     rounding, which grows with the sums, for h = deformed_convolution(f, g, rep.cocycle).
     Row j of M(a) v is phase[a, j] v[perm[a, j]], so rho(u) v is one gather and
-    one vector-matrix product: no dense matrix and no product kernel."""
+    one weighted sum of its rows: no dense matrix and no product kernel.  The sums
+    are einsum loops: a BLAS product pays milliseconds of thread start-up."""
     for u in (f, g, h):
         _require_same_group(rep.group, u)
     moved = rep.phase * v[rep.perm]  # row a holds M(a) v; g and h share it
-    rhs = f._vector() @ (rep.phase * (g._vector() @ moved)[rep.perm])
-    lhs = h._vector() @ moved
+    gv = np.einsum("aj,a->j", moved, g._vector())
+    rhs = np.einsum("aj,a->j", rep.phase * gv[rep.perm], f._vector())
+    lhs = np.einsum("aj,a->j", moved, h._vector())
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
@@ -312,11 +315,32 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
     return _multiply(alpha, f1, f2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN
 def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]:
-    """(integral(f_hat* f_hat), sum |f(a)|^2) for the formal transform."""
-    fhat = as_algebra_element(f, alpha)
-    lhs = ati_integral(fhat.star() * fhat)
-    return lhs, f.norm_sq()
+    """(integral(f_hat* f_hat), sum |f(a)|^2) for the formal transform.
+
+    Only the pairs (x(a^-1), x(a)) of f_hat* f_hat reach the identity.  Their
+    terms are formed and summed into one bin in the product kernel's order,
+    so the integral is the kernel's to the bit.  A lattice support whose pair
+    differences leave the coordinate range is refused, as the product is.
+    """
+    group = f.group
+    _require_same_group(group, alpha)
+    _require_normalized(alpha, "the involution")
+    if group.is_finite:
+        inv = group.inverse_indices()
+        vec = f._vector()[inv]  # f(a) at the index of a^-1
+        i = np.flatnonzero(vec)
+        vals, weights = vec[i], alpha.phase_exp()[i, inv[i]]
+    else:
+        S = np.array(list(f.support), dtype=np.int64).reshape(len(f), group.d)
+        if len(f) and np.any(np.ptp(S, axis=0) > LATTICE_COORD_LIMIT):
+            raise ValueError("lattice coordinates of f* f exceed 2**53 in absolute value")
+        vals = np.fromiter(f._coeffs.values(), dtype=complex, count=len(f))
+        weights = np.exp(1j * alpha.phases(-S[:, None], S[:, None]))[:, 0]
+    h = _binned_sum(np.zeros(len(vals), dtype=np.intp), vals.conj() * vals * weights, 1)
+    ident = {group.identity(): complex(h[0])}  # pruned or refused like a product's
+    return ati_integral(AlgebraElement._canonical(group, ident, cocycle=alpha)), f.norm_sq()
 
 
 def plancherel_check(f: GroupFunction, alpha: Cocycle, *,

@@ -54,7 +54,7 @@ def _identity_order(f: _CoefficientStore) -> list:
 
 def _random_function(group: Group, rng, *, box: int = 4,
                      support: int = 5) -> GroupFunction:
-    """Standard complex normal values: on a finite group everywhere, in one
+    """Values uniform on [-1, 1)^2: on a finite group everywhere, in one
     :func:`sampling.random_complex` draw; on a lattice at ``support`` points
     of the box (duplicates collapse)."""
     if group.is_finite:

@@ -468,6 +468,41 @@ class TestUnwritableOut:
         assert proc.stderr.startswith(f"error: cannot write {out}: ")
 
 
+class TestNegativeSeed:
+    """A negative --seed exits 2 with one error line, on every seeded command."""
+
+    run = staticmethod(TestClockshiftRange.run)
+    assert_input_error = TestNonFiniteInput.assert_input_error
+
+    @pytest.mark.parametrize("command", ["verify", "convolve", "clockshift"])
+    def test_exits_two(self, tmp_path, command):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 1})
+        fn = write(tmp_path / "f.json", [{"element": [1], "re": 0.5, "im": 0.0}])
+        argv = {"verify": ["verify", "--group", group],
+                "convolve": ["convolve", "--group", group, "--in", fn, "--in2", fn],
+                "clockshift": ["clockshift", "--n", "2"]}[command]
+        proc = self.run(*argv, "--seed=-5")
+        self.assert_input_error(proc)
+        assert proc.stderr == "error: seed must be non-negative, got '-5'\n"
+
+
+def test_commands_never_import_numpy_random(tmp_path):
+    """Seeded draws come from sampling's own stream, not numpy.random."""
+    group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 3, "d": 2})
+    lattice = write(tmp_path / "z2.json", {"kind": "lattice", "d": 2})
+    fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 0.5, "im": 0.1},
+                                     {"element": [-3, 0], "re": 0.0, "im": 0.8}])
+    out = str(tmp_path / "out.json")
+    runs = [["verify", "--group", group, "--out", out],
+            ["clockshift", "--n", "4", "--out", out],
+            ["convolve", "--group", lattice, "--in", fn, "--in2", fn, "--out", out]]
+    code = ("import sys\nfrom projalg import cli\n"
+            f"print([cli.main(a) for a in {runs!r}], 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))

@@ -409,6 +409,60 @@ def nontrivial_cases():
     return [(s3, cob), bicharacter(6)]
 
 
+def plancherel_cases():
+    """(group, normalized cocycle): tabulated on finite groups; bilinear, and
+    bilinear gauged by an odd phase, on lattices."""
+    rng = np.random.default_rng(8)
+    s4 = pa.symmetric_group(4)
+    cases = [(g, normalized_coboundary(g, rng))
+             for g in (pa.make_cyclic_power(5, 1), pa.symmetric_group(3), s4)]
+    cases.append((s4, pa.zero_cocycle(s4)))
+    for n in (2, 6):
+        g, alpha = bicharacter(n)
+        cases.append((g, pa.normalize(g, alpha)[0]))
+    torus = pa.make_cyclic_power(4, 2)
+    cases.append((torus, pa.normalize(torus, pa.measured_cocycle(4))[0]))
+    for d in (1, 2, 3):
+        lat = pa.make_lattice(d)
+        theta = rng.uniform(-2, 2, (d, d))
+        antisymmetric = pa.BilinearCocycle(lat, theta - theta.T)
+        odd = pa.GaugePhase(lat, lambda a: 0.3 * sum(a) + 0.01 * sum(a) ** 3)
+        cases.append((lat, antisymmetric))
+        cases.append((lat, pa.normalize(lat, pa.BilinearCocycle(lat, theta))[0]))
+        cases.append((lat, pa.GaugedCocycle(antisymmetric, odd, normalized=True)))
+    return cases
+
+
+@pytest.mark.parametrize("group, alpha", plancherel_cases(),
+                         ids=lambda x: repr(x)[:40])
+def test_plancherel_identity_bin_is_the_products_to_the_bit(group, alpha, monkeypatch):
+    """plancherel_values sums only the identity bin of f* f, in the kernel's
+    order: the full product, kept here as the oracle, gives the same bits."""
+    from projalg import algebra
+    rng = np.random.default_rng(group.order if group.is_finite else group.d)
+    cases = []
+    for _ in range(25):
+        if group.is_finite:
+            k = int(rng.integers(0, group.order + 1))
+            keys = [group.element_at(int(i))
+                    for i in rng.choice(group.order, k, replace=False)]
+        else:
+            keys = [tuple(p) for p in rng.integers(-9, 10, (int(rng.integers(0, 40)),
+                                                            group.d)).tolist()]
+        scale = 10.0 ** rng.integers(-9, 6, len(keys))
+        vals = (rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))) * scale
+        f = pa.GroupFunction(group, dict(zip(keys, vals.tolist())))
+        fhat = pa.as_algebra_element(f, alpha)
+        cases.append((f, pa.ati_integral(fhat.star() * fhat)))
+
+    def no_product(*args):
+        raise AssertionError("plancherel_values formed a full product")
+
+    monkeypatch.setattr(algebra, "_multiply", no_product)
+    for f, expected in cases:
+        assert repr(pa.plancherel_values(f, alpha)[0]) == repr(expected)
+
+
 @pytest.fixture
 def mutant_kernel(monkeypatch):
     """The finite product kernel with alpha(b, a) in place of alpha(a, b)."""
@@ -425,7 +479,9 @@ class TestConvolutionTheorem:
     def test_twisted_regular_rep_passes_the_product_rule(self, group, alpha):
         rep = pa.regular_matrix_rep(group, alpha)
         assert rep.cocycle is alpha
-        assert rep.perm.flags.c_contiguous and rep.phase.flags.c_contiguous
+        # (perm, phase) are views of T and E, transposed: no copies.
+        assert np.shares_memory(rep.perm, group.index_table())
+        assert np.shares_memory(rep.phase, alpha.phase_exp())
         pa.MatrixRepresentation(group, alpha, (rep.perm, rep.phase), check=True)
         with pytest.raises(pa.RepresentationInconsistencyError):
             pa.MatrixRepresentation(group, pa.zero_cocycle(group),

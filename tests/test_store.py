@@ -288,7 +288,37 @@ def test_random_functions_keep_the_per_element_stream(g):
             coeffs[sampling.random_element(g, ref)] = complex(sampling.random_complex(ref))
     expected = pa.GroupFunction(g, coeffs)
     assert list(f._coeffs.items()) == list(expected._coeffs.items())
-    assert rng.standard_normal() == ref.standard_normal()
+    assert rng.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
+
+
+def test_splitmix64_reference_vector():
+    words = sampling.rng_from_seed(0)._words(3).tolist()
+    assert words == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**128, 2**64 + 1, 3 * 2**200])
+def test_seeds_differing_above_bit_64_differ(seed):
+    words = sampling.rng_from_seed(seed)._words(4).tolist()
+    assert words != sampling.rng_from_seed(seed % 2**64)._words(4).tolist()
+    assert words == sampling.rng_from_seed(seed)._words(4).tolist()
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        sampling.rng_from_seed(-1)
+
+
+def test_draws_stay_in_their_ranges():
+    rng = sampling.rng_from_seed(0x5EED)
+    ints = rng.integers(-4, 5, size=(500, 3))
+    assert ints.dtype == np.int64 and set(ints.ravel().tolist()) == set(range(-4, 5))
+    u = rng.uniform(-1.0, 1.0, 4000)
+    assert u.min() >= -1.0 and u.max() < 1.0
+    # k 2**-52 - 1 for a 53-bit k: every value is exact on a 2**-52 grid.
+    assert np.array_equal(u * 2.0**52, np.round(u * 2.0**52))
+    scalars = sampling.rng_from_seed(3)
+    block = sampling.rng_from_seed(3).integers(-4, 5, 6)
+    assert [scalars.integers(-4, 5) for _ in range(6)] == block.tolist()
 
 
 @pytest.mark.parametrize("kind, n, d", [("cyclic", 3, 2), ("cyclic", 4, 1),
