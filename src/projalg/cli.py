@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import chain
 
 from . import sampling
 from .algebra import self_conjugacy_residual
@@ -28,7 +29,7 @@ from .harmonic import (FormalRepresentation, _is_zero_cocycle,
                        regular_matrix_rep)
 from .integration import (GroupFunction, _random_function, completeness_check,
                           invert)
-from .report import CheckResult, VerificationReport, dumps_canonical
+from .report import CheckResult, VerificationReport, canonical_pieces
 from .serialize import (character_to_spec, cocycle_from_spec,
                         function_from_spec, function_to_spec, group_from_spec,
                         matrix_to_spec)
@@ -99,15 +100,25 @@ def _config(args) -> RunConfig:
                      tol=args.tol, seed=_parse_seed(args.seed), out=args.out)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(doc, out: str | None) -> None:
+    """Write ``doc`` as canonical JSON and a newline to ``out`` or stdout, a piece
+    at a time.  A failed write removes a partial regular file ``out``."""
     if out is None:
-        print(text)
+        sys.stdout.writelines(chain(canonical_pieces(doc), ["\n"]))
         return
     try:
-        with Path(out).open("w", encoding="utf-8") as fh:
-            fh.writelines((text, "\n"))  # no text + "\n" copy
+        fh = open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
+    try:
+        with fh:
+            fh.writelines(chain(canonical_pieces(doc), ["\n"]))
+    except BaseException as exc:
+        if os.path.isfile(out):  # never a device such as /dev/null
+            os.remove(out)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {out}: {exc}") from exc
+        raise
 
 
 def _tol(cfg: RunConfig, default: float) -> float:
@@ -176,7 +187,7 @@ def cmd_verify(args) -> int:
 
 
 def _finish(report: VerificationReport, out: str | None) -> None:
-    _emit(report.to_json(), out)
+    _emit(report.to_dict(), out)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     if report.elapsed_seconds is not None:
@@ -238,7 +249,7 @@ def cmd_fourier(args) -> int:
                              "pass": bool(abs(lhs - rhs) < _tol(cfg, 1e-12))}}
     if roundtrip is not None:
         checks["roundtrip"] = _check_dict(f.max_diff(roundtrip), _tol(cfg, 1e-12))
-    _emit(dumps_canonical({"transform": transform, "checks": checks}), cfg.out)
+    _emit({"transform": transform, "checks": checks}, cfg.out)
     ok = all(c.get("pass", True) for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -263,8 +274,8 @@ def cmd_convolve(args) -> int:
                                                 f1, f2, h, v)
         checks["convolution_theorem"] = _check_dict(residual, _tol(cfg, 1e-12))
     result = function_to_spec(h)
-    del h  # its dict is about the size of the text: free it before writing
-    _emit(dumps_canonical({"result": result, "checks": checks}), cfg.out)
+    del h  # its dict is larger than the records: free it before writing them
+    _emit({"result": result, "checks": checks}, cfg.out)
     ok = all(c["pass"] for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

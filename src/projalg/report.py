@@ -11,8 +11,10 @@ a 1-D structured array of such float and integer fields as a list of objects.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -83,32 +85,34 @@ class VerificationReport:
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text for reports and CLI outputs."""
-    return _dumps(obj)
+    return "".join(canonical_pieces(obj))
 
 
-def _dumps(obj) -> str:
-    # One joined string per node keeps the peak at about the output's size,
-    # not one small str object per token.  Floats come first: they are most
-    # of every output.
+def canonical_pieces(obj):
+    """``dumps_canonical(obj)`` in pieces, for a writer that holds one at a time:
+    a str per outer row of a float array, per block of 256 records, and per
+    bracket, comma and ``"key":`` of lists and dicts.  Errors come in output order."""
+    # Floats come first: they are most of every output.
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite float in report: {obj!r}")
-        return format(obj, ".17g")
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.type in _FLOATS:
-        return _dump_floats(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
-        return _dump_records(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_dumps, obj)) + "]"
-    if isinstance(obj, dict):
+        yield format(obj, ".17g")
+    elif obj is None or isinstance(obj, (bool, str)):
+        yield json.dumps(obj)  # null, true, false or an ASCII-quoted string
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, np.ndarray) and obj.dtype.type in _FLOATS:
+        _require_finite(obj)
+        if not (obj.ndim and obj.size):  # a scalar, or no row to fill a template
+            yield from canonical_pieces(obj.tolist())
+        else:
+            row = _template("%.17g", obj.shape[1:])  # format(x, ".17g") of each Python float
+            yield from _joined("[", ((row % tuple(r.ravel().tolist()),) for r in obj), "]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
+        yield from _record_blocks(obj)
+    elif isinstance(obj, (list, tuple)):
+        yield from _joined("[", map(canonical_pieces, obj), "]")
+    elif isinstance(obj, dict):
         # sorted() rejects str keys mixed with others, so a non-str key is
         # the first key: checking all keys before any value raises the
         # error a key-by-key check would.
@@ -116,16 +120,29 @@ def _dumps(obj) -> str:
         for key in keys:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-        return "{" + ",".join([_quote(k) + ":" + _dumps(obj[k]) for k in keys]) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+        members = (chain((_quote(k) + ":",), canonical_pieces(obj[k])) for k in keys)
+        yield from _joined("{", members, "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
+
+
+def _joined(first: str, parts, last: str):
+    """``first``, the pieces of each part with "," between parts, ``last``."""
+    yield first
+    for i, part in enumerate(parts):
+        if i:
+            yield ","
+        yield from part
+    yield last
 
 
 _FLOATS = (np.half, np.single, np.double)  # tolist() gives Python floats
 
 
 def _require_finite(a: np.ndarray) -> None:
-    finite = np.isfinite(a).ravel()
-    if not finite.all():
+    # min and max propagate NaN, and they allocate no array of a's size.
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        finite = np.isfinite(a).ravel()
         raise ValueError(f"non-finite float in report: {float(a.ravel()[finite.argmin()])!r}")
 
 
@@ -135,15 +152,7 @@ def _template(spec: str, shape: tuple) -> str:
     return spec
 
 
-def _dump_floats(a: np.ndarray) -> str:
-    _require_finite(a)
-    if not (a.ndim and a.size):  # a scalar, or no row to fill a template
-        return _dumps(a.tolist())
-    row = _template("%.17g", a.shape[1:])  # format(x, ".17g") of each Python float
-    return "[" + ",".join([row % tuple(r.ravel().tolist()) for r in a]) + "]"
-
-
-def _dump_records(a: np.ndarray) -> str:
+def _record_blocks(a: np.ndarray):
     """Objects with sorted keys, one %-template per row, filled from ``flat``:
     a view of ``a`` with one scalar field per value, in key order."""
     names, formats, offsets, parts = [], [], [], []
@@ -164,6 +173,6 @@ def _dump_records(a: np.ndarray) -> str:
         _require_finite(np.stack([flat[n] for n in floats], axis=-1))
     row = "{" + ",".join(parts) + "}"
     # A str per block of rows, not per row of the whole array at once.
-    blocks = (",".join([row % r.item() for r in flat[i:i + 256]])
+    blocks = ((",".join([row % r.item() for r in flat[i:i + 256]]),)
               for i in range(0, len(flat), 256))
-    return "[" + ",".join(blocks) + "]"
+    return _joined("[", blocks, "]")

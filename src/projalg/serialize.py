@@ -23,9 +23,9 @@ from .clockshift import _require_supported, measured_cocycle
 from .cocycles import (BilinearCocycle, Cocycle, GaugePhase, TabulatedCocycle,
                        coboundary, zero_cocycle)
 from .groups import (DIMENSION_LIMIT, VALIDATION_ORDER_LIMIT, CyclicPowerGroup,
-                     FiniteTableGroup, Group, LatticeGroup, make_cyclic_power,
+                     FiniteTableGroup, Group, make_cyclic_power,
                      make_finite_from_table, make_lattice)
-from .integration import GroupFunction, as_algebra_element
+from .integration import GroupFunction
 
 
 def group_from_spec(spec: dict) -> Group:
@@ -48,20 +48,6 @@ def group_from_spec(spec: dict) -> Group:
         raise ValueError(f"group order {order} exceeds the limit "
                          f"{VALIDATION_ORDER_LIMIT} of finite groups")
     return group
-
-
-def group_to_spec(group: Group) -> dict:
-    if isinstance(group, CyclicPowerGroup):
-        return {"kind": "cyclic_power", "n": group.n, "d": group.d}
-    if isinstance(group, LatticeGroup):
-        return {"kind": "lattice", "d": group.d}
-    if isinstance(group, FiniteTableGroup):
-        spec = {"kind": "table",
-                "table": [[int(x) for x in row] for row in group.index_table()]}
-        if group.names is not None:
-            spec["elements"] = list(group.names)
-        return spec
-    raise TypeError(f"cannot serialize {type(group).__name__}")
 
 
 def cocycle_from_spec(spec: dict, group: Group) -> Cocycle:
@@ -116,13 +102,6 @@ def _records(name: str, elements: np.ndarray, values: np.ndarray) -> np.ndarray:
                                        ("im", float), ("re", float)])
     out[name], out["im"], out["re"] = elements, values.imag, values.real
     return out
-
-
-element_to_spec = function_to_spec
-
-
-def element_from_spec(items, group: Group, cocycle: Cocycle) -> AlgebraElement:
-    return as_algebra_element(function_from_spec(items, group), cocycle)
 
 
 def matrix_to_spec(mat: np.ndarray) -> np.ndarray:

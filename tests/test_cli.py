@@ -468,6 +468,26 @@ class TestUnwritableOut:
         assert proc.stderr.startswith(f"error: cannot write {out}: ")
 
 
+class TestStdoutMatchesOut:
+    """Without --out the same pieces reach stdout, so the text is the same."""
+
+    @pytest.mark.parametrize("command", ["verify", "matrix", "character", "formal",
+                                         "convolve", "clockshift"])
+    def test_same_text(self, tmp_path, capsys, command):
+        group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 4, "d": 2})
+        fn = write(tmp_path / "f.json", [{"element": [1, 2], "re": 0.6, "im": 0.0},
+                                         {"element": [3, 0], "re": 0.0, "im": 0.8}])
+        fourier = ["fourier", "--group", group, "--in", fn, "--roundtrip", "--rep"]
+        argv = {"verify": ["verify", "--group", group],
+                "convolve": ["convolve", "--group", group, "--in", fn, "--in2", fn],
+                "clockshift": ["clockshift", "--n", "3"]}.get(command, fourier + [command])
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 class TestNegativeSeed:
     """A negative --seed exits 2 with one error line, on every seeded command."""
 

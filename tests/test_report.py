@@ -2,14 +2,17 @@
 
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import projalg as pa
+from projalg import cli, report
 
 
 def ref_dumps(obj) -> str:
@@ -109,7 +112,7 @@ def float_arrays(draw):
 
 def as_lists(doc):
     if isinstance(doc, np.ndarray):
-        return doc.tolist()
+        return as_dicts(doc) if doc.dtype.names else doc.tolist()
     if isinstance(doc, (list, tuple)):
         return type(doc)(map(as_lists, doc))
     if isinstance(doc, dict):
@@ -196,7 +199,8 @@ def record_arrays(draw):
         column = a[name]
         if column.dtype.base.kind == "f" and column.size and draw(st.booleans()):
             # Mostly finite floats, with the edge values.
-            column[...] = draw(hnp.arrays(np.float64, column.shape, elements=edge_floats))
+            with np.errstate(over="ignore"):  # to inf in float16/float32 fields, on purpose
+                column[...] = draw(hnp.arrays(np.float64, column.shape, elements=edge_floats))
     return a[::-1] if draw(st.booleans()) else a  # a strided view too
 
 
@@ -234,3 +238,96 @@ def test_only_one_dimensional_record_arrays_are_written():
     a = np.zeros((2, 2), dtype=[("re", float)])
     with pytest.raises(TypeError, match="cannot serialize ndarray deterministically"):
         pa.dumps_canonical(a)
+
+
+# -- streaming: the pieces the CLI writes one at a time ------------------------
+
+streamed_documents = st.recursive(
+    st.one_of(scalars, float_arrays(), record_arrays()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=streamed_documents)
+def test_streamed_pieces_match_the_oracle(tmp_path, doc):
+    expected = outcome(ref_dumps, as_lists(doc))
+
+    def joined(d):
+        pieces = list(report.canonical_pieces(d))
+        assert all(isinstance(p, str) and p for p in pieces)
+        return "".join(pieces)
+
+    assert outcome(joined, doc) == outcome(pa.dumps_canonical, doc) == expected
+    out = tmp_path / "out.json"
+    status, text = expected
+    if status == "ok":
+        cli._emit(doc, str(out))
+        assert out.read_text(encoding="utf-8") == text + "\n"
+    else:
+        with pytest.raises((TypeError, ValueError)) as info:
+            cli._emit(doc, str(out))
+        assert (type(info.value).__name__, str(info.value)) == expected
+        assert not out.exists()
+
+
+def test_float_array_pieces_are_its_rows():
+    a = np.arange(12.0).reshape(3, 2, 2)
+    rows = [pa.dumps_canonical(r) for r in a]
+    assert list(report.canonical_pieces({"m": a})) == [
+        "{", '"m":', "[", rows[0], ",", rows[1], ",", rows[2], "]", "}"]
+
+
+def test_streaming_a_matrix_holds_one_row_at_a_time(tmp_path):
+    # The (Z_32)^2 matrix transform: 44 MB of text, written from 45 KB rows.
+    a = np.random.default_rng(1).standard_normal((1024, 1024, 2))
+    out = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        cli._emit({"transform": {"matrix": a}}, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    head = pa.dumps_canonical({"transform": {"matrix": a[:1]}})[:-4]
+    tail = pa.dumps_canonical(a[-1])
+    with out.open(encoding="utf-8") as fh:
+        assert fh.read(len(head)) == head
+        fh.seek(out.stat().st_size - len(tail) - 5)
+        assert fh.read() == "," + tail + "]}}\n"
+
+
+NAN_SECOND = {"a": np.zeros((2000, 2)), "b": np.array([1.0, math.nan])}
+
+
+def test_failed_write_removes_the_partial_file(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=r"^non-finite float in report: nan$"):
+        cli._emit(NAN_SECOND, str(out))
+    assert not out.exists()
+
+
+def test_failed_write_to_stdout_keeps_the_pieces_before_the_error(capsys):
+    with pytest.raises(ValueError, match=r"^non-finite float in report: nan$"):
+        cli._emit(NAN_SECOND, None)
+    # The float array "b" is checked whole before its first piece.
+    assert capsys.readouterr().out == '{"a":' + pa.dumps_canonical(NAN_SECOND["a"]) + ',"b":'
+
+
+@pytest.mark.parametrize("device, doc, error", [
+    (os.devnull, NAN_SECOND, ValueError),
+    pytest.param("/dev/full", {"a": 1}, cli.InputError, marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+])
+def test_failed_write_to_a_device_removes_nothing(monkeypatch, device, doc, error):
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    monkeypatch.setattr(os, "unlink", removed.append)
+    with pytest.raises(error):
+        cli._emit(doc, device)
+    assert removed == []
+    assert os.path.exists(device)

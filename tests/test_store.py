@@ -122,10 +122,10 @@ class TestInternalResultsAreCanonical:
     def test_serialized_results(self, ctx):
         g, alpha, c1, _ = ctx
         u = pa.AlgebraElement(g, alpha, c1)
-        text = pa.dumps_canonical(serialize.element_to_spec(u))
+        text = pa.dumps_canonical(serialize.function_to_spec(u))
         assert text == pa.dumps_canonical(
             serialize.function_to_spec(pa.GroupFunction(g, dict(u.items()))))
-        back = serialize.element_from_spec(json.loads(text), g, alpha)
+        back = pa.as_algebra_element(serialize.function_from_spec(json.loads(text), g), alpha)
         assert_canonical_result(back)
         assert back._coeffs == u._coeffs
 
