@@ -27,15 +27,15 @@ supports sf, sg and sums
 
     h = bincount(T[sf][:, sg], f[sf, None] * g[None, sg] * E[sf][:, sg])
 
-into ``order`` bins, so it costs O(|supp f| |supp g|) array work and no
-per-pair Python call.  The lattice kernel :func:`_lattice_product` has the
-same shape: elements of Z^D cannot be indexed up front, so the pair sums
-of the int64 support arrays Sa, Sb are numbered in lexicographic order, by
-their cell in the bounding box of the sums when it has no more cells than
-there are pairs, else by a row sort of Sa[:, None] + Sb[None], and the
-weights f(a) g(b) exp(i alpha.phases(Sa, Sb)) are summed into those bins.
-Bilinear cocycles give every phase in one array expression; other lattice
-cocycles fall back to one ``phase`` call per pair.
+into ``order`` bins, a row block of sf at a time, so it costs O(|supp f|
+|supp g|) array work and no per-pair Python call.  The lattice kernel
+:func:`_lattice_product` has the same shape: elements of Z^D cannot be
+indexed up front, so the pair sums of the int64 support arrays Sa, Sb are
+numbered in lexicographic order, by their cell in the bounding box of the
+sums when it has no more cells than there are pairs, else by a row sort of
+Sa[:, None] + Sb[None], and the weights f(a) g(b) exp(i alpha.phases(Sa, Sb))
+are summed into those bins.  Bilinear cocycles give every phase in one array
+expression; other lattice cocycles fall back to one ``phase`` call per pair.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
-                       _require_same_group)
+from .cocycles import (Cocycle, _blocks, _require_finite_group,
+                       _require_normalized, _require_same_group)
 from .errors import ContextMismatchError, RepresentationInconsistencyError
 from .groups import LATTICE_COORD_LIMIT, Group
 
@@ -213,14 +213,17 @@ def _finite_product(group: Group, E: np.ndarray, f: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
     """h[ab] = sum_{a,b} f[a] g[b] E[a, b] for vectors in ``group.indexing()`` order.
 
-    ``E`` is indexed like ``group.index_table()``.  Only the support pairs
-    are gathered, so memory is O(|supp f| |supp g|), never order**2.  The
-    result is not pruned.
+    ``E`` is indexed like ``group.index_table()``.  The support pairs are
+    gathered in row blocks of ``_blocks`` and added in C order, so memory is
+    a block's, never order**2.  The result is not pruned.
     """
     sf, sg = np.flatnonzero(f), np.flatnonzero(g)
-    rows = np.ix_(sf, sg)
-    return _binned_sum(group.index_table()[rows],
-                       f[sf, None] * g[None, sg] * E[rows], group.order)
+    h = np.zeros(group.order, dtype=complex)
+    for r in _blocks(len(sf), len(sg)):
+        rows = np.ix_(sf[r], sg)
+        w = f[sf[r], None] * g[None, sg] * E[rows]
+        np.add.at(h, group.index_table()[rows].ravel(), w.ravel())
+    return h
 
 
 def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:

@@ -41,9 +41,14 @@ from .report import VerificationReport
 
 NORMALIZED_TOL = 1e-12
 
-# Triples per chunk of the constraint check: 2**18 float64 values is 2 MB
-# per buffer, small enough to stay in cache.
-_CHUNK = 2 ** 18
+_CHUNK = 2 ** 15  # pairs per block of an order**2 pass: 512 KiB of complex128
+
+
+def _blocks(n: int, width: int) -> list:
+    """range(n) in slices of about _CHUNK // width rows, at most n, two or more if
+    n > 1: numpy sums a lone row, contiguous both ways, in another order."""
+    starts = range(0, max(1, n - 1), max(2, _CHUNK // max(1, width)))
+    return [slice(i, j) for i, j in zip(starts, [*starts[1:], n])]
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -174,7 +179,8 @@ class TabulatedCocycle(Cocycle):
 
     def phase_exp(self) -> np.ndarray:
         if self._exp is None:
-            e = np.exp(1j * self._table)
+            e = np.multiply(1j, self._table)
+            np.exp(e, out=e)
             e.setflags(write=False)
             self._exp = e
         return self._exp
@@ -321,8 +327,8 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     - omega(ab, c, s) + omega(a, bc, s); by induction on the length of c as
     a word in S, |omega(a, b, c)| <= (3L + 1) g on the circle, where g is the
     largest generator residual and L the longest shortest word.  The report
-    gives (3L + 1) g, so a pass bounds every triple by ``tol``.  Chunks of
-    first elements a hold about 2**18 triples (at least one row of
+    gives (3L + 1) g, so a pass bounds every triple by ``tol``.  Blocks of
+    first elements a hold about ``_CHUNK`` triples (whole rows of
     order x (|S| + 1)) in two float64 buffers.  The report names the first
     worst (a, b, s) in index order; a NaN phase gives a NaN residual and a
     failed check.
@@ -344,19 +350,15 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
         S = np.array(sorted({0, *(index[s] for s in group.generators())}))
         depth = int(word_lengths(T, S).max())
         AS, TS = A[:, S], T[:, S]                 # alpha(b, s), bs
-        rows = max(1, _CHUNK // (n * S.size))
-        x_buf = np.empty((rows, n, S.size))
-        y_buf = np.empty_like(x_buf)
         best, worst = -np.inf, 0
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            x, y = x_buf[:hi - lo], y_buf[:hi - lo]
+        for r in _blocks(n, n * S.size):
+            x, y = np.empty((2, r.stop - r.start, n, S.size))
             # T holds only valid indices, so mode="clip" merely lets take()
             # write straight into the buffer without a bounds-check copy.
-            np.take(AS, T[lo:hi], axis=0, out=x, mode="clip")     # alpha(ab, s)
-            x += A[lo:hi, :, None]                                # alpha(a, b)
-            x -= AS                                               # alpha(b, s)
-            x -= np.take(A[lo:hi], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
+            np.take(AS, T[r], axis=0, out=x, mode="clip")       # alpha(ab, s)
+            x += A[r, :, None]                                  # alpha(a, b)
+            x -= AS                                             # alpha(b, s)
+            x -= np.take(A[r], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
             # Distance to the nearest multiple of 2 pi.
             np.rint(np.divide(x, TWO_PI, out=y), out=y)
             y *= TWO_PI
@@ -366,7 +368,7 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
             # Ties keep the earlier triple; a NaN wins and ends the scan,
             # as max and argmax over all triples at once would report it.
             if not x.flat[k] <= best:
-                best, worst = float(x.flat[k]), lo * n * S.size + k
+                best, worst = float(x.flat[k]), r.start * n * S.size + k
                 if np.isnan(best):
                     break
         a, b, j = np.unravel_index(worst, (n, n, S.size))
@@ -435,6 +437,8 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
                 + (check.checks[0].detail or ""))
     if group.is_finite:
         A = alpha.phase_matrix()
+        if alpha.normalized and not A.any():  # 0 + 0 - 0 - 0: the gauge path's bits
+            return alpha, GaugePhase.zero(group)
         inv = group.inverse_indices()
         ar = np.arange(group.order)
         # alpha(a, a^-1) and alpha(a^-1, a) agree only mod 2 pi, and rounding

@@ -24,8 +24,8 @@ import cmath
 import numpy as np
 
 from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
-from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
-                       _require_same_group, zero_cocycle)
+from .cocycles import (Cocycle, _blocks, _require_finite_group,
+                       _require_normalized, _require_same_group, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
 from .groups import LATTICE_COORD_LIMIT, CyclicPowerGroup, Group
 from .integration import GroupFunction, as_algebra_element, ati_integral
@@ -152,12 +152,15 @@ class MatrixRepresentation:
         return _densify(self.perm[ia], self.phase[ia])
 
     def transform(self, f: GroupFunction) -> np.ndarray:
-        """sum_a f(a) M(a), scattered over (j, a): O(order dim) work.  An entry's
-        terms share j, so they add in order of a, and (T.T, E.T) is read in place."""
+        """sum_a f(a) M(a), scattered over (j, a) in blocks of j: O(order dim) work.
+        An entry's terms share j, so they add in order of a; (T.T, E.T) is read in place."""
         _require_same_group(self.group, f)
-        d = self.dim
-        weights = f._vector()[:, None] * self.phase
-        return _binned_sum((np.arange(d) * d + self.perm).T, weights.T, d * d).reshape(d, d)
+        vec, d = f._vector(), self.dim
+        out = np.zeros(d * d, dtype=complex)
+        for c in _blocks(d, len(vec)):
+            bins = np.arange(d)[c] * d + self.perm[:, c]
+            np.add.at(out, bins.T.ravel(), (vec[:, None] * self.phase[:, c]).T.ravel())
+        return out.reshape(d, d)
 
 
 class CharacterRepresentation:
@@ -199,7 +202,8 @@ def character_matrix(group: CyclicPowerGroup) -> np.ndarray:
 
 def _is_zero_cocycle(alpha: Cocycle) -> bool:
     """Whether a finite-group cocycle is the vector case: every phase below 1e-14."""
-    return float(np.max(np.abs(alpha.phase_matrix()))) < 1e-14
+    A = alpha.phase_matrix()
+    return bool(max(A.max(), -A.min()) < 1e-14)
 
 
 def character_transform(f: GroupFunction, *,
@@ -242,14 +246,17 @@ def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
     """max|rho(h) v - rho(f) (rho(g) v)| / max(1, max|rho(f) (rho(g) v)|): 0 up to
     rounding, which grows with the sums, for h = deformed_convolution(f, g, rep.cocycle).
     Row j of M(a) v is phase[a, j] v[perm[a, j]], so rho(u) v is one gather and
-    one weighted sum of its rows: no dense matrix and no product kernel.  The sums
-    are einsum loops: a BLAS product pays milliseconds of thread start-up."""
+    one weighted sum of its rows, in blocks of j: no dense matrix and no product
+    kernel.  The sums are einsum loops: a BLAS product pays thread start-up."""
     for u in (f, g, h):
         _require_same_group(rep.group, u)
-    moved = rep.phase * v[rep.perm]  # row a holds M(a) v; g and h share it
-    gv = np.einsum("aj,a->j", moved, g._vector())
-    rhs = np.einsum("aj,a->j", rep.phase * gv[rep.perm], f._vector())
-    lhs = np.einsum("aj,a->j", moved, h._vector())
+    fv, gv, hv = (u._vector() for u in (f, g, h))
+    rho_gv, lhs, rhs = np.empty((3, rep.dim), dtype=complex)
+    for c in _blocks(rep.dim, len(fv)):
+        moved = rep.phase[:, c] * v[rep.perm[:, c]]  # row a: (M(a) v)[c]; g and h share it
+        rho_gv[c], lhs[c] = (np.einsum("aj,a->j", moved, u) for u in (gv, hv))
+    for c in _blocks(rep.dim, len(fv)):
+        rhs[c] = np.einsum("aj,a->j", rep.phase[:, c] * rho_gv[rep.perm[:, c]], fv)
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
@@ -265,9 +272,10 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
     fhat = np.asarray(fhat, dtype=complex)
     if fhat.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
-    gathered = fhat[np.arange(rep.dim), rep.perm]
-    vals = (rep.phase.conj() * gathered).sum(axis=1) / rep.dim
-    return GroupFunction._from_vector(rep.group, vals)
+    vals = np.empty(len(rep.perm), dtype=complex)
+    for r in _blocks(len(vals), rep.dim):  # rows a, so the per-row sums keep their order
+        vals[r] = (rep.phase[r].conj() * fhat[np.arange(rep.dim), rep.perm[r]]).sum(axis=1)
+    return GroupFunction._from_vector(rep.group, vals / rep.dim)
 
 
 def invert_vector_finite(fhat, group: Group,

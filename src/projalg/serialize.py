@@ -105,6 +105,6 @@ def _records(name: str, elements: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_spec(mat: np.ndarray) -> np.ndarray:
-    """The (rows, cols, 2) float array of [re, im] pairs."""
-    m = np.asarray(mat, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1)
+    """The (rows, cols, 2) float array of [re, im] pairs; a view of C-ordered complex."""
+    m = np.ascontiguousarray(mat, dtype=complex)
+    return m.view(np.float64).reshape(*m.shape, 2)

@@ -1,0 +1,197 @@
+"""The order**2 passes on finite groups, run over blocks of ``cocycles._CHUNK``.
+
+The one-shot expressions below are the forms these passes had before they
+were split into row or column blocks.  With the budget patched down to a few
+pairs, so that every pass runs many blocks, the product, the matrix transform
+and its inverse must equal their one-shot forms bit for bit, and the
+convolution-theorem residual, whose einsum sums depend on the layout, must
+agree to 1e-14.  A traced run at order 1024 bounds what each pass allocates.
+"""
+
+import json
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import projalg as pa
+from projalg import algebra, cocycles, harmonic
+
+from test_harmonic import bicharacter
+
+BUDGETS = [7, 1000]
+
+
+def one_shot_product(group, E, f, g):
+    sf, sg = np.flatnonzero(f), np.flatnonzero(g)
+    rows = np.ix_(sf, sg)
+    return algebra._binned_sum(group.index_table()[rows],
+                               f[sf, None] * g[None, sg] * E[rows], group.order)
+
+
+def one_shot_transform(rep, f):
+    d = rep.dim
+    weights = f._vector()[:, None] * rep.phase
+    return algebra._binned_sum((np.arange(d) * d + rep.perm).T, weights.T,
+                               d * d).reshape(d, d)
+
+
+def one_shot_inverse(fhat, rep):
+    gathered = fhat[np.arange(rep.dim), rep.perm]
+    vals = (rep.phase.conj() * gathered).sum(axis=1) / rep.dim
+    return pa.GroupFunction._from_vector(rep.group, vals)
+
+
+def one_shot_residual(rep, f, g, h, v):
+    moved = rep.phase * v[rep.perm]
+    gv = np.einsum("aj,a->j", moved, g._vector())
+    rhs = np.einsum("aj,a->j", rep.phase * gv[rep.perm], f._vector())
+    lhs = np.einsum("aj,a->j", moved, h._vector())
+    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+
+
+def s4_coboundary():
+    g = pa.symmetric_group(4)
+    vals = np.random.default_rng(4).uniform(-np.pi, np.pi, g.order)
+    vals[0] = 0.0
+    return g, pa.coboundary(g, pa.GaugePhase.from_table(g, vals))
+
+
+def contexts():
+    return [bicharacter(6, 3), s4_coboundary()]
+
+
+def vectors(group, rng):
+    """Full, sparse (three entries), one-entry and empty coefficient vectors."""
+    n = group.order
+    full = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sparse = np.zeros(n, dtype=complex)
+    sparse[rng.choice(n, 3, replace=False)] = full[:3]
+    single = np.zeros(n, dtype=complex)
+    single[n - 1] = 2 - 1j
+    return [full, sparse, single, np.zeros(n, dtype=complex)]
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_product_is_the_one_shot_kernel(group, alpha, budget):
+    E = alpha.phase_exp()
+    vecs = vectors(group, np.random.default_rng(1))
+    with mock.patch.object(cocycles, "_CHUNK", budget):
+        for f in vecs:
+            for g in vecs:
+                got = algebra._finite_product(group, E, f, g)
+                assert_same_bits(got, one_shot_product(group, E, f, g))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_transform_and_inverse_are_the_one_shot_forms(group, alpha, budget):
+    alpha_n, _ = pa.normalize(group, alpha)
+    rep = pa.regular_matrix_rep(group, alpha_n)
+    for vec in vectors(group, np.random.default_rng(2)):
+        f = pa.GroupFunction._from_vector(group, vec)
+        with mock.patch.object(cocycles, "_CHUNK", budget):
+            fhat = rep.transform(f)
+            back = pa.matrix_rep_inverse(fhat, rep)
+        assert_same_bits(fhat, one_shot_transform(rep, f))
+        assert_same_bits(back._vector(), one_shot_inverse(fhat, rep)._vector())
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_residual_is_the_one_shot_form(group, alpha, budget):
+    alpha_n, _ = pa.normalize(group, alpha)
+    rep = pa.regular_matrix_rep(group, alpha_n)
+    rng = np.random.default_rng(3)
+    f, g, *_ = (pa.GroupFunction._from_vector(group, vec)
+                for vec in vectors(group, rng))
+    v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    for h in (pa.deformed_convolution(f, g, alpha_n),
+              pa.deformed_convolution(g, f, alpha_n)):
+        with mock.patch.object(cocycles, "_CHUNK", budget):
+            got = harmonic.convolution_theorem_residual(rep, f, g, h, v)
+        assert abs(got - one_shot_residual(rep, f, g, h, v)) <= 1e-14
+
+
+def test_verify_catches_a_mutant_kernel_in_small_blocks(tmp_path, monkeypatch):
+    """The kernel with alpha(b, a) in place of alpha(a, b) fails verify's
+    convolution theorem also when every pass runs in blocks of 7 pairs."""
+    from projalg import cli
+    kernel = algebra._finite_product
+    monkeypatch.setattr(algebra, "_finite_product",
+                        lambda group, E, f, g: kernel(group, E.T, f, g))
+    monkeypatch.setattr(cocycles, "_CHUNK", 7)
+    gpath, cpath = tmp_path / "g.json", tmp_path / "c.json"
+    gpath.write_text('{"kind": "cyclic_power", "n": 6, "d": 2}')
+    _, alpha = bicharacter(6, 2)
+    cpath.write_text(json.dumps({"kind": "table", "alpha": alpha.phase_matrix().tolist()}))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--group", str(gpath), "--cocycle", str(cpath),
+                     "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["convolution_theorem"]["max_residual"] > 0.1
+    assert not checks["convolution_theorem"]["pass"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 36, 37])
+def test_blocks_cover_the_rows_in_order(n, monkeypatch):
+    """Blocks of 7 // width rows, at least two, the last up to one longer."""
+    monkeypatch.setattr(cocycles, "_CHUNK", 7)
+    for width in (0, 1, 3, 8):
+        blocks = cocycles._blocks(n, width)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]),
+                              np.arange(n))
+        step = max(2, min(n, 7 // max(1, width)))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(s == step for s in sizes[:-1])
+        assert min(n, 2) <= sizes[-1] <= min(n, step + 1)
+
+
+def test_validation_buffers_hold_at_most_the_order():
+    """At order 36 the budget fits 303 rows of 36 x 3 triples; the two
+    buffers hold the 36 rows there are."""
+    group = pa.make_cyclic_power(6, 2)
+    alpha = bicharacter(6, 2)[1]
+    group.index_table()
+    row = 8 * 36 * 3
+    assert cocycles._CHUNK // row > 36
+    assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * 36 * row + 128 * 2 ** 10
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_order_1024_passes_hold_a_block():
+    """Each order**2 pass at order 1024 traces under 2 MiB above its start
+    (the transform: its 16 MiB result and 2 MiB); one-shot, each traced
+    25-40 MiB."""
+    group, alpha = bicharacter(32, 2)
+    alpha_n, _ = pa.normalize(group, alpha)
+    rep = pa.regular_matrix_rep(group, alpha_n)
+    rng = np.random.default_rng(5)
+    f, g = (pa.GroupFunction._from_vector(
+        group, rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) for _ in "fg")
+    h = pa.deformed_convolution(f, g, alpha_n)
+    v = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    fhat = rep.transform(f)
+    zero = pa.zero_cocycle(group)
+    MiB = 2 ** 20
+    assert traced_peak(pa.deformed_convolution, f, g, alpha_n) < 2 * MiB
+    assert traced_peak(pa.matrix_rep_inverse, fhat, rep) < 2 * MiB
+    assert traced_peak(harmonic.convolution_theorem_residual, rep, f, g, h, v) < 2 * MiB
+    assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * MiB
+    assert traced_peak(pa.normalize, group, zero) < 2 * MiB
+    assert traced_peak(rep.transform, f) < fhat.nbytes + 2 * MiB

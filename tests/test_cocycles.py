@@ -284,7 +284,7 @@ class TestChunkedValidation:
             # check's own.
             g.index_table()
             k = generator_columns(g)[0].size
-            # Two float64 work buffers of 2**18 triples (2 MB each) and a few
+            # Two float64 work buffers of _CHUNK triples (256 KiB each) and a few
             # order x k phase and index columns; one order**3 float64 array
             # of the exhaustive triples alone is 8 * order**3 bytes.
             expected = 2 * 8 * max(cocycles._CHUNK, order * k) + 4 * 8 * order * k
@@ -534,6 +534,18 @@ class TestNormalize:
         out, phi = pa.normalize(z4, alpha)
         assert out.normalized
         assert np.max(np.abs(phi.table())) == 0.0
+
+    def test_zero_table_is_returned_after_validation(self):
+        g = pa.make_cyclic_power(6, 2)
+        alpha = pa.TabulatedCocycle(g, np.zeros((36, 36)))
+        with mock.patch.object(cocycles, "validate_cocycle",
+                               wraps=cocycles.validate_cocycle) as check:
+            out, phi = pa.normalize(g, alpha)
+        check.assert_called_once()
+        assert out is alpha and not phi.table().any()
+        # The gauge path's table, 0 + 0 - 0 - 0, to the bit.
+        gauged = pa.gauge_transform(alpha, pa.GaugePhase.from_table(g, phi.table()))
+        assert gauged.phase_matrix().tobytes() == out.phase_matrix().tobytes()
 
     def test_z2_half_phase(self, z2):
         c = 0.8

@@ -157,6 +157,14 @@ class TestInvertVectorFinite:
             back = pa.invert_vector_finite(pa.character_transform(f), g, zero)
             assert back.max_diff(f) < 1e-15
 
+    @pytest.mark.parametrize("entry, zero", [(2e-14, False), (-2e-14, False),
+                                             (5e-15, True), (-5e-15, True)])
+    def test_zero_cocycle_threshold(self, entry, zero):
+        g = pa.make_cyclic_power(4, 2)
+        table = np.zeros((16, 16))
+        table[3, 5] = entry
+        assert harmonic._is_zero_cocycle(pa.TabulatedCocycle(g, table)) is zero
+
 
 class TestConvolution:
     def test_delta_is_unit(self, z4, rng):

@@ -229,6 +229,15 @@ def test_matrix_spec_matches_entrywise_lists():
     assert pa.dumps_canonical(spec) == ref_dumps(oracle)
 
 
+def test_matrix_spec_is_a_view_of_the_pairs():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    spec = serialize.matrix_to_spec(m)
+    assert np.array_equal(spec, np.stack((m.real, m.imag), axis=-1))
+    assert np.shares_memory(spec, m)
+    assert np.array_equal(serialize.matrix_to_spec(m.T), np.stack((m.T.real, m.T.imag), axis=-1))
+
+
 def test_matrix_report_peak_memory():
     """Writing a transform holds the output and its rows, not a Python float
     per entry: nested lists of floats peaked at 5x the output length."""
