@@ -30,7 +30,7 @@ supports sf, sg and sums
 into ``order`` bins, a row block of sf at a time, so it costs O(|supp f|
 |supp g|) array work and no per-pair Python call.  The lattice kernel
 :func:`_lattice_product` has the same shape: elements of Z^D cannot be
-indexed up front, so the pair sums of the int64 support arrays Sa, Sb are
+indexed up front, so the pair sums of the stores' key rows Sa, Sb are
 numbered in lexicographic order, by their cell in the bounding box of the
 sums when it has no more cells than there are pairs, else by a row sort of
 Sa[:, None] + Sb[None], and the weights f(a) g(b) exp(i alpha.phases(Sa, Sb))
@@ -40,7 +40,6 @@ expression; other lattice cocycles fall back to one ``phase`` call per pair.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,94 +56,102 @@ from .groups import LATTICE_COORD_LIMIT, Group
 PRUNE_TOL = 1e-15
 
 
-def _coefficients(group: Group, pairs) -> dict:
-    """Sum (key, value) pairs over canonical keys: the public boundary."""
+def _coefficients(group: Group, pairs, canonical: bool = True) -> tuple:
+    """Sum (key, value) pairs over keys, made canonical unless they are: the public
+    boundary.  Returns the store's key rows and the sums, in first-seen order."""
     acc: dict = {}
     for k, v in pairs:
-        k = group.canonical(k)
+        k = group.canonical(k) if canonical else k
         acc[k] = acc.get(k, 0j) + complex(v)
-    return acc
+    if group.is_finite:
+        index = group.indexing()[1]
+        keys = np.array([index[k] for k in acc], dtype=np.int64).reshape(len(acc), 1)
+    else:
+        keys = np.array(list(acc), dtype=np.int64).reshape(len(acc), group.d)
+    return keys, np.array(list(acc.values()), dtype=complex)
 
 
 class _CoefficientStore:
-    """A group and an immutable dict of complex coefficients on canonical keys.
+    """A group, distinct int64 key rows and their complex values, both read-only.
 
-    Public constructors canonicalize keys once, through :func:`_coefficients`;
-    internal results use :meth:`_canonical`, and conversions share the dict.
-    On finite groups only :meth:`_vector` and :meth:`_from_vector` convert
-    between the dict and a dense vector in ``group.indexing()`` order.
+    A key row is an element's index in ``group.indexing()`` order on a finite
+    group, its coordinates on Z^D; the identity is the all-zero row on both.
+    Public constructors canonicalize keys; internal results go through :meth:`_wrap`.
     """
 
-    __slots__ = ("group", "_coeffs")
+    __slots__ = ("group", "_keys", "_vals")
 
     def __init__(self, group: Group, values: Mapping):
-        self._keep(group, _coefficients(group, values.items()))
+        self._keep(group, *_coefficients(group, values.items()))
 
     @classmethod
-    def _canonical(cls, group: Group, coeffs: dict, **fields):
-        """Wrap canonical-keyed complex ``coeffs`` without calling ``canonical``."""
+    def _wrap(cls, group: Group, keys: np.ndarray, vals: np.ndarray, **fields):
+        """Wrap distinct key rows and their values, checked and pruned by :meth:`_keep`."""
         store = cls.__new__(cls)
         for name, value in fields.items():
             setattr(store, name, value)
-        store._keep(group, coeffs)
+        store._keep(group, keys, vals)
         return store
 
     @classmethod
     def _from_vector(cls, group: Group, vec: np.ndarray, **fields):
         """Wrap a complex vector in ``group.indexing()`` order, checked and
         pruned by :meth:`_keep`, so a NaN entry is rejected, not dropped."""
-        elems, keep = group.indexing()[0], np.flatnonzero(~(np.abs(vec) < PRUNE_TOL))
-        if keep.size < len(vec):
-            elems, vec = [elems[i] for i in keep.tolist()], vec[keep]
-        return cls._canonical(group, dict(zip(elems, vec.tolist())), **fields)
+        return cls._wrap(group, np.arange(group.order)[:, None], vec, **fields)
 
     def _vector(self) -> np.ndarray:
         """The coefficients as a complex vector in ``group.indexing()`` order."""
-        index = self.group.indexing()[1]
         vec = np.zeros(self.group.order, dtype=complex)
-        vec[[index[a] for a in self._coeffs]] = list(self._coeffs.values())
+        vec[self._keys[:, 0]] = self._vals
         return vec
 
-    def _keep(self, group: Group, coeffs: dict) -> None:
-        """Reject NaN, inf and overflowing moduli; prune below PRUNE_TOL."""
-        for k, v in coeffs.items():
-            if not cmath.isfinite(v):
-                raise ValueError(f"coefficient at {group.describe(k)} is not finite")
-        try:
-            if not all(abs(v) >= PRUNE_TOL for v in coeffs.values()):
-                coeffs = {k: v for k, v in coeffs.items() if abs(v) >= PRUNE_TOL}
-        except OverflowError:
-            k = next(k for k, v in coeffs.items() if math.hypot(v.real, v.imag) == math.inf)
-            raise ValueError(f"coefficient at {group.describe(k)} is too large: "
-                             f"its modulus is not a finite float") from None
-        self.group = group
-        self._coeffs = coeffs
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing modulus is inf
+    def _keep(self, group: Group, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Prune below PRUNE_TOL; reject NaN, inf and overflowing moduli."""
+        mod = np.abs(vals)
+        keep = np.flatnonzero(~(mod < PRUNE_TOL))  # NaN is kept, and rejected
+        if keep.size < len(vals):
+            keys, vals, mod = keys[keep], vals[keep], mod[keep]
+        for arr in (keys, vals):
+            arr.setflags(write=False)
+        self.group, self._keys, self._vals = group, keys, vals
+        bad = np.flatnonzero(~(mod < np.inf)).tolist()  # NaN, inf or an overflowing modulus
+        if bad:
+            i = min(bad, key=lambda i: np.isfinite(vals[i]))  # a NaN or inf value first
+            what = ("is too large: its modulus is not a finite float"
+                    if np.isfinite(vals[i]) else "is not finite")
+            raise ValueError(f"coefficient at {group.describe(self.support[i])} {what}")
+
+    def _at(self, row) -> complex:
+        """The coefficient at one key row; 0 off the support."""
+        hit = np.flatnonzero((self._keys == row).all(axis=1))
+        return complex(self._vals[hit[0]]) if hit.size else 0j
 
     @property
-    def support(self):
-        return self._coeffs.keys()
+    def support(self) -> list:
+        if self.group.is_finite:
+            elems = self.group.indexing()[0]
+            return [elems[i] for i in self._keys[:, 0].tolist()]
+        return list(map(tuple, self._keys.tolist()))
 
     def coeff(self, a) -> complex:
-        return self._coeffs.get(self.group.canonical(a), 0j)
+        return self._at(_coefficients(self.group, [(a, 0)])[0])
 
-    def items(self):
-        return self._coeffs.items()
+    def items(self) -> list:
+        return list(zip(self.support, self._vals.tolist()))
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._vals)
 
     def max_diff(self, other) -> float:
         self._check_context(other)
-        keys = set(self._coeffs) | set(other._coeffs)
-        return max((abs(self._coeffs.get(k, 0j) - other._coeffs.get(k, 0j))
-                    for k in keys), default=0.0)
-
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        return self.max_diff(other) < tol
+        a, b = dict(self.items()), dict(other.items())
+        return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()),
+                   default=0.0)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{self.group.describe(a)}: {v:.4g}"
-                          for a, v in sorted(self._coeffs.items(), key=lambda t: str(t[0])))
+                          for a, v in sorted(self.items(), key=lambda t: str(t[0])))
         return f"{type(self).__name__}({{{terms}}})"
 
 
@@ -163,17 +170,15 @@ class AlgebraElement(_CoefficientStore):
         if self.cocycle is not other.cocycle and self.cocycle != other.cocycle:
             raise ContextMismatchError("elements carry different cocycles")
 
-    def _like(self, coeffs: dict) -> "AlgebraElement":
-        return AlgebraElement._canonical(self.group, coeffs, cocycle=self.cocycle)
+    def _like(self, keys: np.ndarray, vals: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement._wrap(self.group, keys, vals, cocycle=self.cocycle)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_context(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return self._like(out)
+        pairs = self.items() + other.items()  # canonical keys: summed as they are
+        return self._like(*_coefficients(self.group, pairs, canonical=False))
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -181,15 +186,15 @@ class AlgebraElement(_CoefficientStore):
         return self + -other
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self._coeffs.items()})
+        return self._like(self._keys, -self._vals)
 
+    @np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_context(other)
             return self._product(other)
         if isinstance(other, numbers.Number):
-            other = complex(other)
-            return self._like({k: v * other for k, v in self._coeffs.items()})
+            return self._like(self._keys, self._vals * complex(other))
         return NotImplemented
 
     # x * u reaches __rmul__ only for a non-element x, and scalars commute.
@@ -202,11 +207,8 @@ class AlgebraElement(_CoefficientStore):
         """Involution: x(a) -> x(a^-1) with conjugated coefficients."""
         _require_normalized(self.cocycle, "the involution")
         g = self.group
-        if g.is_finite:
-            return AlgebraElement._from_vector(
-                g, self._vector().conj()[g.inverse_indices()], cocycle=self.cocycle)
-        return self._like({tuple(-x for x in a): v.conjugate()
-                           for a, v in self._coeffs.items()})
+        keys = g.inverse_indices()[self._keys] if g.is_finite else -self._keys
+        return self._like(keys, self._vals.conj())
 
 
 def _finite_product(group: Group, E: np.ndarray, f: np.ndarray,
@@ -226,45 +228,42 @@ def _finite_product(group: Group, E: np.ndarray, f: np.ndarray,
     return h
 
 
-def _lattice_product(alpha: Cocycle, f: Mapping, g: Mapping) -> dict:
+def _lattice_product(alpha: Cocycle, f: _CoefficientStore,
+                     g: _CoefficientStore) -> tuple[np.ndarray, np.ndarray]:
     """sum_{a,b} f(a) g(b) exp(i alpha(a, b)) x(a + b) on Z^D, pruned at PRUNE_TOL.
 
-    Keys of ``f`` and ``g`` must be canonical, so every coordinate is within
-    LATTICE_COORD_LIMIT and the int64 pair sums cannot wrap.  The result
-    keys are the distinct pair sums in lexicographic order; a kept one
-    beyond the limit raises ValueError, as ``LatticeGroup.canonical`` would.
+    Every coordinate of a store is within LATTICE_COORD_LIMIT, so the int64
+    pair sums cannot wrap.  Returns (key rows, values): the distinct pair
+    sums in lexicographic order; a kept one beyond the limit raises
+    ValueError, as ``LatticeGroup.canonical`` would.
     """
-    if not f or not g:
-        return {}
-    d = alpha.group.d
-    Sa = np.array(list(f), dtype=np.int64).reshape(len(f), d)
-    Sb = np.array(list(g), dtype=np.int64).reshape(len(g), d)
-    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
-    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
+    (Sa, fv), (Sb, gv) = (f._keys, f._vals), (g._keys, g._vals)
+    if not len(fv) or not len(gv):
+        return np.empty((0, alpha.group.d), dtype=np.int64), np.empty(0, dtype=complex)
     lo = Sa.min(axis=0) + Sb.min(axis=0)
     box = (Sa.max(axis=0) + Sb.max(axis=0) - lo + 1).tolist()
-    if math.prod(box) <= len(f) * len(g):  # a bin per cell of the box of sums
+    if math.prod(box) <= len(fv) * len(gv):  # a bin per cell of the box of sums
         keys = np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=-1) + lo
         bins = np.add.outer(np.ravel_multi_index((Sa - Sa.min(axis=0)).T, box),
                             np.ravel_multi_index((Sb - Sb.min(axis=0)).T, box))
     else:
-        keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, d))
+        keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, alpha.group.d))
     # The weights about 4096 at a time, each block the same broadcast
     # expression: the bits of one expression, with temporaries of a block.
-    w = np.empty((len(f), len(g)), dtype=complex)
-    step = max(1, 4096 // len(g))
-    for i in range(0, len(f), step):
+    w = np.empty((len(fv), len(gv)), dtype=complex)
+    step = max(1, 4096 // len(gv))
+    for i in range(0, len(fv), step):
         r = slice(i, i + step)
         w[r] = fv[r, None] * gv[None] * np.exp(1j * alpha.phases(Sa[r, None], Sb[None]))
     h = _binned_sum(bins, w, len(keys))
-    del bins, w  # pair-sized: freed before the result dict is built
+    del bins, w  # pair-sized: freed before the result is gathered
     keep = np.flatnonzero(~(np.abs(h) < PRUNE_TOL))  # NaN is kept, and rejected
     rows = keys[keep]
     far = np.flatnonzero(np.abs(rows).max(axis=1) > LATTICE_COORD_LIMIT)
     if far.size:
         raise ValueError(f"lattice coordinates {rows[far[0]].tolist()} exceed "
                          f"2**53 in absolute value")
-    return dict(zip(zip(*rows.T.tolist()), h[keep].tolist()))  # no list per key
+    return rows, h[keep]
 
 
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +296,7 @@ def _multiply(alpha: Cocycle, f: _CoefficientStore, g: _CoefficientStore):
     if f.group.is_finite:
         h = _finite_product(f.group, alpha.phase_exp(), f._vector(), g._vector())
         return type(f)._from_vector(f.group, h, **fields)
-    h = _lattice_product(alpha, f._coeffs, g._coeffs)
-    return type(f)._canonical(f.group, h, **fields)
+    return type(f)._wrap(f.group, *_lattice_product(alpha, f, g), **fields)
 
 
 def generator(group: Group, alpha: Cocycle, a) -> AlgebraElement:

@@ -95,7 +95,7 @@ class SigmaDerivation(Derivation):
 def derive(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     """Apply D: x(a) -> sigma(a) x(a) extended linearly."""
     _require_same_group(d.group, u)
-    return u._like({a: d.sigma(a) * v for a, v in u.items()})
+    return u._like(u._keys, np.array([d.sigma(a) * v for a, v in u.items()], complex))
 
 
 def _random_element(group: Group, alpha: Cocycle, rng, *, box: int = 4,
@@ -171,7 +171,7 @@ class Automorphism:
 def apply_automorphism(s: Automorphism, u: AlgebraElement) -> AlgebraElement:
     """S(phi) u: each coefficient picks up exp(-i phi . m)."""
     _require_same_group(s.group, u)
-    return u._like({m: s.phase_factor(m) * v for m, v in u.items()})
+    return u._like(u._keys, np.array([s.phase_factor(m) * v for m, v in u.items()], complex))
 
 
 def measure_invariance_check(s: Automorphism, group: Group, alpha: Cocycle, *,

@@ -24,9 +24,9 @@ from .errors import RepresentationInconsistencyError
 from .groups import CyclicPowerGroup, Group
 from .harmonic import (FormalRepresentation, _is_zero_cocycle,
                        character_inverse, character_transform,
-                       convolution_theorem_residual, deformed_convolution,
-                       fourier, matrix_rep_inverse, plancherel_values,
-                       regular_matrix_rep)
+                       convolution_theorem_residual, convolution_theorem_trials,
+                       deformed_convolution, fourier, matrix_rep_inverse,
+                       plancherel_values, regular_matrix_rep)
 from .integration import (GroupFunction, _random_function, completeness_check,
                           invert)
 from .report import CheckResult, VerificationReport, canonical_pieces
@@ -166,14 +166,8 @@ def cmd_verify(args) -> int:
                detail=f"{VERIFY_TRIALS} random functions")
 
     if group.is_finite:  # on a lattice every product is the kernel itself
-        rep = regular_matrix_rep(group, alpha_n)
-        worst = 0.0
-        for _ in range(VERIFY_TRIALS):
-            f = _random_function(group, rng)
-            g = _random_function(group, rng)
-            h = deformed_convolution(f, g, alpha_n)
-            v = sampling.random_complex(rng, group.order)
-            worst = max(worst, convolution_theorem_residual(rep, f, g, h, v))
+        worst = convolution_theorem_trials(regular_matrix_rep(group, alpha_n), rng,
+                                           VERIFY_TRIALS)
         report.add("convolution_theorem", worst, _tol(cfg, 1e-12),
                    detail=f"{VERIFY_TRIALS} random pairs, regular picture, relative")
 
@@ -274,7 +268,7 @@ def cmd_convolve(args) -> int:
                                                 f1, f2, h, v)
         checks["convolution_theorem"] = _check_dict(residual, _tol(cfg, 1e-12))
     result = function_to_spec(h)
-    del h  # its dict is larger than the records: free it before writing them
+    del h  # its key rows and values are as large as the records: free them first
     _emit({"result": result, "checks": checks}, cfg.out)
     ok = all(c["pass"] for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -37,8 +37,8 @@ from .cocycles import TabulatedCocycle, normalize
 from .errors import RepresentationInconsistencyError
 from .groups import Group, make_cyclic_power
 from .harmonic import (MatrixRepresentation, _as_monomial,
-                       convolution_theorem_residual, deformed_convolution,
-                       fourier, projective_product_rule)
+                       convolution_theorem_trials, fourier,
+                       projective_product_rule)
 from .integration import _random_function, as_algebra_element, ati_integral, invert
 from .report import VerificationReport
 
@@ -173,13 +173,7 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
                detail=f"worst pair ({group.describe(a)}, {group.describe(b)})")
 
     alpha = rep.cocycle
-    worst = 0.0
-    for _ in range(trials):
-        f = _random_function(group, rng)
-        g = _random_function(group, rng)
-        h = deformed_convolution(f, g, alpha)
-        v = sampling.random_complex(rng, n)
-        worst = max(worst, convolution_theorem_residual(rep, f, g, h, v))
+    worst = convolution_theorem_trials(rep, rng, trials)
     report.add("deformed_convolution_transform", worst, tol,
                detail=f"{trials} random pairs, relative to transform magnitude")
 

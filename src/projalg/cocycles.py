@@ -161,7 +161,7 @@ class TabulatedCocycle(Cocycle):
             raise ValueError(
                 f"expected a {group.order}x{group.order} phase table, got {t.shape}")
         _require_finite(t, "phase table")
-        t = reduce_phase(np.array(t, dtype=float))
+        t = reduce_phase(t)  # np.mod makes a new array: the caller's table is not written
         t.setflags(write=False)
         self.group = group
         self._table = t

@@ -23,12 +23,13 @@ import cmath
 
 import numpy as np
 
+from . import sampling
 from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
 from .cocycles import (Cocycle, _blocks, _require_finite_group,
                        _require_normalized, _require_same_group, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
 from .groups import LATTICE_COORD_LIMIT, CyclicPowerGroup, Group
-from .integration import GroupFunction, as_algebra_element, ati_integral
+from .integration import GroupFunction, _random_function, as_algebra_element, ati_integral
 from .report import VerificationReport
 
 
@@ -260,6 +261,17 @@ def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
+def convolution_theorem_trials(rep: MatrixRepresentation, rng, trials: int) -> float:
+    """The worst :func:`convolution_theorem_residual` of ``trials`` draws of f, g, then v."""
+    worst = 0.0
+    for _ in range(trials):
+        f, g = (_random_function(rep.group, rng) for _ in range(2))
+        h = deformed_convolution(f, g, rep.cocycle)
+        v = sampling.random_complex(rng, rep.dim)
+        worst = max(worst, convolution_theorem_residual(rep, f, g, h, v))
+    return worst
+
+
 def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunction:
     """Recover f from a matrix-picture transform via trace orthogonality.
 
@@ -274,7 +286,8 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
     vals = np.empty(len(rep.perm), dtype=complex)
     for r in _blocks(len(vals), rep.dim):  # rows a, so the per-row sums keep their order
-        vals[r] = (rep.phase[r].conj() * fhat[np.arange(rep.dim), rep.perm[r]]).sum(axis=1)
+        terms = fhat[np.arange(rep.dim), rep.perm[r]]  # multiplied in place: no third block
+        vals[r] = np.multiply(rep.phase[r].conj(), terms, out=terms).sum(axis=1)
     return GroupFunction._from_vector(rep.group, vals / rep.dim)
 
 
@@ -339,16 +352,16 @@ def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]
         inv = group.inverse_indices()
         vec = f._vector()[inv]  # f(a) at the index of a^-1
         i = np.flatnonzero(vec)
-        vals, weights = vec[i], alpha.phase_exp()[i, inv[i]]
+        vals, weights = vec[i], np.exp(1j * alpha.phase_matrix()[i, inv[i]])
     else:
-        S = np.array(list(f.support), dtype=np.int64).reshape(len(f), group.d)
+        S, vals = f._keys, f._vals
         if len(f) and np.any(np.ptp(S, axis=0) > LATTICE_COORD_LIMIT):
             raise ValueError("lattice coordinates of f* f exceed 2**53 in absolute value")
-        vals = np.fromiter(f._coeffs.values(), dtype=complex, count=len(f))
         weights = np.exp(1j * alpha.phases(-S[:, None], S[:, None]))[:, 0]
     h = _binned_sum(np.zeros(len(vals), dtype=np.intp), vals.conj() * vals * weights, 1)
-    ident = {group.identity(): complex(h[0])}  # pruned or refused like a product's
-    return ati_integral(AlgebraElement._canonical(group, ident, cocycle=alpha)), f.norm_sq()
+    ident = AlgebraElement._wrap(group, np.zeros((1, f._keys.shape[1]), np.int64), h,
+                                 cocycle=alpha)  # pruned or refused like a product's
+    return ati_integral(ident), f.norm_sq()
 
 
 def plancherel_check(f: GroupFunction, alpha: Cocycle, *,

@@ -12,8 +12,6 @@ through the algebra (:func:`scalar_product`).
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from . import sampling
@@ -49,7 +47,7 @@ def _identity_order(f: _CoefficientStore) -> list:
     over a^-1 in index order on a finite group, in key order on a lattice."""
     if f.group.is_finite:
         return f._vector()[f.group.inverse_indices()].tolist()
-    return list(f._coeffs.values())
+    return f._vals.tolist()
 
 
 def _random_function(group: Group, rng, *, box: int = 4,
@@ -66,14 +64,14 @@ def _random_function(group: Group, rng, *, box: int = 4,
 
 
 def as_algebra_element(f: GroupFunction, alpha: Cocycle) -> AlgebraElement:
-    """Embed sum f(a) x(a) into the algebra carrying ``alpha``; shares f's dict."""
+    """Embed sum f(a) x(a) into the algebra carrying ``alpha``; shares f's arrays."""
     _require_same_group(f.group, alpha)
-    return AlgebraElement._canonical(f.group, f._coeffs, cocycle=alpha)
+    return AlgebraElement._wrap(f.group, f._keys, f._vals, cocycle=alpha)
 
 
 def ati_integral(u: AlgebraElement) -> complex:
-    """Coefficient of the identity element; linear in u."""
-    return u._coeffs.get(u.group.identity(), 0j)
+    """Coefficient of the identity element, the all-zero key row; linear in u."""
+    return u._at(0)
 
 
 def completeness_check(group: Group, alpha: Cocycle, *,
@@ -102,16 +100,17 @@ def invert(u: AlgebraElement) -> GroupFunction:
 
     Only the term u(a) x(a) x(a^-1) = u(a) exp(i alpha(a, a^-1)) x(e) of
     that product reaches the identity, so f(a) = u(a) exp(i alpha(a, a^-1)):
-    f[i] = u[i] E[i, inv[i]] on a finite group, one phase per point on a lattice.
+    f[i] = u[i] exp(i A[i, inv[i]]) on a finite group, with the phase table A,
+    and one ``phases`` call over the key rows S and -S on a lattice.
     """
     _require_normalized(u.cocycle, "inversion")
     g, alpha = u.group, u.cocycle
     if g.is_finite:
-        E = alpha.phase_exp()[np.arange(g.order), g.inverse_indices()]
+        E = np.exp(1j * alpha.phase_matrix()[np.arange(g.order), g.inverse_indices()])
         return GroupFunction._from_vector(g, u._vector() * E)
-    return GroupFunction._canonical(g, {
-        a: v * cmath.exp(1j * alpha.phase(a, tuple(-x for x in a)))
-        for a, v in u.items()})
+    E = np.exp(1j * alpha.phases(u._keys[:, None], -u._keys[:, None]))[:, 0].tolist()
+    vals = [v * e for v, e in zip(u._vals.tolist(), E)]  # Python's complex rounding
+    return GroupFunction._wrap(g, u._keys, np.array(vals, dtype=complex))
 
 
 def scalar_product(f: GroupFunction, g: GroupFunction,

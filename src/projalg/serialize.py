@@ -79,17 +79,19 @@ def function_from_spec(items, group: Group) -> GroupFunction:
     pairs = [(rec["element"],
               complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0))))
              for rec in items]
-    return GroupFunction._canonical(group, _coefficients(group, pairs))
+    return GroupFunction._wrap(group, *_coefficients(group, pairs))
 
 
 def function_to_spec(f: "GroupFunction | AlgebraElement") -> np.ndarray:
-    """The records of ``f`` in index order: key order on a table group,
-    lexicographic order of the coordinates otherwise."""
-    table = isinstance(f.group, FiniteTableGroup)
-    keys = np.array(list(f.support), dtype=np.int64).reshape(len(f), 1 if table else f.group.d)
-    order = np.lexsort(keys.T[::-1])
-    values = np.fromiter((v for _, v in f.items()), dtype=complex, count=len(f))
-    return _records("element", keys[order, 0] if table else keys[order], values[order])
+    """The records of ``f`` in index order on a finite group (lexicographic
+    order of the coordinates on (Z_n)^D), lexicographic order on Z^D."""
+    order = np.lexsort(f._keys.T[::-1])
+    keys = f._keys[order]
+    if isinstance(f.group, FiniteTableGroup):
+        keys = keys[:, 0]
+    elif isinstance(f.group, CyclicPowerGroup):
+        keys = np.stack(np.unravel_index(keys[:, 0], (f.group.n,) * f.group.d), axis=-1)
+    return _records("element", keys, f._vals[order])
 
 
 def character_to_spec(table: np.ndarray) -> np.ndarray:

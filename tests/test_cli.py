@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -673,3 +674,51 @@ def test_verify_tol_reaches_the_clockshift_records(tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert sum(c["name"].startswith("clockshift.") for c in checks) == 5
     assert {c["tolerance"] for c in checks} == {1e-3}
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+
+def _grid_function(lo, hi, a, b):
+    """Sevenths and ninths on the box [lo, hi]^2, some of them zero: IEEE
+    division rounds them alike on every platform."""
+    return [{"element": [x, y], "re": ((a * x + 3 * y) % 5 - 2) / 7,
+             "im": ((2 * x - b * y) % 7 - 3) / 9}
+            for x in range(lo, hi + 1) for y in range(lo, hi + 1)]
+
+
+def _pinned_argv(tmp_path, case):
+    lattice = write(tmp_path / "z2.json", {"kind": "lattice", "d": 2})
+    bilinear = write(tmp_path / "bil.json", {"kind": "bilinear",
+                                             "theta": [[0.3, 0.7], [-0.2, 0.1]]})
+    f1 = write(tmp_path / "f1.json", _grid_function(-5, 5, 7, 5))
+    f2 = write(tmp_path / "f2.json", _grid_function(-6, 4, 4, 1))
+    z4sq = write(tmp_path / "z4sq.json", {"kind": "cyclic_power", "n": 4, "d": 2})
+    cob = write(tmp_path / "cob.json", {"kind": "coboundary",
+                                        "phi": [0.0] + [(5 * i % 13 - 6) / 4 for i in range(1, 16)]})
+    f4 = write(tmp_path / "f4.json", [r for r in _grid_function(0, 3, 7, 5)
+                                      if (r["element"][0] + r["element"][1]) % 3])
+    return {
+        "lattice-fourier": ["fourier", "--group", lattice, "--cocycle", bilinear,
+                            "--in", f1, "--rep", "formal", "--roundtrip"],
+        "lattice-convolve": ["convolve", "--group", lattice, "--cocycle", bilinear,
+                             "--in", f1, "--in2", f2],
+        "coboundary-fourier": ["fourier", "--group", z4sq, "--cocycle", cob,
+                               "--in", f4, "--rep", "formal", "--roundtrip"],
+    }[case]
+
+
+# SHA-256 of each output as the dict-backed coefficient store wrote it: the
+# array-backed store must keep every byte.
+PINNED = {
+    "lattice-fourier": "183a5a208132b3d121282feb59b4005f4f56895f4742e241483f6b5e80bc5a5c",
+    "lattice-convolve": "0ea082466959a84787255370ba347257a2ea07a84d7c439a00a962ca3ac55eba",
+    "coboundary-fourier": "ed6f80928bce52cf262b326f730227e45a7476605d2e1e3693607d7d9931b571",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_output_bytes(tmp_path, case):
+    out = tmp_path / "out.json"
+    assert cli.main(_pinned_argv(tmp_path, case) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED[case]

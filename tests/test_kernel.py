@@ -368,7 +368,8 @@ def test_lattice_exact_cancellation():
     u = pa.AlgebraElement(g, alpha, {(0, 0): 1.0, (1, 0): 1.0})
     v = pa.AlgebraElement(g, alpha, {(0, 0): 1.0, (1, 0): -1.0})
     # (1 + x)(1 - x) = 1 - x^2: the two x terms cancel exactly.
-    assert (u * v)._coeffs == {(0, 0): 1.0, (2, 0): -1.0}
+    w = u * v
+    assert w._keys.tolist() == [[0, 0], [2, 0]] and w._vals.tolist() == [1.0, -1.0]
     assert len(u * (v - v)) == 0
 
 
@@ -400,12 +401,10 @@ def test_lattice_product_leaving_the_coordinate_range_raises():
 
 def ref_sorted_product(alpha, f, g):
     """The sort-only lattice kernel: every pair sum numbered by a row sort,
-    the weights (f (x) g) exp(i alpha) in one expression, bincount sums."""
+    the weights (f (x) g) exp(i alpha) in one expression, bincount sums.
+    Returns (key rows, values), as the kernel does."""
     d = alpha.group.d
-    Sa = np.array(list(f), dtype=np.int64).reshape(len(f), d)
-    Sb = np.array(list(g), dtype=np.int64).reshape(len(g), d)
-    fv = np.fromiter(f.values(), dtype=complex, count=len(f))
-    gv = np.fromiter(g.values(), dtype=complex, count=len(g))
+    (Sa, fv), (Sb, gv) = (f._keys, f._vals), (g._keys, g._vals)
     keys, bins = np.unique((Sa[:, None] + Sb[None]).reshape(-1, d), axis=0,
                            return_inverse=True)
     w = (fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))).ravel()
@@ -413,20 +412,21 @@ def ref_sorted_product(alpha, f, g):
     h.real = np.bincount(bins.ravel(), w.real, len(keys))
     h.imag = np.bincount(bins.ravel(), w.imag, len(keys))
     keep = np.flatnonzero(~(np.abs(h) < algebra.PRUNE_TOL))
-    return dict(zip(map(tuple, keys[keep].tolist()), h[keep].tolist()))
+    return keys[keep], h[keep]
 
 
 def assert_same_bits(h, ref):
-    assert list(h.items()) == list(ref.items())
-    values = np.array(list(h.values()), dtype=complex)
-    assert np.array_equal(values.view(np.uint64),
-                          np.array(list(ref.values()), dtype=complex).view(np.uint64))
+    """The same key rows in the same order, and values with the same bits."""
+    (keys, vals), (ref_keys, ref_vals) = h, ref
+    assert keys.dtype == ref_keys.dtype == np.int64 and np.array_equal(keys, ref_keys)
+    assert vals.dtype == ref_vals.dtype == complex
+    assert np.array_equal(vals.view(np.uint64), ref_vals.view(np.uint64))
 
 
 @st.composite
 def lattice_supports(draw, group, rng):
-    """A dense box of up to 30 points, anywhere within 2**51 of the origin,
-    or up to 6 points spread to 2**52."""
+    """A function on a dense box of up to 30 points, anywhere within 2**51
+    of the origin, or on up to 6 points spread to 2**52."""
     d = group.d
     if draw(st.booleans()):
         r = draw(st.integers(0, 2))
@@ -434,7 +434,8 @@ def lattice_supports(draw, group, rng):
         pts = rng.integers(-r, r, size=(draw(st.integers(1, 30)), d), endpoint=True) + offset
     else:
         pts = rng.integers(-2**52, 2**52, size=(draw(st.integers(1, 6)), d), endpoint=True)
-    return {tuple(p): complex(*rng.standard_normal(2)) for p in pts.tolist()}
+    return pa.GroupFunction(group, {tuple(p): complex(*rng.standard_normal(2))
+                                    for p in pts.tolist()})
 
 
 @SETTINGS
@@ -446,15 +447,16 @@ def test_lattice_product_matches_the_sorted_kernel_bit_for_bit(ctx, data):
     assert_same_bits(algebra._lattice_product(alpha, f, g), ref_sorted_product(alpha, f, g))
 
 
+BOX_ALPHA = pa.BilinearCocycle(pa.make_lattice(2), [[0.3, -0.8], [0.45, 0.1]])
+
+
 def _box_functions(n, seed):
     """Two n-point functions in [-20, 20]^2, the 81 x 81 box of sums."""
     rng = np.random.default_rng(seed)
     box = [(x, y) for x in range(-20, 21) for y in range(-20, 21)]
-    return [{box[i]: complex(*rng.standard_normal(2))
-             for i in rng.choice(len(box), n, replace=False).tolist()} for _ in range(2)]
-
-
-BOX_ALPHA = pa.BilinearCocycle(pa.make_lattice(2), [[0.3, -0.8], [0.45, 0.1]])
+    return [pa.GroupFunction(BOX_ALPHA.group, {
+        box[i]: complex(*rng.standard_normal(2))
+        for i in rng.choice(len(box), n, replace=False).tolist()}) for _ in range(2)]
 
 
 def test_dense_box_product_sorts_no_pair_sums(monkeypatch):
@@ -470,8 +472,8 @@ def test_dense_box_product_sorts_no_pair_sums(monkeypatch):
 
 def test_wide_product_sorts_its_pair_sums(monkeypatch):
     rng = np.random.default_rng(2)
-    f, g = ({tuple(p): 1.0 + 0.5j for p in rng.integers(-2**52, 2**52, size=(5, 2)).tolist()}
-            for _ in range(2))
+    f, g = (pa.GroupFunction(BOX_ALPHA.group, {tuple(p): 1.0 + 0.5j for p in pts})
+            for pts in [rng.integers(-2**52, 2**52, size=(5, 2)).tolist() for _ in range(2)])
     calls = []
 
     def counting(S, _real=algebra._distinct_rows):
@@ -495,5 +497,5 @@ def test_dense_box_product_temporaries():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(h) > 5000
+    assert len(h[1]) > 5000
     assert (peak - retained) / (200 * 200) <= 32

@@ -1,11 +1,13 @@
 """The shared coefficient store of GroupFunction and AlgebraElement.
 
-Keys are canonicalized once, by the public constructors.  Internal results
+The store holds two read-only arrays: distinct int64 key rows (the element's
+index on a finite group, its coordinates on Z^D) and complex values.  Keys
+are canonicalized once, by the public constructors.  Internal results
 (kernel products, sums, the involution, conversions, inversion, convolution,
-derivations, automorphisms, serialization) hand canonical dicts to
-``_CoefficientStore._canonical``, which skips ``group.canonical``.  The oracle
-for each of them is the public constructor applied to the same dict: it must
-build the same coefficients under keys of the same types.
+derivations, automorphisms, serialization) hand arrays to
+``_CoefficientStore._wrap``, which skips ``group.canonical``.  The oracle for
+each of them is the public constructor applied to the result's own items: it
+must build the same arrays, and the same public keys of the same types.
 """
 
 import functools
@@ -73,19 +75,31 @@ def contexts(draw):
 
 def key_types(store):
     return [(type(k), tuple(map(type, k)) if isinstance(k, tuple) else ())
-            for k in store._coeffs]
+            for k in store.support]
+
+
+def assert_same_store(a, b):
+    """The same key rows and values, in the same order."""
+    assert a._keys.dtype == b._keys.dtype == np.int64
+    assert np.array_equal(a._keys, b._keys)
+    assert a._vals.dtype == b._vals.dtype == complex
+    assert np.array_equal(a._vals, b._vals)
 
 
 def assert_canonical_result(result):
-    """``result`` is what the public constructor builds from its own dict."""
+    """``result`` is what the public constructor builds from its own items."""
     if isinstance(result, pa.AlgebraElement):
-        public = pa.AlgebraElement(result.group, result.cocycle, result._coeffs)
+        public = pa.AlgebraElement(result.group, result.cocycle, dict(result.items()))
     else:
-        public = pa.GroupFunction(result.group, result._coeffs)
-    assert result._coeffs == public._coeffs
-    assert list(result._coeffs) == list(public._coeffs)
+        public = pa.GroupFunction(result.group, dict(result.items()))
+    assert_same_store(result, public)
+    width = 1 if result.group.is_finite else result.group.d
+    assert result._keys.shape == (len(result), width)
+    assert len({tuple(k) for k in result._keys.tolist()}) == len(result)
+    assert not (result._keys.flags.writeable or result._vals.flags.writeable)
+    assert np.isfinite(result._vals).all() and (np.abs(result._vals) >= PRUNE_TOL).all()
     assert key_types(result) == key_types(public)
-    assert all(type(v) is complex for v in result._coeffs.values())
+    assert all(type(v) is complex for _, v in result.items())
 
 
 class TestInternalResultsAreCanonical:
@@ -100,8 +114,8 @@ class TestInternalResultsAreCanonical:
             assert_canonical_result(result)
         # The old route: each result built by the public constructor from
         # non-canonical input gives the same coefficients.
-        assert u.star()._coeffs == pa.AlgebraElement(
-            g, alpha, {g.inv(a): c.conjugate() for a, c in u.items()})._coeffs
+        assert dict(u.star().items()) == dict(pa.AlgebraElement(
+            g, alpha, {g.inv(a): c.conjugate() for a, c in u.items()}).items())
 
     @SETTINGS
     @given(contexts())
@@ -109,7 +123,7 @@ class TestInternalResultsAreCanonical:
         g, alpha, c1, c2 = ctx
         f1, f2 = pa.GroupFunction(g, c1), pa.GroupFunction(g, c2)
         fhat = pa.as_algebra_element(f1, alpha)
-        assert fhat._coeffs is f1._coeffs
+        assert fhat._keys is f1._keys and fhat._vals is f1._vals
         h = pa.deformed_convolution(f1, f2, alpha)
         back = pa.invert(fhat)
         for result in (fhat, h, back):
@@ -127,7 +141,7 @@ class TestInternalResultsAreCanonical:
             serialize.function_to_spec(pa.GroupFunction(g, dict(u.items()))))
         back = pa.as_algebra_element(serialize.function_from_spec(json.loads(text), g), alpha)
         assert_canonical_result(back)
-        assert back._coeffs == u._coeffs
+        assert dict(back.items()) == dict(u.items())
 
     @SETTINGS
     @given(contexts())
@@ -264,14 +278,16 @@ def test_vector_round_trip_is_exact(g):
         assert type(store) is cls
         assert_canonical_result(store)
         assert np.array_equal(store._vector(), kept)
-        assert list(store._coeffs) == [elems[i] for i in np.flatnonzero(kept)]
+        assert np.array_equal(store._keys[:, 0], np.flatnonzero(kept))
+        assert store.support == [elems[i] for i in np.flatnonzero(kept)]
         again = cls._from_vector(g, store._vector(), **fields)
-        assert list(again._coeffs.items()) == list(store._coeffs.items())
+        assert_same_store(again, store)
+        assert again.items() == store.items()
     # A public store with keys in any order gives the same vector.
     order = rng.permutation(g.order)
     f = pa.GroupFunction(g, {elems[i]: complex(kept[i]) for i in order if kept[i]})
     assert np.array_equal(f._vector(), kept)
-    assert pa.GroupFunction._from_vector(g, f._vector())._coeffs == f._coeffs
+    assert dict(pa.GroupFunction._from_vector(g, f._vector()).items()) == dict(f.items())
 
 
 @pytest.mark.parametrize("g", FINITE_GROUPS[:6] + [pa.make_lattice(2)], ids=repr)
@@ -287,7 +303,8 @@ def test_random_functions_keep_the_per_element_stream(g):
         for _ in range(5):
             coeffs[sampling.random_element(g, ref)] = complex(sampling.random_complex(ref))
     expected = pa.GroupFunction(g, coeffs)
-    assert list(f._coeffs.items()) == list(expected._coeffs.items())
+    assert_same_store(f, expected)
+    assert f.items() == expected.items()
     assert rng.uniform(-1.0, 1.0) == ref.uniform(-1.0, 1.0)
 
 
@@ -322,19 +339,24 @@ def test_draws_stay_in_their_ranges():
 
 
 @pytest.mark.parametrize("kind, n, d", [("cyclic", 3, 2), ("cyclic", 4, 1),
-                                        ("sym", 3, 0), ("sym", 4, 0)])
+                                        ("sym", 3, 0), ("sym", 4, 0),
+                                        ("lattice", 0, 1), ("lattice", 0, 2),
+                                        ("lattice", 0, 3)])
 def test_finite_invert_and_star_make_no_phase_call(kind, n, d, monkeypatch):
     g = build_group(kind, n, d)
     alpha = normalized_cocycles(kind, n, d)[1]
     rng = np.random.default_rng(5)
-    u = pa.AlgebraElement(g, alpha, {g.element_at(int(i)): complex(*rng.normal(size=2))
-                                     for i in rng.choice(g.order, g.order // 2 + 1)})
+    if g.is_finite:
+        keys = [g.element_at(int(i)) for i in rng.choice(g.order, g.order // 2 + 1)]
+    else:
+        keys = [tuple(p) for p in rng.integers(-6, 7, size=(9, g.d)).tolist()]
+    u = pa.AlgebraElement(g, alpha, {a: complex(*rng.normal(size=2)) for a in keys})
     # The per-element routes, as oracles.
     inverted = {a: v * np.exp(1j * alpha.phase(a, g.inv(a))) for a, v in u.items()}
     starred = {g.inv(a): v.conjugate() for a, v in u.items()}
 
     calls = []
-    for cls in (cocycles.Cocycle, cocycles.TabulatedCocycle):
+    for cls in (cocycles.Cocycle, cocycles.TabulatedCocycle, cocycles.BilinearCocycle):
         real = cls.phase
 
         def counting(self, a, b, _real=real):
@@ -345,7 +367,7 @@ def test_finite_invert_and_star_make_no_phase_call(kind, n, d, monkeypatch):
     back, star = pa.invert(u), u.star()
     assert calls == []
     assert back.max_diff(pa.GroupFunction(g, inverted)) < 1e-15
-    assert star._coeffs == pa.AlgebraElement(g, alpha, starred)._coeffs
+    assert dict(star.items()) == dict(pa.AlgebraElement(g, alpha, starred).items())
     assert_canonical_result(back)
     assert_canonical_result(star)
 
@@ -371,7 +393,8 @@ def test_internal_results_prune_like_the_constructor():
     u = pa.generator(g, pa.zero_cocycle(g), (1,))
     assert len(u - u) == 0
     assert len(1e-16 * u) == 0
-    assert (u + 1e-16 * u)._coeffs == {(1,): 1.0}
+    assert (u + 1e-16 * u).items() == [((1,), 1.0)]
+    assert np.array_equal((u + 1e-16 * u)._keys, [[1]])
 
 
 def test_store_is_shared_and_named():
