@@ -29,12 +29,12 @@ supports sf, sg and sums
 
 into ``order`` bins, a row block of sf at a time, so it costs O(|supp f|
 |supp g|) array work and no per-pair Python call.  The lattice kernel
-:func:`_lattice_product` has the same shape: elements of Z^D cannot be
+:func:`_lattice_product` runs the same loop: elements of Z^D cannot be
 indexed up front, so the pair sums of the stores' key rows Sa, Sb are
 numbered in lexicographic order, by their cell in the bounding box of the
 sums when it has no more cells than there are pairs, else by a row sort of
-Sa[:, None] + Sb[None], and the weights f(a) g(b) exp(i alpha.phases(Sa, Sb))
-are summed into those bins.  Bilinear cocycles give every phase in one array
+Sa[:, None] + Sb[None], and each block's weights f(a) g(b) exp(i alpha(a, b))
+are added into its bins.  Bilinear cocycles give every phase in one array
 expression; other lattice cocycles fall back to one ``phase`` call per pair.
 """
 
@@ -244,19 +244,20 @@ def _lattice_product(alpha: Cocycle, f: _CoefficientStore,
     box = (Sa.max(axis=0) + Sb.max(axis=0) - lo + 1).tolist()
     if math.prod(box) <= len(fv) * len(gv):  # a bin per cell of the box of sums
         keys = np.stack(np.unravel_index(np.arange(math.prod(box)), box), axis=-1) + lo
-        bins = np.add.outer(np.ravel_multi_index((Sa - Sa.min(axis=0)).T, box),
-                            np.ravel_multi_index((Sb - Sb.min(axis=0)).T, box))
-    else:
-        keys, bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, alpha.group.d))
-    # The weights about 4096 at a time, each block the same broadcast
-    # expression: the bits of one expression, with temporaries of a block.
-    w = np.empty((len(fv), len(gv)), dtype=complex)
+        ia, ib = (np.ravel_multi_index((S - S.min(axis=0)).T, box) for S in (Sa, Sb))
+        row_bins = lambda r: np.add.outer(ia[r], ib)  # a block's bins, not all pairs'
+    else:  # numbering needs every sum, so these bins are pair-sized
+        keys, row_bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, alpha.group.d))
+        row_bins = row_bins.reshape(len(fv), len(gv)).__getitem__
+    # The weights about 4096 at a time, added in C order as _finite_product
+    # adds them: the bits of one expression and one add.at, block temporaries.
+    h = np.zeros(len(keys), dtype=complex)
     step = max(1, 4096 // len(gv))
     for i in range(0, len(fv), step):
         r = slice(i, i + step)
-        w[r] = fv[r, None] * gv[None] * np.exp(1j * alpha.phases(Sa[r, None], Sb[None]))
-    h = _binned_sum(bins, w, len(keys))
-    del bins, w  # pair-sized: freed before the result is gathered
+        w = fv[r, None] * gv[None] * np.exp(1j * alpha.phases(Sa[r, None], Sb[None]))
+        np.add.at(h, row_bins(r).ravel(), w.ravel())
+    del row_bins  # with the sort numbering's pair-sized bins: freed before the gather
     keep = np.flatnonzero(~(np.abs(h) < PRUNE_TOL))  # NaN is kept, and rejected
     rows = keys[keep]
     far = np.flatnonzero(np.abs(rows).max(axis=1) > LATTICE_COORD_LIMIT)
@@ -280,13 +281,6 @@ def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bins = np.empty(len(rows), dtype=np.intp)
     bins[order] = np.cumsum(first) - 1
     return rows[first], bins
-
-
-def _binned_sum(bins: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Complex sums of ``w`` into ``n`` bins, accumulated in C order."""
-    h = np.zeros(n, dtype=complex)
-    np.add.at(h, bins.ravel(), w.ravel())
-    return h
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN

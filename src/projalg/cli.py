@@ -93,9 +93,8 @@ def _parse_seed(text: str) -> int:
 
 def _config(args) -> RunConfig:
     group = _parse(args.group, "group", group_from_spec, _load_json(args.group))
-    path = getattr(args, "cocycle", None)
-    spec = {"kind": "zero"} if path is None else _load_json(path)
-    cocycle = _parse(path, "cocycle", cocycle_from_spec, spec, group)
+    spec = {"kind": "zero"} if args.cocycle is None else _load_json(args.cocycle)
+    cocycle = _parse(args.cocycle, "cocycle", cocycle_from_spec, spec, group)
     return RunConfig(group=group, cocycle=cocycle, cocycle_kind=str(spec.get("kind")),
                      tol=args.tol, seed=_parse_seed(args.seed), out=args.out)
 
@@ -310,11 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "transforms, and deformed convolutions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cocycle=True):
+    def add_common(p):
         p.add_argument("--group", required=True, help="group definition JSON")
-        if cocycle:
-            p.add_argument("--cocycle", help="cocycle definition JSON "
-                                             "(default: zero)")
+        p.add_argument("--cocycle", help="cocycle definition JSON (default: zero)")
         p.add_argument("--tol", type=float, default=None,
                        help="override every check tolerance")
         p.add_argument("--seed", default="5EED",

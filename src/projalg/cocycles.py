@@ -91,11 +91,10 @@ class GaugePhase:
         return cls(group, fn)
 
     def value(self, a) -> float:
-        a = self.group.canonical(a)
         b = self._backing
         if isinstance(b, np.ndarray):
             return float(b[self.group.element_index(a)])
-        return float(b(a))
+        return float(b(self.group.canonical(a)))
 
     def table(self) -> np.ndarray:
         """Dense per-index values; finite groups only."""
@@ -446,9 +445,9 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
         # per inverse pair keeps phi(a) + phi(a^-1) = alpha(a, a^-1) exact.
         pair = A[np.minimum(ar, inv), np.maximum(ar, inv)]
         phi = GaugePhase.from_table(group, (pair + A[0, 0]) / 2.0)
-        # alpha'(a, a^-1) is 0 by construction, in floats only to ulps of |A|.
+        # For a cocycle alpha'(a, a^-1) = alpha'(e, a) = alpha'(a, e) = 0; in floats, nearly.
         table = gauge_transform(alpha, phi).phase_matrix().copy()
-        table[ar, inv] = 0.0
+        table[ar, inv] = table[0] = table[:, 0] = 0.0
         return TabulatedCocycle(group, table), phi
     if isinstance(alpha, BilinearCocycle):
         theta = alpha.theta

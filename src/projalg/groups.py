@@ -46,13 +46,15 @@ class Group:
         return self.order is not None
 
     def identity(self):
-        raise NotImplementedError
+        return self.element_at(0)  # index 0 on every finite group
 
+    # Read from the index tables; groups with closed forms override both.
     def prod(self, a, b):
-        raise NotImplementedError
+        i, j = self.element_index(a), self.element_index(b)
+        return self.element_at(self.index_table()[i, j])
 
     def inv(self, a):
-        raise NotImplementedError
+        return self.element_at(self.inverse_indices()[self.element_index(a)])
 
     def canonical(self, a):
         """Validate ``a`` and return its canonical form (raises ValueError)."""
@@ -69,12 +71,14 @@ class Group:
             f"{type(self).__name__} does not enumerate its elements")
 
     def element_index(self, a) -> int:
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} has no element indexing")
+        """Index of ``a`` in ``indexing()`` order; the first call builds it, O(order)."""
+        return self.indexing()[1][self.canonical(a)]
 
     def element_at(self, index: int):
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} has no element indexing")
+        elems, index = self.indexing()[0], operator.index(index)
+        if not 0 <= index < self.order:
+            raise ValueError(f"element index {index} out of range for order {self.order}")
+        return elems[index]
 
     def index_table(self) -> np.ndarray:
         """(order, order) table of product indices."""
@@ -166,8 +170,8 @@ class FiniteTableGroup(Group):
                 if bad.size:
                     a, b = (int(x) for x in bad[0])
                     raise GroupConstructionError(
-                        f"associativity fails on triple ({self._name(a)}, "
-                        f"{self._name(b)}, {self._name(s)})")
+                        f"associativity fails on triple ({self.describe(a)}, "
+                        f"{self.describe(b)}, {self.describe(s)})")
         zeros = t == 0
         count = zeros.sum(axis=1)
         inv = zeros.argmax(axis=1)
@@ -175,18 +179,12 @@ class FiniteTableGroup(Group):
         if bad.size:
             a = int(bad[0])
             raise GroupConstructionError(
-                f"element {self._name(a)} must have exactly one right inverse, "
+                f"element {self.describe(a)} must have exactly one right inverse, "
                 f"found {count[a]}" if count[a] != 1 else
-                f"right inverse of {self._name(a)} is not a left inverse")
+                f"right inverse of {self.describe(a)} is not a left inverse")
         inv.setflags(write=False)
         self._inverse_indices = inv
         self.is_abelian = bool(np.array_equal(t, t.T))
-
-    def _name(self, i: int) -> str:
-        return self.names[i] if self.names is not None else str(i)
-
-    def identity(self) -> int:
-        return 0
 
     def canonical(self, a) -> int:
         i = operator.index(a)
@@ -194,23 +192,12 @@ class FiniteTableGroup(Group):
             raise ValueError(f"element index {i} out of range for order {self.order}")
         return i
 
-    def prod(self, a, b) -> int:
-        return int(self._table[self.canonical(a), self.canonical(b)])
-
-    def inv(self, a) -> int:
-        return int(self._inverse_indices[self.canonical(a)])
-
     def describe(self, a) -> str:
-        return self._name(self.canonical(a))
+        i = self.canonical(a)
+        return self.names[i] if self.names is not None else str(i)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.order))
-
-    def element_index(self, a) -> int:
-        return self.canonical(a)
-
-    def element_at(self, index: int) -> int:
-        return self.canonical(index)
 
     def index_table(self) -> np.ndarray:
         return self._table
@@ -278,22 +265,6 @@ class CyclicPowerGroup(Group):
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(self.n), repeat=self.d)
-
-    def element_index(self, a) -> int:
-        idx = 0
-        for x in self.canonical(a):
-            idx = idx * self.n + x
-        return idx
-
-    def element_at(self, index: int) -> tuple[int, ...]:
-        index = operator.index(index)
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for order {self.order}")
-        coords = []
-        for _ in range(self.d):
-            index, r = divmod(index, self.n)
-            coords.append(r)
-        return tuple(reversed(coords))
 
     def index_table(self) -> np.ndarray:
         if self._index_table is None:

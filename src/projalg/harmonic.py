@@ -24,7 +24,7 @@ import cmath
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _binned_sum, _densify, _multiply
+from .algebra import AlgebraElement, _densify, _multiply
 from .cocycles import (Cocycle, _blocks, _require_finite_group,
                        _require_normalized, _require_same_group, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
@@ -59,14 +59,13 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
     is nan.  Returns (phase table, worst residual, worst pair); callers
     accept only ``worst < tol``.
     """
-    elems, _ = group.indexing()
     T = group.index_table()
     order, dim = perm.shape
     table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
     res = np.empty(T.shape)
     # nan_col[b, k] is nan where column k of M(b) holds a NaN, else 0.
-    bins = np.arange(order)[:, None] * dim + perm
-    nan_col = _binned_sum(bins, 0 * phase, order * dim).reshape(order, dim)
+    nan_col = np.zeros((order, dim), dtype=complex)
+    np.add.at(nan_col, (np.arange(order)[:, None], perm), 0 * phase)
     poisoned = bool(np.isnan(nan_col).any())
     with np.errstate(invalid="ignore", divide="ignore"):
         for ia in range(order):
@@ -87,18 +86,28 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
             res[ia] = r.max(axis=1)
     # argmax returns the first NaN, so a non-finite pair is reported.
     ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
-    return table, float(res[ia, ib]), (elems[ia], elems[ib])
+    return table, float(res[ia, ib]), (group.element_at(ia), group.element_at(ib))
 
 
 def _as_monomial(group: Group, matrices, tol: float) -> tuple:
-    """(perm, phase) of a family: a (perm, phase) pair as given, or converted
-    once from a mapping of each element to its dense square matrix.
+    """(perm, phase) of a family: a (perm, phase) pair of (order, dim) arrays,
+    checked but not copied, or converted once from a mapping of each element
+    to its dense square matrix.
 
     Row j keeps its largest entry; a matrix with a non-finite entry, or any
-    other entry above ``tol``, raises RepresentationInconsistencyError.
+    other entry above ``tol``, raises RepresentationInconsistencyError, and so
+    does a non-finite phase.  A bad shape or column index raises ValueError.
     """
     if isinstance(matrices, tuple):
-        return matrices
+        perm, phase = map(np.asarray, matrices)
+        if (perm.ndim != 2 or perm.shape != phase.shape or len(perm) != group.order
+                or perm.dtype.kind not in "iu" or phase.dtype.kind not in "iufc"
+                or not 0 <= perm.min() <= perm.max() < perm.shape[1]):
+            raise ValueError(f"a monomial family is two numeric ({group.order}, dim) "
+                             "arrays, perm of column indices in [0, dim)")
+        if np.flatnonzero(~(np.abs(phase) < np.inf)).size:  # _keep's ops: no new loop
+            raise RepresentationInconsistencyError("a monomial family has a non-finite phase")
+        return perm, phase
     perm, phase = [], []
     for a in group.indexing()[0]:
         if a not in matrices:
@@ -358,7 +367,8 @@ def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]
         if len(f) and np.any(np.ptp(S, axis=0) > LATTICE_COORD_LIMIT):
             raise ValueError("lattice coordinates of f* f exceed 2**53 in absolute value")
         weights = np.exp(1j * alpha.phases(-S[:, None], S[:, None]))[:, 0]
-    h = _binned_sum(np.zeros(len(vals), dtype=np.intp), vals.conj() * vals * weights, 1)
+    h = np.zeros(1, dtype=complex)
+    np.add.at(h, np.zeros(len(vals), dtype=np.intp), vals.conj() * vals * weights)
     ident = AlgebraElement._wrap(group, np.zeros((1, f._keys.shape[1]), np.int64), h,
                                  cocycle=alpha)  # pruned or refused like a product's
     return ati_integral(ident), f.norm_sq()

@@ -23,18 +23,24 @@ from test_harmonic import bicharacter
 BUDGETS = [7, 1000]
 
 
+def binned_sum(bins, w, n):
+    """Complex sums of ``w`` into ``n`` bins, accumulated in C order."""
+    h = np.zeros(n, dtype=complex)
+    np.add.at(h, bins.ravel(), w.ravel())
+    return h
+
+
 def one_shot_product(group, E, f, g):
     sf, sg = np.flatnonzero(f), np.flatnonzero(g)
     rows = np.ix_(sf, sg)
-    return algebra._binned_sum(group.index_table()[rows],
-                               f[sf, None] * g[None, sg] * E[rows], group.order)
+    return binned_sum(group.index_table()[rows],
+                      f[sf, None] * g[None, sg] * E[rows], group.order)
 
 
 def one_shot_transform(rep, f):
     d = rep.dim
     weights = f._vector()[:, None] * rep.phase
-    return algebra._binned_sum((np.arange(d) * d + rep.perm).T, weights.T,
-                               d * d).reshape(d, d)
+    return binned_sum((np.arange(d) * d + rep.perm).T, weights.T, d * d).reshape(d, d)
 
 
 def one_shot_inverse(fhat, rep):

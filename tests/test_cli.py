@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -665,6 +666,17 @@ class TestBilinearOverflow:
         assert json.loads(out.read_text())["pass"] is False
 
 
+def test_verify_runs_on_a_cocycle_whose_identity_row_is_within_tolerance(tmp_path):
+    """Normalization gauges alpha(e, b) = 1e-12 to zero, so the checks that
+    need a normalized cocycle run instead of raising."""
+    group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 2, "d": 1})
+    cocycle = write(tmp_path / "c.json", {"kind": "table", "alpha": [[0.0, 1e-12], [0.0, 0.0]]})
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--group", group, "--cocycle", cocycle,
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
 def test_verify_tol_reaches_the_clockshift_records(tmp_path):
     group = write(tmp_path / "g.json", {"kind": "cyclic_power", "n": 4, "d": 2})
     cocycle = write(tmp_path / "c.json", {"kind": "clockshift"})
@@ -698,6 +710,22 @@ def _pinned_argv(tmp_path, case):
                                         "phi": [0.0] + [(5 * i % 13 - 6) / 4 for i in range(1, 16)]})
     f4 = write(tmp_path / "f4.json", [r for r in _grid_function(0, 3, 7, 5)
                                       if (r["element"][0] + r["element"][1]) % 3])
+    # Points near +-2**52: their box of sums is far larger than the 6 pairs,
+    # so the product numbers its pair sums by a row sort.
+    w1 = write(tmp_path / "wide1.json", [
+        {"element": [2 ** 52, -2 ** 52], "re": 0.6, "im": 0.2},
+        {"element": [-2 ** 52, 17], "re": -0.3, "im": 0.9},
+        {"element": [3, 2 ** 52 - 1], "re": 0.1, "im": -0.4}])
+    w2 = write(tmp_path / "wide2.json", [
+        {"element": [-2 ** 52, 2 ** 52], "re": 0.5, "im": 0.5},
+        {"element": [2 ** 52 - 1, -2], "re": -0.7, "im": 0.1}])
+    perms = list(itertools.permutations(range(3)))
+    s3 = write(tmp_path / "s3.json", {
+        "kind": "table", "elements": ["e", "b", "a", "ab", "ba", "aba"],
+        "table": [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms]
+                  for p in perms]})
+    cob3 = write(tmp_path / "cob3.json", {"kind": "coboundary",
+                                          "phi": [0.0, 0.1, -1.3, 2.9, -0.7, 1.7]})
     return {
         "lattice-fourier": ["fourier", "--group", lattice, "--cocycle", bilinear,
                             "--in", f1, "--rep", "formal", "--roundtrip"],
@@ -705,15 +733,23 @@ def _pinned_argv(tmp_path, case):
                              "--in", f1, "--in2", f2],
         "coboundary-fourier": ["fourier", "--group", z4sq, "--cocycle", cob,
                                "--in", f4, "--rep", "formal", "--roundtrip"],
+        "wide-convolve": ["convolve", "--group", lattice, "--cocycle", bilinear,
+                          "--in", w1, "--in2", w2],
+        "named-table-verify": ["verify", "--group", s3, "--cocycle", cob3,
+                               "--seed", "2A"],
     }[case]
 
 
-# SHA-256 of each output as the dict-backed coefficient store wrote it: the
-# array-backed store must keep every byte.
+# SHA-256 of each output as earlier versions wrote it: the dict-backed
+# coefficient store for the first three cases, and for the last two the
+# per-class element indexing and a lattice kernel that held every pair weight.
+# Every byte must stay.
 PINNED = {
     "lattice-fourier": "183a5a208132b3d121282feb59b4005f4f56895f4742e241483f6b5e80bc5a5c",
     "lattice-convolve": "0ea082466959a84787255370ba347257a2ea07a84d7c439a00a962ca3ac55eba",
     "coboundary-fourier": "ed6f80928bce52cf262b326f730227e45a7476605d2e1e3693607d7d9931b571",
+    "wide-convolve": "1a162b1cb404a958047aaf031545a47abdda94475e9129f72e95e4697b857a2b",
+    "named-table-verify": "f154ac6377f19fbd87baf56d4ac369b9dee41bb1a346f36dc6e820283c6dba9b",
 }
 
 

@@ -609,6 +609,15 @@ class TestNormalize:
         assert np.max(np.abs(out.phase_matrix())) < 1e-12
         assert phi.value((0,)) == pytest.approx(c)
 
+    def test_identity_row_within_tolerance_is_gauged_to_zero(self, z2):
+        # alpha(e, b) = 1e-12: within the check's tolerance of a cocycle, but
+        # above NORMALIZED_TOL, and no gauge moves the identity row.
+        alpha = pa.TabulatedCocycle(z2, [[0.0, 1e-12], [0.0, 0.0]])
+        assert pa.validate_cocycle(z2, alpha).passed
+        out, _ = pa.normalize(z2, alpha)
+        assert out.normalized
+        assert not out.phase_matrix().any()
+
     def test_non_cocycle_rejected(self, z2):
         table = np.zeros((2, 2))
         table[0, 1] = 0.1

@@ -439,6 +439,47 @@ def test_non_finite_matrix_is_named(entry):
             build()
 
 
+# -- (perm, phase) families are checked where they enter -----------------------------
+
+
+def _z2_family():
+    g = pa.make_cyclic_power(2, 1)
+    return g, g.index_table().T, pa.zero_cocycle(g).phase_exp().T
+
+
+def test_negative_perm_is_refused():
+    """perm = T.T - 2 passes the product rule on Z_2, as every gather wraps the
+    negative columns alike, yet the transform's flat bins wrap into the other row."""
+    g, perm, phase = _z2_family()
+    with pytest.raises(ValueError, match="column indices"):
+        pa.MatrixRepresentation(g, pa.zero_cocycle(g), (perm - 2, phase))
+
+
+@pytest.mark.parametrize("bad", ["float perm", "perm past dim", "missing row", "one-d"])
+def test_malformed_family_is_refused(bad):
+    g, perm, phase = _z2_family()
+    family = {"float perm": (perm.astype(float), phase),
+              "perm past dim": (perm + 2, phase),
+              "missing row": (perm[:1], phase[:1]),
+              "one-d": (perm[0], phase[0])}[bad]
+    with pytest.raises(ValueError, match="column indices"):
+        pa.MatrixRepresentation(g, pa.zero_cocycle(g), family, check=False)
+    with pytest.raises(ValueError, match="column indices"):
+        pa.measure_cocycle_from_matrices(g, family)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.inf, np.nan)])
+def test_non_finite_phase_is_refused_without_the_check(entry):
+    g, perm, phase = _z2_family()
+    phase = phase.copy()
+    phase[1, 0] = entry
+    with pytest.raises(pa.RepresentationInconsistencyError, match="non-finite phase"):
+        pa.MatrixRepresentation(g, pa.zero_cocycle(g), (perm, phase), check=False)
+    # The product-rule pass itself still reports a NaN residual, not an error.
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        assert np.isnan(projective_product_rule(g, perm, phase, pa.zero_cocycle(g))[1])
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_dft_conjugate_stays_monomial(n):
     """The DFT maps the shift to a clock and the clock to a shift (up to
