@@ -56,12 +56,12 @@ from .groups import LATTICE_COORD_LIMIT, Group
 PRUNE_TOL = 1e-15
 
 
-def _coefficients(group: Group, pairs, canonical: bool = True) -> tuple:
-    """Sum (key, value) pairs over keys, made canonical unless they are: the public
-    boundary.  Returns the store's key rows and the sums, in first-seen order."""
+def _coefficients(group: Group, pairs) -> tuple:
+    """Sum (key, value) pairs over canonical keys: the public boundary.
+    Returns the store's key rows and the sums, in first-seen order."""
     acc: dict = {}
     for k, v in pairs:
-        k = group.canonical(k) if canonical else k
+        k = group.canonical(k)
         acc[k] = acc.get(k, 0j) + complex(v)
     if group.is_finite:
         index = group.indexing()[1]
@@ -69,6 +69,19 @@ def _coefficients(group: Group, pairs, canonical: bool = True) -> tuple:
     else:
         keys = np.array(list(acc), dtype=np.int64).reshape(len(acc), group.d)
     return keys, np.array(list(acc.values()), dtype=complex)
+
+
+def _aligned(f: "_CoefficientStore", g: "_CoefficientStore") -> tuple:
+    """(key rows, f's values, g's values) on f's rows, then g's new rows, in store
+    order; each value added to a zero, as a dict sum of the items adds it."""
+    S = np.concatenate([f._keys, g._keys])
+    bins = _distinct_rows(S)[1]
+    a, b = np.zeros(len(S), dtype=complex), np.zeros(len(S), dtype=complex)
+    a[bins[:len(f)]] += f._vals
+    b[bins[len(f):]] += g._vals
+    first = np.concatenate([np.ones(len(f), dtype=bool), a[bins[len(f):]] == 0])
+    bins = bins[first]  # a stored value is never 0, so a's zeros are g's new rows
+    return S[first], a[bins], b[bins]
 
 
 class _CoefficientStore:
@@ -145,9 +158,8 @@ class _CoefficientStore:
 
     def max_diff(self, other) -> float:
         self._check_context(other)
-        a, b = dict(self.items()), dict(other.items())
-        return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()),
-                   default=0.0)
+        _, a, b = _aligned(self, other)
+        return max(map(abs, (a - b).tolist()), default=0.0)  # Python's abs, not np.abs
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{self.group.describe(a)}: {v:.4g}"
@@ -177,8 +189,8 @@ class AlgebraElement(_CoefficientStore):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_context(other)
-        pairs = self.items() + other.items()  # canonical keys: summed as they are
-        return self._like(*_coefficients(self.group, pairs, canonical=False))
+        keys, a, b = _aligned(self, other)
+        return self._like(keys, a + b)
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -268,7 +280,7 @@ def _lattice_product(alpha: Cocycle, f: _CoefficientStore,
 
 
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows of a non-empty 2-D S in lexicographic order, bins).
+    """(distinct rows of a 2-D S in lexicographic order, bins).
 
     ``bins[i]`` is the position of ``S[i]`` among the distinct rows.  This is
     ``np.unique(S, axis=0, return_inverse=True)``, which sorts rows as

@@ -28,8 +28,8 @@ from .algebra import AlgebraElement, _densify, _multiply
 from .cocycles import (Cocycle, _blocks, _require_finite_group,
                        _require_normalized, _require_same_group, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
-from .groups import LATTICE_COORD_LIMIT, CyclicPowerGroup, Group
-from .integration import GroupFunction, _random_function, as_algebra_element, ati_integral
+from .groups import CyclicPowerGroup, Group
+from .integration import GroupFunction, _random_function, _star_integral, as_algebra_element
 from .report import VerificationReport
 
 
@@ -63,11 +63,11 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
     order, dim = perm.shape
     table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
     res = np.empty(T.shape)
-    # nan_col[b, k] is nan where column k of M(b) holds a NaN, else 0.
-    nan_col = np.zeros((order, dim), dtype=complex)
-    np.add.at(nan_col, (np.arange(order)[:, None], perm), 0 * phase)
-    poisoned = bool(np.isnan(nan_col).any())
     with np.errstate(invalid="ignore", divide="ignore"):
+        # nan_col[b, k] is nan where column k of M(b) holds a NaN, else 0.
+        nan_col = np.zeros((order, dim), dtype=complex)
+        np.add.at(nan_col, (np.arange(order)[:, None], perm), 0 * phase)
+        poisoned = bool(np.isnan(nan_col).any())
         for ia in range(order):
             p_val = phase[ia] * phase[:, perm[ia]]
             q_col, q_val = perm[T[ia]], phase[T[ia]]
@@ -345,33 +345,12 @@ def deformed_convolution(f1: GroupFunction, f2: GroupFunction,
     return _multiply(alpha, f1, f2)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN
 def plancherel_values(f: GroupFunction, alpha: Cocycle) -> tuple[complex, float]:
-    """(integral(f_hat* f_hat), sum |f(a)|^2) for the formal transform.
-
-    Only the pairs (x(a^-1), x(a)) of f_hat* f_hat reach the identity.  Their
-    terms are formed and summed into one bin in the product kernel's order,
-    so the integral is the kernel's to the bit.  A lattice support whose pair
-    differences leave the coordinate range is refused, as the product is.
-    """
-    group = f.group
-    _require_same_group(group, alpha)
-    _require_normalized(alpha, "the involution")
-    if group.is_finite:
-        inv = group.inverse_indices()
-        vec = f._vector()[inv]  # f(a) at the index of a^-1
-        i = np.flatnonzero(vec)
-        vals, weights = vec[i], np.exp(1j * alpha.phase_matrix()[i, inv[i]])
-    else:
-        S, vals = f._keys, f._vals
-        if len(f) and np.any(np.ptp(S, axis=0) > LATTICE_COORD_LIMIT):
-            raise ValueError("lattice coordinates of f* f exceed 2**53 in absolute value")
-        weights = np.exp(1j * alpha.phases(-S[:, None], S[:, None]))[:, 0]
-    h = np.zeros(1, dtype=complex)
-    np.add.at(h, np.zeros(len(vals), dtype=np.intp), vals.conj() * vals * weights)
-    ident = AlgebraElement._wrap(group, np.zeros((1, f._keys.shape[1]), np.int64), h,
-                                 cocycle=alpha)  # pruned or refused like a product's
-    return ati_integral(ident), f.norm_sq()
+    """(integral(f_hat* f_hat), sum |f(a)|^2) for the formal transform, both summed
+    in the order of the terms of :func:`integration._star_integral` of f with
+    itself: the two routes differ by the rounding of each term, not of the sums."""
+    lhs, vals, _ = _star_integral(alpha, f, f)
+    return lhs, float(sum(abs(v) ** 2 for v in vals.tolist()))
 
 
 def plancherel_check(f: GroupFunction, alpha: Cocycle, *,

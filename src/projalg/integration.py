@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _CoefficientStore
+from .algebra import AlgebraElement, _aligned, _CoefficientStore
 from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
                        _require_same_group, zero_cocycle)
 from .errors import CrossCheckError
-from .groups import Group
+from .groups import LATTICE_COORD_LIMIT, Group
 from .report import VerificationReport
 
 
@@ -36,18 +36,35 @@ class GroupFunction(_CoefficientStore):
     get = _CoefficientStore.coeff
 
     def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in _identity_order(self)))
+        return float(sum(abs(v) ** 2 for v in self._vals.tolist()))
 
     def _check_context(self, other: "GroupFunction") -> None:
         _require_same_group(self.group, other)
 
 
-def _identity_order(f: _CoefficientStore) -> list:
-    """f's values in the order in which f* g sums its identity coefficient:
-    over a^-1 in index order on a finite group, in key order on a lattice."""
-    if f.group.is_finite:
-        return f._vector()[f.group.inverse_indices()].tolist()
-    return f._vals.tolist()
+@np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN
+def _star_integral(alpha: Cocycle, f: _CoefficientStore, g: _CoefficientStore) -> tuple:
+    """(integral(f_hat* g_hat), f(a), g(a)) under alpha, the values as summed.
+    Only the terms conj(f(a)) g(a) exp(i alpha(a^-1, a)) reach the identity; they
+    are summed in the product kernel's order, so the integral is the product's to
+    the bit, and refused where the product is.  Terms where f or g is 0 add 0."""
+    _require_same_group(f.group, alpha)
+    _require_normalized(alpha, "the involution")
+    if f.group.is_finite:  # the kernel's order: every a^-1, in index order
+        inv = f.group.inverse_indices()
+        fv, gv = f._vector()[inv], g._vector()[inv]  # f(a), g(a) at the index of a^-1
+        weights = np.exp(1j * alpha.phase_matrix()[np.arange(len(inv)), inv])
+    else:  # f's key order, then g's other rows, where f(a) = 0
+        keys, fv, gv = _aligned(f, g)
+        sides = ((f._keys, g._keys), (g._keys, f._keys))  # f* g holds x(b - a)
+        if len(f) and len(g) and max(np.max(B.max(axis=0) - A.min(axis=0))
+                                     for A, B in sides) > LATTICE_COORD_LIMIT:
+            raise ValueError("lattice coordinates of f* g exceed 2**53 in absolute value")
+        weights = np.exp(1j * alpha.phases(-keys[:, None], keys[:, None]))[:, 0]
+    h = np.zeros(1, dtype=complex)
+    np.add.at(h, np.zeros(len(fv), dtype=np.intp), fv.conj() * gv * weights)
+    ident = GroupFunction._wrap(f.group, np.zeros((1, f._keys.shape[1]), np.int64), h)
+    return ident._at(0), fv, gv  # the identity's bin, pruned or refused like a product's
 
 
 def _random_function(group: Group, rng, *, box: int = 4,
@@ -76,20 +93,17 @@ def ati_integral(u: AlgebraElement) -> complex:
 
 def completeness_check(group: Group, alpha: Cocycle, *,
                        tol: float = 1e-12) -> VerificationReport:
-    """Assemble M[b, c] = integral(x(b) x(c^-1)) and compare with the identity.
+    """Compare M[b, c] = integral(x(b) x(c^-1)) with the identity matrix.
 
-    With a normalized cocycle the only surviving entries are b = c with
-    phase alpha(b, b^-1) = 0, so M must be the identity matrix; this guards
-    the equivalence between identity-coefficient extraction and the
-    conjugation-matrix form of the functional.
+    x(b) x(c^-1) = exp(i alpha(b, c^-1)) x(bc^-1) reaches the identity only where
+    b = c, so M is diagonal and only exp(i alpha(b, b^-1)) is read: 1 for a
+    normalized cocycle.  This guards the equivalence between identity-coefficient
+    extraction and the conjugation-matrix form of the functional.
     """
     _require_finite_group(group, "the completeness check")
     _require_normalized(alpha, "the completeness check")
-    # x(b) x(c^-1) = E[b, c^-1] x(bc^-1); its integral survives only where
-    # bc^-1 is the identity, which is index 0 in every finite group.
-    inv = group.inverse_indices()
-    M = np.where(group.index_table()[:, inv] == 0, alpha.phase_exp()[:, inv], 0)
-    worst = float(np.max(np.abs(M - np.eye(group.order))))
+    diag = np.exp(1j * alpha.phase_matrix()[np.arange(group.order), group.inverse_indices()])
+    worst = float(np.max(np.abs(diag - 1)))
     report = VerificationReport(suite="completeness")
     report.add("identity_resolution", worst, tol)
     return report
@@ -125,14 +139,8 @@ def scalar_product(f: GroupFunction, g: GroupFunction,
     f._check_context(g)
     if alpha is None:
         alpha = zero_cocycle(f.group)
-    _require_normalized(alpha, "the algebra route of the scalar product")
-    if f.group.is_finite:
-        pairs = zip(_identity_order(f), _identity_order(g))
-    else:
-        pairs = ((v, g.get(a)) for a, v in f.items())
-    direct = sum(v.conjugate() * w for v, w in pairs)
-    via_algebra = ati_integral(as_algebra_element(f, alpha).star()
-                               * as_algebra_element(g, alpha))
+    via_algebra, fv, gv = _star_integral(alpha, f, g)
+    direct = sum(v.conjugate() * w for v, w in zip(fv.tolist(), gv.tolist()))
     if abs(via_algebra - direct) > tol:
         raise CrossCheckError(
             f"scalar product routes disagree: algebra {via_algebra!r} "

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,7 +188,7 @@ class TestConvolve:
                          "--in2", f2, "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["result"] == json.loads(open(f1).read())
+        assert data["result"] == json.loads(Path(f1).read_text())
 
     def test_clockshift_cross_check(self, tmp_path, torus_group):
         cocycle = write(tmp_path / "c.json", {"kind": "clockshift"})
@@ -570,7 +571,7 @@ class TestConvolutionTheorem:
         mat = np.array([[complex(re, im) for re, im in row]
                         for row in data["transform"]["matrix"]])
         g = pa.make_cyclic_power(4, 2)
-        alpha = cocycle_from_spec(json.loads(open(cocycle).read()), g)
+        alpha = cocycle_from_spec(json.loads(Path(cocycle).read_text()), g)
         R = pa.regular_reps(g, pa.normalize(g, alpha)[0]).R
         assert np.allclose(mat, 0.6 * R[(1, 2)] + 0.8j * R[(3, 1)], atol=1e-15)
 

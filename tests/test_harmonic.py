@@ -444,12 +444,14 @@ def plancherel_cases():
 @pytest.mark.parametrize("group, alpha", plancherel_cases(),
                          ids=lambda x: repr(x)[:40])
 def test_plancherel_identity_bin_is_the_products_to_the_bit(group, alpha, monkeypatch):
-    """plancherel_values sums only the identity bin of f* f, in the kernel's
-    order: the full product, kept here as the oracle, gives the same bits."""
+    """plancherel_values and scalar_product sum only the identity bin of f* g,
+    in the kernel's order: the full product, kept here as the oracle, gives
+    the same bits, for g = f and for a g with a support of its own."""
     from projalg import algebra
-    rng = np.random.default_rng(group.order if group.is_finite else group.d)
-    cases = []
-    for _ in range(25):
+    seed = group.order if group.is_finite else group.d
+    rng, rng_g = np.random.default_rng(seed), np.random.default_rng(seed + 100)
+
+    def random_function(rng):
         if group.is_finite:
             k = int(rng.integers(0, group.order + 1))
             keys = [group.element_at(int(i))
@@ -459,16 +461,23 @@ def test_plancherel_identity_bin_is_the_products_to_the_bit(group, alpha, monkey
                                                             group.d)).tolist()]
         scale = 10.0 ** rng.integers(-9, 6, len(keys))
         vals = (rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))) * scale
-        f = pa.GroupFunction(group, dict(zip(keys, vals.tolist())))
-        fhat = pa.as_algebra_element(f, alpha)
-        cases.append((f, pa.ati_integral(fhat.star() * fhat)))
+        return pa.GroupFunction(group, dict(zip(keys, vals.tolist())))
+
+    cases = []
+    for _ in range(25):
+        f, g = random_function(rng), random_function(rng_g)
+        fhat, ghat = pa.as_algebra_element(f, alpha), pa.as_algebra_element(g, alpha)
+        cases.append((f, g, pa.ati_integral(fhat.star() * fhat),
+                      pa.ati_integral(fhat.star() * ghat)))
 
     def no_product(*args):
-        raise AssertionError("plancherel_values formed a full product")
+        raise AssertionError("the identity bin formed a full product")
 
     monkeypatch.setattr(algebra, "_multiply", no_product)
-    for f, expected in cases:
+    for f, g, expected, expected_fg in cases:
         assert repr(pa.plancherel_values(f, alpha)[0]) == repr(expected)
+        # Scaled values can leave the routes 1e-13 apart; only the bits count here.
+        assert repr(pa.scalar_product(f, g, alpha, tol=np.inf)) == repr(expected_fg)
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,55 @@ class TestIntegral:
             assert val.real >= 0.0
 
 
+def dense_completeness_residual(group, alpha):
+    """The oracle: the dense M[b, c] = integral(x(b) x(c^-1)) against np.eye."""
+    inv = group.inverse_indices()
+    M = np.where(group.index_table()[:, inv] == 0, alpha.phase_exp()[:, inv], 0)
+    return float(np.max(np.abs(M - np.eye(group.order))))
+
+
+def completeness_cases():
+    """Normalized coboundaries and bicharacters, each also with alpha(b, b^-1)
+    moved off 0 within the normalization tolerance, so residuals are nonzero."""
+    rng = np.random.default_rng(11)
+    cases = [(g, normalized_coboundary(g, rng))
+             for g in (pa.symmetric_group(3), pa.symmetric_group(4),
+                       pa.make_cyclic_power(5, 1), pa.make_cyclic_power(3, 3))]
+    for n, d in ((4, 2), (6, 2), (3, 3)):
+        g = pa.make_cyclic_power(n, d)
+        coords = np.array(list(g.elements()))
+        bichar = 2 * np.pi * np.outer(coords[:, 0], coords[:, 1]) / n
+        cases.append((g, pa.normalize(g, pa.TabulatedCocycle(g, bichar))[0]))
+    for g, alpha in list(cases):
+        table = alpha.phase_matrix().copy()
+        ar, inv = np.arange(1, g.order), g.inverse_indices()[1:]
+        table[ar, inv] += rng.uniform(-5e-13, 5e-13, g.order - 1)
+        cases.append((g, pa.TabulatedCocycle(g, table)))
+    return cases + [(pa.symmetric_group(4), pa.zero_cocycle(pa.symmetric_group(4)))]
+
+
 class TestCompleteness:
+    @pytest.mark.parametrize("group, alpha", completeness_cases(),
+                             ids=lambda x: repr(x)[:30])
+    def test_diagonal_residual_is_the_dense_ones(self, group, alpha):
+        report = pa.completeness_check(group, alpha)
+        assert report.checks[0].max_residual == dense_completeness_residual(group, alpha)
+        assert report.passed
+
+    def test_memory_at_order_1024(self):
+        group = pa.make_cyclic_power(32, 2)
+        alpha = pa.zero_cocycle(group)
+        alpha.phase_exp()  # E cached, as in verify
+        pa.completeness_check(group, alpha)  # and the group's index arrays
+        tracemalloc.start()
+        try:
+            report = pa.completeness_check(group, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 ** 20
+
     def test_z2_zero(self, z2):
         assert pa.completeness_check(z2, pa.zero_cocycle(z2)).passed
 
@@ -146,6 +196,20 @@ class TestScalarProduct:
     def test_group_mismatch(self, z2, z4, rng):
         with pytest.raises(pa.ContextMismatchError):
             pa.scalar_product(random_function(z2, rng), random_function(z4, rng))
+
+    def test_lattice_range_follows_the_pairs_of_f_star_g(self, lattice2):
+        """f* g holds x(b - a) for a in f, b in g: refused only beyond 2**53,
+        as the full product refused it."""
+        edge = 2 ** 53
+
+        def fn(*points):
+            return pa.GroupFunction(lattice2, {p: 1.0 for p in points})
+
+        assert pa.scalar_product(fn((edge, 0), (-edge, 0)), fn((0, 0))) == 0j
+        for f, g in ((fn((edge, 0)), fn((-edge, 0))), (fn((-edge, 0)), fn((edge, 0))),
+                     (fn((edge, 0), (-1, 0)), fn((edge, 0)))):
+            with pytest.raises(ValueError, match="exceed 2"):
+                pa.scalar_product(f, g)
 
     @pytest.mark.parametrize("check", ["scalar_product", "plancherel_check"])
     def test_routes_agree_at_order_1000(self, check, rng):

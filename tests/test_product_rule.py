@@ -11,6 +11,7 @@ one dense matrix product) at a time, and the batched dense matmul pass
 
 import cmath
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -478,6 +479,20 @@ def test_non_finite_phase_is_refused_without_the_check(entry):
     # The product-rule pass itself still reports a NaN residual, not an error.
     with np.errstate(invalid="ignore"):  # 0 * inf
         assert np.isnan(projective_product_rule(g, perm, phase, pa.zero_cocycle(g))[1])
+
+
+@pytest.mark.parametrize("entry", [np.inf, complex(np.inf, np.nan)])
+@pytest.mark.parametrize("measure", [False, True])
+def test_product_rule_pass_on_an_infinite_phase_warns_nothing(entry, measure):
+    # Its NaN-column pass forms 0 * inf under the function's own errstate.
+    g, perm, phase = _z2_family()
+    phase = phase.copy()
+    phase[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        worst = projective_product_rule(g, perm, phase,
+                                        None if measure else pa.zero_cocycle(g))[1]
+    assert np.isnan(worst)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -172,6 +172,94 @@ class TestInternalResultsAreCanonical:
             assert_canonical_result(pa.derive(pa.CoordinateDerivation(g, 0), u))
 
 
+def ref_max_diff(u, v):
+    """The dict max_diff the store ran before its key-row union: the oracle."""
+    a, b = dict(u.items()), dict(v.items())
+    return max((abs(a.get(k, 0j) - b.get(k, 0j)) for k in a.keys() | b.keys()),
+               default=0.0)
+
+
+def ref_add(u, v):
+    """The dict sum of u + v's items in first-seen order: the oracle of u + v."""
+    acc = {}
+    for k, c in u.items() + v.items():
+        acc[k] = acc.get(k, 0j) + complex(c)
+    return pa.AlgebraElement(u.group, u.cocycle, acc)
+
+
+@st.composite
+def store_pairs(draw):
+    """(group, cocycle, two coefficient dicts) with disjoint, overlapping,
+    equal or empty supports; on shared keys g may cancel f."""
+    spec = draw(st.sampled_from(GROUPS))
+    g = build_group(*spec)
+    alpha = draw(st.sampled_from(normalized_cocycles(*spec)))
+    if g.is_finite:
+        keys = st.integers(0, g.order - 1).map(g.element_at)
+    else:
+        keys = st.tuples(*[st.integers(-6, 6)] * g.d)
+    pool = draw(st.lists(keys, unique=True, max_size=16))
+    cut = draw(st.integers(0, len(pool)))
+    relation = draw(st.sampled_from(["disjoint", "overlapping", "equal", "empty"]))
+    if relation == "disjoint":
+        fk, gk = pool[:cut], pool[cut:]
+    elif relation == "overlapping":
+        fk, gk = pool[:cut], pool[draw(st.integers(0, cut)):]
+    elif relation == "equal":
+        fk, gk = pool, draw(st.permutations(pool))
+    else:
+        fk, gk = pool[:cut], []
+    values = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                allow_infinity=False)
+    # Real parts of 0.0, which negation turns into -0.0.
+    values = st.one_of(values, values.map(lambda c: complex(0.0, c.imag)))
+    c1 = {k: draw(values) for k in fk}
+    c2 = {k: draw(st.one_of(values, st.just(-c1[k]))) if k in c1 else draw(values)
+          for k in gk}
+    return g, alpha, c1, c2
+
+
+@SETTINGS
+@given(store_pairs())
+def test_sum_and_max_diff_match_the_dict_oracles(ctx):
+    g, alpha, c1, c2 = ctx
+    u, v = pa.AlgebraElement(g, alpha, c1), pa.AlgebraElement(g, alpha, c2)
+    # The public constructor adds each value to 0j, so its stores hold no -0.0;
+    # negated stores do, and the dict sum turns -0.0 + -0.0 into 0.0.
+    for a, b in ((u, v), (v, u), (u, u), (u, -v), (-u, -v)):
+        assert repr(a.max_diff(b)) == repr(ref_max_diff(a, b))
+        f = pa.GroupFunction(g, dict(b.items()))
+        assert repr(f.max_diff(a)) == repr(ref_max_diff(f, a))
+        got, expected = a + b, ref_add(a, b)
+        assert got.items() == expected.items()  # row order and values
+        assert got._keys.tobytes() == expected._keys.tobytes()
+        assert got._vals.tobytes() == expected._vals.tobytes()  # signed zeros too
+        assert_canonical_result(got)
+
+
+def test_lattice_scalar_product_makes_no_point_lookup(monkeypatch):
+    g = pa.make_lattice(2)
+    rng = np.random.default_rng(20)
+
+    def random_function():
+        """2,000 points of a 60 x 60 box, so two functions share about 1,100."""
+        cells = rng.choice(3600, 2000, replace=False)
+        keys = [(int(c) // 60 - 30, int(c) % 60 - 30) for c in cells]
+        vals = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        return pa.GroupFunction(g, dict(zip(keys, vals.tolist())))
+
+    f, h = random_function(), random_function()
+    assert len(f) == len(h) == 2000
+    direct = sum(c.conjugate() * h.get(a) for a, c in f.items())
+
+    def lookup(*args):
+        raise AssertionError("scalar_product looked up a point")
+
+    for name in ("coeff", "get"):
+        monkeypatch.setattr(pa.GroupFunction, name, lookup)
+    assert pa.scalar_product(f, h) == pytest.approx(direct, abs=1e-12)
+
+
 @functools.lru_cache(maxsize=None)
 def regular_rep(g):
     return pa.regular_matrix_rep(g)
