@@ -92,6 +92,8 @@ def _parse_seed(text: str) -> int:
 
 
 def _config(args) -> RunConfig:
+    if args.tol is not None and not 0 < args.tol < float("inf"):
+        raise InputError(f"tol must be finite and above 0, got {args.tol!r}")
     group = _parse(args.group, "group", group_from_spec, _load_json(args.group))
     spec = {"kind": "zero"} if args.cocycle is None else _load_json(args.cocycle)
     cocycle = _parse(args.cocycle, "cocycle", cocycle_from_spec, spec, group)

@@ -126,6 +126,8 @@ def matrix_representation(n: int, *, normalized: bool = True) -> MatrixRepresent
     if normalized and not alpha.normalized:
         alpha, phi = normalize(group, alpha)
         phase = np.exp(-1j * phi.table())[:, None] * phase
+    for arr in (perm, phase):  # fresh arrays: held read-only, not copied
+        arr.setflags(write=False)
     return MatrixRepresentation(group, alpha, (perm, phase))
 
 

@@ -55,27 +55,21 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
     of P holds phase[a, j] phase[b, perm[a, j]] in column perm[b, perm[a, j]]:
     O(order dim) work per a.  Without a ``cocycle``, alpha(a, b) is measured
     as the angle of the mean ratio P / Q over the entries of Q of modulus
-    above 0.5.  Residuals and NaNs are those of dense matrices, where 0 * nan
-    is nan.  Returns (phase table, worst residual, worst pair); callers
-    accept only ``worst < tol``.
+    above 0.5.  It takes a family that :func:`_as_monomial` accepted, so
+    every phase is finite, and its residuals are those of dense matrices.
+    Returns (phase table, worst residual, worst pair); callers accept only
+    ``worst < tol``.
     """
     T = group.index_table()
-    order, dim = perm.shape
     table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
     res = np.empty(T.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        # nan_col[b, k] is nan where column k of M(b) holds a NaN, else 0.
-        nan_col = np.zeros((order, dim), dtype=complex)
-        np.add.at(nan_col, (np.arange(order)[:, None], perm), 0 * phase)
-        poisoned = bool(np.isnan(nan_col).any())
-        for ia in range(order):
+        for ia in range(len(T)):
             p_val = phase[ia] * phase[:, perm[ia]]
             q_col, q_val = perm[T[ia]], phase[T[ia]]
             moved = perm[:, perm[ia]] != q_col
             # P at Q's entry of each row, as a dense product computes it.
             p_at_q = np.where(moved, 0 * phase[ia], p_val) if moved.any() else p_val
-            if poisoned:
-                p_at_q = p_at_q + np.take_along_axis(nan_col, q_col, 1)
             if cocycle is None:
                 mask = np.abs(q_val) > 0.5
                 ratios = np.where(mask, p_at_q / q_val, 0)
@@ -90,13 +84,14 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
 
 
 def _as_monomial(group: Group, matrices, tol: float) -> tuple:
-    """(perm, phase) of a family: a (perm, phase) pair of (order, dim) arrays,
-    checked but not copied, or converted once from a mapping of each element
-    to its dense square matrix.
+    """(perm, phase) of a family, the one gate for matrix families: a (perm, phase)
+    pair of (order, dim) arrays, checked but not copied, or converted once from
+    a mapping of each element to its dense square matrix.
 
     Row j keeps its largest entry; a matrix with a non-finite entry, or any
     other entry above ``tol``, raises RepresentationInconsistencyError, and so
-    does a non-finite phase.  A bad shape or column index raises ValueError.
+    does a non-finite phase: the passes after it see finite phases only.  A bad
+    shape or column index raises ValueError.
     """
     if isinstance(matrices, tuple):
         perm, phase = map(np.asarray, matrices)
@@ -134,9 +129,9 @@ class MatrixRepresentation:
     The family is monomial, held as two read-only (order, dim) arrays in
     ``group.indexing()`` order: row j of M(a) holds ``phase[a, j]`` in
     column ``perm[a, j]``.  ``matrices`` maps each element to its dense
-    matrix, or is the (perm, phase) pair itself.  :func:`projective_product_rule`
-    checks the family at construction; inconsistent or non-finite data
-    raises rather than silently carrying a wrong cocycle.
+    matrix, or is the (perm, phase) pair itself, held as is where read-only and
+    else copied.  Non-finite data is refused where it enters, and with ``check``
+    :func:`projective_product_rule` checks the family; either raises on bad data.
     """
 
     kind = "matrix"
@@ -145,7 +140,8 @@ class MatrixRepresentation:
                  check: bool = True, tol: float = 1e-10):
         _require_same_group(group, cocycle)
         _require_finite_group(group, "a matrix representation")
-        perm, phase = _as_monomial(group, matrices, tol)
+        perm, phase = (a.copy() if a.flags.writeable else a
+                       for a in _as_monomial(group, matrices, tol))
         for arr in (perm, phase):
             arr.setflags(write=False)
         self.group, self.cocycle, self.perm, self.phase = group, cocycle, perm, phase

@@ -29,13 +29,18 @@ from .integration import GroupFunction
 
 
 def group_from_spec(spec: dict) -> Group:
-    """The group of a spec.  D above DIMENSION_LIMIT is refused before (Z_n)^D
-    computes n**D; an order above VALIDATION_ORDER_LIMIT, after it."""
+    """The group of a spec, whose n and D may not be a bool or a float with a
+    fraction.  D above DIMENSION_LIMIT is refused before (Z_n)^D computes n**D;
+    an order above VALIDATION_ORDER_LIMIT, after it."""
     kind = spec.get("kind")
     if kind == "table":
         return make_finite_from_table(spec["table"], spec.get("elements"))
     if kind not in ("cyclic_power", "lattice"):
         raise ValueError(f"unknown group kind {kind!r}")
+    for field in ("d",) if kind == "lattice" else ("d", "n"):
+        v = spec.get(field)  # int() would truncate these; a missing field fails below
+        if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"group field {field!r} must be an integer, got {v!r}")
     d = int(spec["d"])
     if d > DIMENSION_LIMIT:
         raise ValueError(f"group dimension {d} exceeds the limit {DIMENSION_LIMIT}")

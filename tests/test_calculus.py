@@ -196,6 +196,13 @@ class TestAutomorphism:
         chained = pa.apply_automorphism(s1, pa.apply_automorphism(s2, u))
         assert combined.max_diff(chained) < 1e-14
 
+    def test_inverse_composes_to_the_identity(self, lattice2, bilinear2, rng):
+        s = pa.Automorphism(lattice2, (0.4, -1.1))
+        identity = s.compose(s.inverse())
+        assert identity.phi == (0.0, 0.0)
+        u = random_lattice_element(lattice2, bilinear2, rng)
+        assert pa.apply_automorphism(identity, u).max_diff(u) == 0.0
+
     def test_star_commutation(self, lattice2, bilinear2, rng):
         # conjugating the phase and inverting the label cancel, so the
         # involution commutes with S(phi) outright (conjugation by a unitary

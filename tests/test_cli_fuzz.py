@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -240,3 +241,32 @@ def test_a_dimension_written_as_a_string_is_refused_at_once(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
     assert "group dimension 100000000 exceeds the limit 64" in proc.stderr
+
+
+Z3SQ = as_text({"kind": "cyclic_power", "n": 3, "d": 2})
+
+
+def assert_refused(code, err, caught, *needles):
+    assert (code, caught) == (2, [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("command", ["verify", "fourier", "convolve"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "0", "-1"])
+def test_a_tolerance_not_finite_and_above_zero_is_refused(command, tol):
+    """A NaN or infinite --tol cannot be written to a report, and one at or below
+    0 fails every check: each is refused before any input is read."""
+    assert_refused(*run_main([command, "--tol", tol], Z3SQ, ZERO, F),
+                   "tol must be finite and above 0")
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "cyclic_power", "n": 4.7, "d": 2}, "'n' must be an integer, got 4.7"),
+    ({"kind": "cyclic_power", "n": True, "d": 2}, "'n' must be an integer, got True"),
+    ({"kind": "cyclic_power", "n": 3, "d": 2.9}, "'d' must be an integer, got 2.9"),
+    ({"kind": "lattice", "d": 2.5}, "'d' must be an integer, got 2.5")],
+    ids=["n-fraction", "n-bool", "d-fraction", "lattice-d-fraction"])
+def test_a_group_field_that_int_would_truncate_is_refused(spec, named):
+    assert_refused(*run_main(["verify"], as_text(spec), ZERO, F), named)

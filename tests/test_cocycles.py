@@ -518,6 +518,27 @@ class TestGaugeTransform:
         diff = reduce_phase(gauged.phase_matrix() - remeasured.phase_matrix())
         assert np.max(np.abs(diff)) < 1e-10
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_lazy_gauge_tabulates_as_the_gauge_transform(self, s3, sign):
+        """GaugedCocycle's phase_matrix and phase_exp are the base class's
+        per-pair loops; a mapping-backed phase (and its negation) is
+        tabulated by calling it per element."""
+        phi = pa.GaugePhase.from_mapping(s3, {1: 0.4, 2: -1.3, 3: 2.9, 5: 0.7})
+        phi = phi if sign == 1 else -phi
+        lazy = pa.GaugedCocycle(pa.zero_cocycle(s3), phi)
+        table = pa.GaugePhase.from_table(s3, phi.table())
+        for psi in (phi, table):
+            eager = pa.gauge_transform(pa.zero_cocycle(s3), psi)
+            assert np.max(np.abs(reduce_phase(
+                lazy.phase_matrix() - eager.phase_matrix()))) < 1e-15
+            assert np.max(np.abs(lazy.phase_exp() - eager.phase_exp())) < 1e-15
+        assert pa.validate_cocycle(s3, lazy).passed
+        assert pa.normalize(s3, lazy)[0].normalized
+
+    def test_zero_phase_on_a_lattice(self, lattice2):
+        phi = pa.GaugePhase.zero(lattice2)
+        assert [phi.value(a) for a in [(0, 0), (3, -7)]] == [0.0, 0.0]
+
     def test_lattice_gauged_backing(self, lattice2):
         alpha = pa.BilinearCocycle(lattice2, [[0.0, 0.5], [0.0, 0.0]])
         phi = pa.GaugePhase.from_mapping(lattice2, {(1, 0): 0.3})

@@ -233,6 +233,13 @@ def test_group_function_canonicalizes_and_prunes():
     assert len(f) == 1
 
 
+@pytest.mark.parametrize("group", [pa.make_cyclic_power(3, 2), pa.make_lattice(2)])
+def test_norm_sq_sums_the_squared_moduli(group):
+    f = pa.GroupFunction(group, {(1, 2): 3 - 4j, (2, 0): 0.5, (0, 1): -2j})
+    assert f.norm_sq() == pytest.approx(sum(abs(v) ** 2 for _, v in f.items()))
+    assert f.norm_sq() == 29.25  # 25 + 0.25 + 4, exact in binary
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    complex(float("nan"), 0.0)])
 def test_group_function_rejects_non_finite(value):

@@ -267,5 +267,6 @@ class TestGroupSpecBounds:
 
     def test_order_bound(self):
         assert serialize.group_from_spec({"kind": "cyclic_power", "n": "2", "d": "10"}).order == 1024
+        assert serialize.group_from_spec({"kind": "cyclic_power", "n": 4.0, "d": 2.0}).order == 16
         with pytest.raises(ValueError, match="group order 2048 exceeds the limit 1024"):
             serialize.group_from_spec({"kind": "cyclic_power", "n": 2, "d": 11})
