@@ -373,13 +373,18 @@ def self_conjugacy_residual(group: Group, alpha: Cocycle) -> float:
     """max over a of |C R(a) C - L(a)|, without building any matrix.
 
     Row x of both sides has one entry, in column a^-1 x: E[x^-1, a] in
-    C R(a) C and E[a, a^-1 x] in L(a), with E = exp(i alpha).
+    C R(a) C and E[a, a^-1 x] in L(a), with E = exp(i alpha), taken over
+    ``_blocks`` of rows x; ``np.maximum`` propagates NaN as one ``np.max`` would.
     """
     _require_regular_context(group, alpha)
     E = alpha.phase_exp()
-    T = group.index_table()
     inv = group.inverse_indices()
-    return float(np.max(np.abs(E[inv, :].T - np.take_along_axis(E, T[inv], 1))))
+    worst = 0.0
+    for r in _blocks(group.order, group.order):
+        diff = E[inv, r].T  # a gather: subtracted in place, no third block
+        diff -= np.take_along_axis(E[r], group.index_table()[inv[r]], 1)
+        worst = np.maximum(worst, np.max(np.abs(diff)))
+    return float(worst)
 
 
 def conjugation_matrix(group: Group, alpha: Cocycle, *, tol: float = 1e-12) -> np.ndarray:

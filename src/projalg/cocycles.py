@@ -279,9 +279,17 @@ class GaugedCocycle(Cocycle):
 
 
 def zero_cocycle(group: Group) -> Cocycle:
-    """The vector case: alpha identically zero."""
+    """The vector case: alpha identically zero.  On a finite group the tables
+    are 0-stride views of one read-only 1+0j and its imaginary part: no order**2
+    array is built, and no array in the views' base chain is writeable."""
     if group.is_finite:
-        return TabulatedCocycle(group, np.zeros((group.order, group.order)))
+        one = np.array(1 + 0j)
+        one.setflags(write=False)
+        alpha = TabulatedCocycle.__new__(TabulatedCocycle)
+        alpha.group, alpha.normalized = group, True
+        alpha._exp = np.broadcast_to(one, (group.order, group.order))
+        alpha._table = alpha._exp.imag
+        return alpha
     return BilinearCocycle(group, np.zeros((group.d, group.d)))
 
 
@@ -480,10 +488,10 @@ def check_identities(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     * alpha(a^-1, b^-1) = -alpha(b, a)
     * alpha(ab, b^-1) = alpha(b^-1, a^-1)
 
+    Finite groups check the last three over ``_blocks`` of first elements a.
     On lattices the ``samples`` seeded pairs come from one draw over
     [-box, box]^D and each identity is one array expression over
-    :meth:`Cocycle.phases`; a NaN phase makes its check's residual NaN and
-    fails it.
+    :meth:`Cocycle.phases`.  A NaN phase makes its check's residual NaN.
     """
     _require_same_group(group, alpha)
     _require_normalized(alpha, "the identity check")
@@ -493,27 +501,33 @@ def check_identities(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
         T = group.index_table()
         inv = group.inverse_indices()
         ar = np.arange(group.order)
-        prod_inv = A[T, inv]                        # alpha(ab, b^-1)
-        M = A[np.ix_(inv, inv)]                     # alpha(a^-1, b^-1)
-        sides = (A[inv, ar] - A[ar, inv], A + prod_inv, M + A.T, prod_inv - M.T)
+        worst = [_max_abs_phase(A[inv, ar] - A[ar, inv]), 0.0, 0.0, 0.0]
+        for r in _blocks(group.order, group.order):  # one side of one block alive at a time
+            prod_inv = A[T[r], inv]                                    # alpha(ab, b^-1)
+            worst[1] = _max_abs_phase(A[r] + prod_inv, worst[1])
+            worst[2] = _max_abs_phase(A[inv[r, None], inv] + A[:, r].T, worst[2])
+            worst[3] = _max_abs_phase(prod_inv - A[inv[:, None], inv[r]].T, worst[3])
         detail = None
     else:
         a, b = sampling.lattice_points(group, sampling.rng_from_seed(seed),
                                        samples, 2, box=box)
         ia, ib, ab = -a, -b, a + b
         prod_inv = alpha.phases(ab, ib)
-        sides = (alpha.phases(ib, b) - alpha.phases(b, ib),
-                 alpha.phases(a, b) + prod_inv,
-                 alpha.phases(ia, ib) + alpha.phases(b, a),
-                 prod_inv - alpha.phases(ib, ia))
+        worst = map(_max_abs_phase, (alpha.phases(ib, b) - alpha.phases(b, ib),
+                                     alpha.phases(a, b) + prod_inv,
+                                     alpha.phases(ia, ib) + alpha.phases(b, a),
+                                     prod_inv - alpha.phases(ib, ia)))
         detail = f"{samples} sampled pairs, box {box}"
     names = ("inverse_pair_symmetry", "product_cancellation",
              "inverse_antisymmetry", "inverse_exchange")
-    for name, r in zip(names, sides):
-        # np.max propagates NaN, so a NaN phase fails the check.
-        report.add(name, float(np.max(np.abs(reduce_phase(r)), initial=0.0)), tol,
-                   detail=detail if name == names[0] else None)
+    for name, w in zip(names, worst):
+        report.add(name, float(w), tol, detail=detail if name == names[0] else None)
     return report
+
+
+def _max_abs_phase(r: np.ndarray, worst: float = 0.0) -> float:
+    """max(worst, max |reduce_phase(r)|); NaN propagates, so a NaN phase fails."""
+    return np.maximum(worst, np.max(np.abs(reduce_phase(r)), initial=0.0))
 
 
 def commutator_pairing(group: Group, alpha: Cocycle, a, b) -> float:

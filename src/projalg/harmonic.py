@@ -100,7 +100,8 @@ def _as_monomial(group: Group, matrices, tol: float) -> tuple:
                 or not 0 <= perm.min() <= perm.max() < perm.shape[1]):
             raise ValueError(f"a monomial family is two numeric ({group.order}, dim) "
                              "arrays, perm of column indices in [0, dim)")
-        if np.flatnonzero(~(np.abs(phase) < np.inf)).size:  # _keep's ops: no new loop
+        blocks = _blocks(len(phase), phase.shape[1])
+        if not all((np.abs(phase[r]) < np.inf).all() for r in blocks):  # NaN is not < inf
             raise RepresentationInconsistencyError("a monomial family has a non-finite phase")
         return perm, phase
     perm, phase = [], []
@@ -123,15 +124,27 @@ def _as_monomial(group: Group, matrices, tol: float) -> tuple:
     return np.array(perm), np.array(phase)
 
 
+def _held(a: np.ndarray) -> np.ndarray:
+    """``a`` if it and every array in its ``.base`` chain are read-only, else a read-only copy."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        b = b.base
+    if b is not None:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 class MatrixRepresentation:
     """Concrete matrices M(a) with M(a) M(b) = exp(i alpha(a, b)) M(ab).
 
     The family is monomial, held as two read-only (order, dim) arrays in
     ``group.indexing()`` order: row j of M(a) holds ``phase[a, j]`` in
     column ``perm[a, j]``.  ``matrices`` maps each element to its dense
-    matrix, or is the (perm, phase) pair itself, held as is where read-only and
-    else copied.  Non-finite data is refused where it enters, and with ``check``
-    :func:`projective_product_rule` checks the family; either raises on bad data.
+    matrix, or is the (perm, phase) pair itself, held as is where it and every
+    array it views are read-only, else copied.  Non-finite data is refused
+    where it enters, and with ``check`` :func:`projective_product_rule` checks
+    the family; either raises on bad data.
     """
 
     kind = "matrix"
@@ -140,10 +153,7 @@ class MatrixRepresentation:
                  check: bool = True, tol: float = 1e-10):
         _require_same_group(group, cocycle)
         _require_finite_group(group, "a matrix representation")
-        perm, phase = (a.copy() if a.flags.writeable else a
-                       for a in _as_monomial(group, matrices, tol))
-        for arr in (perm, phase):
-            arr.setflags(write=False)
+        perm, phase = map(_held, _as_monomial(group, matrices, tol))
         self.group, self.cocycle, self.perm, self.phase = group, cocycle, perm, phase
         self.dim = int(perm.shape[1])
         if check:

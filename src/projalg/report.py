@@ -53,6 +53,8 @@ class VerificationReport:
 
     def add(self, name: str, max_residual: float, tolerance: float,
             detail: str | None = None) -> CheckResult:
+        if not 0 < float(tolerance) < math.inf:
+            raise ValueError(f"tolerance must be finite and above 0, got {tolerance!r}")
         res = CheckResult(name, float(max_residual), float(tolerance),
                           bool(float(max_residual) < float(tolerance)), detail)
         self.checks.append(res)

@@ -3,11 +3,14 @@
 The one-shot expressions below are the forms these passes had before they
 were split into row or column blocks.  With the budget patched down to a few
 pairs, so that every pass runs many blocks, the product, the matrix transform
-and its inverse must equal their one-shot forms bit for bit, and the
-convolution-theorem residual, whose einsum sums depend on the layout, must
-agree to 1e-14.  A traced run at order 1024 bounds what each pass allocates.
+and its inverse, the identity check, the self-conjugacy residual and the
+monomial gate must equal their one-shot forms bit for bit, NaN phases
+included, and the convolution-theorem residual, whose einsum sums depend on
+the layout, must agree to 1e-14.  A traced run at order 1024 bounds what each
+pass allocates.
 """
 
+import copy
 import json
 import tracemalloc
 from unittest import mock
@@ -17,6 +20,7 @@ import pytest
 
 import projalg as pa
 from projalg import algebra, cocycles, harmonic
+from projalg.phases import reduce_phase
 
 from test_harmonic import bicharacter
 
@@ -55,6 +59,24 @@ def one_shot_residual(rep, f, g, h, v):
     rhs = np.einsum("aj,a->j", rep.phase * gv[rep.perm], f._vector())
     lhs = np.einsum("aj,a->j", moved, h._vector())
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+
+
+def one_shot_identities(group, alpha):
+    A = alpha.phase_matrix()
+    T, inv, ar = group.index_table(), group.inverse_indices(), np.arange(group.order)
+    prod_inv = A[T, inv]
+    M = A[np.ix_(inv, inv)]
+    sides = (A[inv, ar] - A[ar, inv], A + prod_inv, M + A.T, prod_inv - M.T)
+    return [float(np.max(np.abs(reduce_phase(r)), initial=0.0)) for r in sides]
+
+
+def one_shot_self_conjugacy(group, alpha):
+    E, T, inv = alpha.phase_exp(), group.index_table(), group.inverse_indices()
+    return float(np.max(np.abs(E[inv, :].T - np.take_along_axis(E, T[inv], 1))))
+
+
+def one_shot_gate_refuses(phase):
+    return bool(np.flatnonzero(~(np.abs(phase) < np.inf)).size)
 
 
 def s4_coboundary():
@@ -126,6 +148,53 @@ def test_residual_is_the_one_shot_form(group, alpha, budget):
         assert abs(got - one_shot_residual(rep, f, g, h, v)) <= 1e-14
 
 
+def with_nan_phase(alpha, row):
+    """A copy of a normalized tabulated cocycle with alpha(a, b) NaN at one
+    pair of ``row``: tables with NaN are refused at construction, not here."""
+    table = alpha.phase_matrix().copy()
+    table[row, 3] = np.nan
+    table.setflags(write=False)
+    bad = copy.copy(alpha)
+    bad._table, bad._exp = table, None
+    return bad
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("nan_row", [None, 0, 2, -5])
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_identity_passes_are_the_one_shot_forms(group, alpha, nan_row, budget):
+    """check_identities and self_conjugacy_residual give the one-shot maxima,
+    a NaN phase in any block included, and the monomial gate refuses exactly
+    the families whose one-shot test finds a non-finite phase."""
+    alpha_n, _ = pa.normalize(group, alpha)
+    if nan_row is not None:
+        alpha_n = with_nan_phase(alpha_n, nan_row)
+    with mock.patch.object(cocycles, "_CHUNK", budget):
+        report = pa.check_identities(group, alpha_n)
+        residual = algebra.self_conjugacy_residual(group, alpha_n)
+    got = [c.max_residual for c in report.checks]
+    assert float_bits(got) == float_bits(one_shot_identities(group, alpha_n))
+    assert float_bits(residual) == float_bits(one_shot_self_conjugacy(group, alpha_n))
+    assert np.isnan(residual) == (nan_row is not None)
+    perm, phase = group.index_table().T, alpha_n.phase_exp().T
+    for entry in (None, np.nan, np.inf, complex(np.inf, np.nan)):
+        tampered = phase.copy()
+        if entry is not None:
+            tampered[-3, 1] = entry
+        with mock.patch.object(cocycles, "_CHUNK", budget):
+            try:
+                harmonic._as_monomial(group, (perm, tampered), 1e-10)
+                refused = False
+            except pa.RepresentationInconsistencyError:
+                refused = True
+        assert refused == one_shot_gate_refuses(tampered)
+        assert refused == (nan_row is not None or entry is not None)
+
+
 def test_verify_catches_a_mutant_kernel_in_small_blocks(tmp_path, monkeypatch):
     """The kernel with alpha(b, a) in place of alpha(a, b) fails verify's
     convolution theorem also when every pass runs in blocks of 7 pairs."""
@@ -183,7 +252,7 @@ def traced_peak(fn, *args):
 def test_order_1024_passes_hold_a_block():
     """Each order**2 pass at order 1024 traces under 2 MiB above its start
     (the transform: its 16 MiB result and 2 MiB); one-shot, each traced
-    25-40 MiB."""
+    9-56 MiB.  The zero cocycle holds no table: it traced 17 MiB with one."""
     group, alpha = bicharacter(32, 2)
     alpha_n, _ = pa.normalize(group, alpha)
     rep = pa.regular_matrix_rep(group, alpha_n)
@@ -201,3 +270,7 @@ def test_order_1024_passes_hold_a_block():
     assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * MiB
     assert traced_peak(pa.normalize, group, zero) < 2 * MiB
     assert traced_peak(rep.transform, f) < fhat.nbytes + 2 * MiB
+    assert traced_peak(pa.check_identities, group, alpha_n) < 2 * MiB
+    assert traced_peak(algebra.self_conjugacy_residual, group, alpha_n) < 2 * MiB
+    assert traced_peak(harmonic._as_monomial, group, (rep.perm, rep.phase), 1e-10) < 2 * MiB
+    assert traced_peak(pa.zero_cocycle, group) < 64 * 2 ** 10

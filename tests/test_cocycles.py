@@ -457,6 +457,20 @@ class TestSampledLatticeChecks:
         assert not report.passed
 
 
+@pytest.mark.parametrize("group", [pa.make_cyclic_power(4, 2), S3])
+def test_zero_cocycle_holds_no_table(group):
+    """Read-only 0-stride views of one 0.0 and one 1+0j, with the bits, equality
+    and hash of the tabulated all-zero table."""
+    alpha = pa.zero_cocycle(group)
+    tabulated = pa.TabulatedCocycle(group, np.zeros((group.order, group.order)))
+    assert alpha.normalized and alpha == tabulated and hash(alpha) == hash(tabulated)
+    for view, table in ((alpha.phase_matrix(), tabulated.phase_matrix()),
+                        (alpha.phase_exp(), tabulated.phase_exp())):
+        assert view.strides == (0, 0) and not view.flags.writeable
+        assert view.base is not None and not view.base.flags.writeable
+        assert view.dtype == table.dtype and view.tobytes() == table.tobytes()
+
+
 class TestCoboundary:
     def test_zero_phase_gives_zero_cocycle(self, z4):
         alpha = pa.coboundary(z4, pa.GaugePhase.zero(z4))

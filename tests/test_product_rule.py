@@ -258,11 +258,24 @@ def test_caller_arrays_are_copied_not_frozen():
     assert np.array_equal(rep.perm, held[0]) and np.array_equal(rep.phase, held[1])
 
 
+def test_read_only_views_of_writeable_arrays_are_copied():
+    g, perm, phase = _z2_family()
+    bases = perm.copy(), phase.copy()
+    views = [b.view() for b in bases]
+    for v in views:
+        v.setflags(write=False)
+    rep = pa.MatrixRepresentation(g, pa.zero_cocycle(g), tuple(views))
+    held = rep.perm.copy(), rep.phase.copy()
+    bases[0][:], bases[1][1, 0] = 0, 5.0
+    assert np.array_equal(rep.perm, held[0]) and np.array_equal(rep.phase, held[1])
+
+
 def test_read_only_tables_are_held_in_place():
     alpha = _coboundary(S3, 1)
-    rep = pa.regular_matrix_rep(S3, alpha)
-    assert np.shares_memory(rep.phase, alpha.phase_exp())
-    assert np.shares_memory(rep.perm, S3.index_table())
+    for cocycle in (alpha, pa.zero_cocycle(S3)):
+        rep = pa.regular_matrix_rep(S3, cocycle)
+        assert np.shares_memory(rep.phase, cocycle.phase_exp())
+        assert np.shares_memory(rep.perm, S3.index_table())
 
 
 # -- self-conjugacy ------------------------------------------------------------------

@@ -181,6 +181,15 @@ def test_report_bytes():
     assert report.to_json() == expected == ref_dumps(report.to_dict())
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+def test_a_tolerance_not_finite_and_above_zero_is_refused(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and above 0"):
+        pa.VerificationReport(suite="s").add("c", 0.0, tol)
+    g = pa.make_cyclic_power(2, 1)
+    with pytest.raises(ValueError, match="tolerance must be finite and above 0"):
+        pa.validate_cocycle(g, pa.zero_cocycle(g), tol=tol)
+
+
 # 1-D structured arrays are written as the list of dicts their records spell.
 field_names = st.sampled_from(["element", "im", "re", "q", "a%d", "%", "é"])
 field_dtypes = st.sampled_from([np.float64, np.float32, np.float16, ">f8",
