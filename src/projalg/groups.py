@@ -88,11 +88,12 @@ class Group:
     def inverse_indices(self) -> np.ndarray:
         """inverse_indices()[i] is the index of the inverse of element i.
 
-        That is the column of the identity, index 0, in row i of the index table.
+        That is the column of the identity, index 0, in row i of the index table,
+        found from a boolean table: argmin would copy the int64 one.
         """
         cached = self.__dict__.get("_inverse_indices")
         if cached is None:
-            cached = np.argmin(self.index_table(), axis=1)
+            cached = np.nonzero(self.index_table() == 0)[1]
             cached.setflags(write=False)
             self._inverse_indices = cached
         return cached

@@ -169,13 +169,14 @@ class MatrixRepresentation:
 
     def transform(self, f: GroupFunction) -> np.ndarray:
         """sum_a f(a) M(a), scattered over (j, a) in blocks of j: O(order dim) work.
-        An entry's terms share j, so they add in order of a; (T.T, E.T) is read in place."""
+        An entry's terms share j, so they add in order of a; bins and weights are built
+        in (j, a) order, so (T.T, E.T) is read in place, with no transposed copy."""
         _require_same_group(self.group, f)
         vec, d = f._vector(), self.dim
         out = np.zeros(d * d, dtype=complex)
         for c in _blocks(d, len(vec)):
-            bins = np.arange(d)[c] * d + self.perm[:, c]
-            np.add.at(out, bins.T.ravel(), (vec[:, None] * self.phase[:, c]).T.ravel())
+            np.add.at(out, (np.arange(d)[c, None] * d + self.perm[:, c].T).ravel(),
+                      (vec * self.phase[:, c].T).ravel())
         return out.reshape(d, d)
 
 
@@ -268,11 +269,14 @@ def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
         _require_same_group(rep.group, u)
     fv, gv, hv = (u._vector() for u in (f, g, h))
     rho_gv, lhs, rhs = np.empty((3, rep.dim), dtype=complex)
+    # Gathers are weighted in place, phase first: complex * is not commutative to the bit.
     for c in _blocks(rep.dim, len(fv)):
-        moved = rep.phase[:, c] * v[rep.perm[:, c]]  # row a: (M(a) v)[c]; g and h share it
+        moved = v[rep.perm[:, c]]
+        np.multiply(rep.phase[:, c], moved, out=moved)  # row a: (M(a) v)[c]; g and h share it
         rho_gv[c], lhs[c] = (np.einsum("aj,a->j", moved, u) for u in (gv, hv))
     for c in _blocks(rep.dim, len(fv)):
-        rhs[c] = np.einsum("aj,a->j", rep.phase[:, c] * rho_gv[rep.perm[:, c]], fv)
+        moved = rho_gv[rep.perm[:, c]]
+        rhs[c] = np.einsum("aj,a->j", np.multiply(rep.phase[:, c], moved, out=moved), fv)
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
 
 
@@ -300,8 +304,10 @@ def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunc
     if fhat.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
     vals = np.empty(len(rep.perm), dtype=complex)
+    cols = np.arange(rep.dim)
     for r in _blocks(len(vals), rep.dim):  # rows a, so the per-row sums keep their order
-        terms = fhat[np.arange(rep.dim), rep.perm[r]]  # multiplied in place: no third block
+        # A conjugated copy of the phases: conj(sum phase conj(t)) flips signs of exact zeros.
+        terms = fhat[cols, rep.perm[r]]
         vals[r] = np.multiply(rep.phase[r].conj(), terms, out=terms).sum(axis=1)
     return GroupFunction._from_vector(rep.group, vals / rep.dim)
 

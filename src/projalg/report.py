@@ -170,9 +170,11 @@ def _record_blocks(a: np.ndarray):
         offsets += range(offset, offset + count * base.itemsize, base.itemsize)
     flat = a.view(np.dtype({"names": names, "formats": formats, "offsets": offsets,
                             "itemsize": a.dtype.itemsize}))
-    floats = [n for n, f in zip(names, formats) if f.kind == "f"]
-    if floats:
-        _require_finite(np.stack([flat[n] for n in floats], axis=-1))
+    floats = [flat[n] for n, f in zip(names, formats) if f.kind == "f"]
+    # Each field's flags in its own dtype, in output order: a cast warns on a signalling NaN.
+    if floats and not (finite := np.stack([np.isfinite(x) for x in floats], -1)).all():
+        i, j = divmod(int(finite.argmin()), len(floats))
+        raise ValueError(f"non-finite float in report: {float(floats[j][i])!r}")
     row = "{" + ",".join(parts) + "}"
     # A str per block of rows, not per row of the whole array at once.
     blocks = ((",".join([row % r.item() for r in flat[i:i + 256]]),)

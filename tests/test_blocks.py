@@ -3,11 +3,12 @@
 The one-shot expressions below are the forms these passes had before they
 were split into row or column blocks.  With the budget patched down to a few
 pairs, so that every pass runs many blocks, the product, the matrix transform
-and its inverse, the identity check, the self-conjugacy residual and the
-monomial gate must equal their one-shot forms bit for bit, NaN phases
-included, and the convolution-theorem residual, whose einsum sums depend on
-the layout, must agree to 1e-14.  A traced run at order 1024 bounds what each
-pass allocates.
+and its inverse, the identity check, the self-conjugacy residual, the
+triviality test and the monomial gate must equal their one-shot forms bit for
+bit, NaN phases included, and the convolution-theorem residual, whose einsum
+sums depend on the layout, must agree to 1e-14.  Traced runs at orders 216
+and 1024 bound what each pass allocates at the default budget of 2**13 pairs
+(128 KiB of complex128): under 0.75 and 1 MiB, where each traced at most 0.6.
 """
 
 import copy
@@ -75,6 +76,11 @@ def one_shot_self_conjugacy(group, alpha):
     return float(np.max(np.abs(E[inv, :].T - np.take_along_axis(E, T[inv], 1))))
 
 
+def one_shot_beta(alpha):
+    A = alpha.phase_matrix()
+    return float(np.abs(reduce_phase(A - A.T)).max())
+
+
 def one_shot_gate_refuses(phase):
     return bool(np.flatnonzero(~(np.abs(phase) < np.inf)).size)
 
@@ -91,14 +97,15 @@ def contexts():
 
 
 def vectors(group, rng):
-    """Full, sparse (three entries), one-entry and empty coefficient vectors."""
+    """Full, real (whose exact zeros must keep their signs), sparse (three
+    entries), one-entry and empty coefficient vectors."""
     n = group.order
     full = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     sparse = np.zeros(n, dtype=complex)
     sparse[rng.choice(n, 3, replace=False)] = full[:3]
     single = np.zeros(n, dtype=complex)
     single[n - 1] = 2 - 1j
-    return [full, sparse, single, np.zeros(n, dtype=complex)]
+    return [full, full.real + 0j, sparse, single, np.zeros(n, dtype=complex)]
 
 
 def assert_same_bits(got, expected):
@@ -118,18 +125,30 @@ def test_product_is_the_one_shot_kernel(group, alpha, budget):
                 assert_same_bits(got, one_shot_product(group, E, f, g))
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("group, alpha", contexts())
-def test_transform_and_inverse_are_the_one_shot_forms(group, alpha, budget):
-    alpha_n, _ = pa.normalize(group, alpha)
-    rep = pa.regular_matrix_rep(group, alpha_n)
-    for vec in vectors(group, np.random.default_rng(2)):
-        f = pa.GroupFunction._from_vector(group, vec)
+def assert_transform_and_inverse_are_one_shot(rep, budget, rng):
+    for vec in vectors(rep.group, rng):
+        f = pa.GroupFunction._from_vector(rep.group, vec)
         with mock.patch.object(cocycles, "_CHUNK", budget):
             fhat = rep.transform(f)
             back = pa.matrix_rep_inverse(fhat, rep)
         assert_same_bits(fhat, one_shot_transform(rep, f))
         assert_same_bits(back._vector(), one_shot_inverse(fhat, rep)._vector())
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_transform_and_inverse_are_the_one_shot_forms(group, alpha, budget):
+    alpha_n, _ = pa.normalize(group, alpha)
+    rep = pa.regular_matrix_rep(group, alpha_n)
+    assert_transform_and_inverse_are_one_shot(rep, budget, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_row_major_family_is_the_one_shot_form(budget):
+    """A torus family, held row-major, unlike the regular representation's
+    transposed views: its blocks are laid out the other way round."""
+    rep = pa.matrix_representation(6)
+    assert_transform_and_inverse_are_one_shot(rep, budget, np.random.default_rng(6))
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -195,6 +214,18 @@ def test_identity_passes_are_the_one_shot_forms(group, alpha, nan_row, budget):
         assert refused == (nan_row is not None or entry is not None)
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("n, d", [(6, 3), (4, 2)])
+def test_triviality_is_the_one_shot_form(n, d, budget):
+    """is_trivial_abelian compares the one-shot max |beta| with its tolerance:
+    False at that maximum, True one ulp above it."""
+    group, alpha = bicharacter(n, d)
+    beta = one_shot_beta(alpha)
+    with mock.patch.object(cocycles, "_CHUNK", budget):
+        assert not pa.is_trivial_abelian(group, alpha, tol=beta)
+        assert pa.is_trivial_abelian(group, alpha, tol=float(np.nextafter(beta, np.inf)))
+
+
 def test_verify_catches_a_mutant_kernel_in_small_blocks(tmp_path, monkeypatch):
     """The kernel with alpha(b, a) in place of alpha(a, b) fails verify's
     convolution theorem also when every pass runs in blocks of 7 pairs."""
@@ -230,14 +261,14 @@ def test_blocks_cover_the_rows_in_order(n, monkeypatch):
 
 
 def test_validation_buffers_hold_at_most_the_order():
-    """At order 36 the budget fits 303 rows of 36 x 3 triples; the two
+    """At order 36 the budget fits 75 rows of 36 x 3 triples; the two float64
     buffers hold the 36 rows there are."""
     group = pa.make_cyclic_power(6, 2)
     alpha = bicharacter(6, 2)[1]
     group.index_table()
-    row = 8 * 36 * 3
+    row = 36 * 3
     assert cocycles._CHUNK // row > 36
-    assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * 36 * row + 128 * 2 ** 10
+    assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * 8 * 36 * row + 128 * 2 ** 10
 
 
 def traced_peak(fn, *args):
@@ -249,28 +280,41 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_order_1024_passes_hold_a_block():
-    """Each order**2 pass at order 1024 traces under 2 MiB above its start
-    (the transform: its 16 MiB result and 2 MiB); one-shot, each traced
-    9-56 MiB.  The zero cocycle holds no table: it traced 17 MiB with one."""
-    group, alpha = bicharacter(32, 2)
+def assert_passes_hold(n, d, bound):
+    """Each order**2 pass on (Z_n)^d with the bicharacter traces under ``bound``
+    bytes above its start, the transform under its result's bytes plus ``bound``."""
+    group, alpha = bicharacter(n, d)
     alpha_n, _ = pa.normalize(group, alpha)
     rep = pa.regular_matrix_rep(group, alpha_n)
     rng = np.random.default_rng(5)
+    N = group.order
     f, g = (pa.GroupFunction._from_vector(
-        group, rng.standard_normal(1024) + 1j * rng.standard_normal(1024)) for _ in "fg")
+        group, rng.standard_normal(N) + 1j * rng.standard_normal(N)) for _ in "fg")
     h = pa.deformed_convolution(f, g, alpha_n)
-    v = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     fhat = rep.transform(f)
     zero = pa.zero_cocycle(group)
-    MiB = 2 ** 20
-    assert traced_peak(pa.deformed_convolution, f, g, alpha_n) < 2 * MiB
-    assert traced_peak(pa.matrix_rep_inverse, fhat, rep) < 2 * MiB
-    assert traced_peak(harmonic.convolution_theorem_residual, rep, f, g, h, v) < 2 * MiB
-    assert traced_peak(pa.validate_cocycle, group, alpha) < 2 * MiB
-    assert traced_peak(pa.normalize, group, zero) < 2 * MiB
-    assert traced_peak(rep.transform, f) < fhat.nbytes + 2 * MiB
-    assert traced_peak(pa.check_identities, group, alpha_n) < 2 * MiB
-    assert traced_peak(algebra.self_conjugacy_residual, group, alpha_n) < 2 * MiB
-    assert traced_peak(harmonic._as_monomial, group, (rep.perm, rep.phase), 1e-10) < 2 * MiB
+    assert traced_peak(pa.deformed_convolution, f, g, alpha_n) < bound
+    assert traced_peak(pa.matrix_rep_inverse, fhat, rep) < bound
+    assert traced_peak(harmonic.convolution_theorem_residual, rep, f, g, h, v) < bound
+    assert traced_peak(pa.validate_cocycle, group, alpha) < bound
+    assert traced_peak(pa.normalize, group, zero) < bound
+    assert traced_peak(rep.transform, f) < fhat.nbytes + bound
+    assert traced_peak(pa.check_identities, group, alpha_n) < bound
+    assert traced_peak(algebra.self_conjugacy_residual, group, alpha_n) < bound
+    assert traced_peak(harmonic._as_monomial, group, (rep.perm, rep.phase), 1e-10) < bound
+    assert traced_peak(pa.is_trivial_abelian, group, alpha) < bound
     assert traced_peak(pa.zero_cocycle, group) < 64 * 2 ** 10
+
+
+def test_order_1024_passes_hold_a_block():
+    """At order 1024 each pass traced 0.2-0.6 MiB; with blocks of 2**15 pairs,
+    0.4-1.7 MiB, and one-shot, 9-56 MiB (is_trivial_abelian 21 MiB).  The zero
+    cocycle holds no table: it traced 17 MiB with one."""
+    assert_passes_hold(32, 2, 2 ** 20)
+
+
+def test_order_216_passes_hold_a_block():
+    """At order 216 blocks of 2**15 pairs were two, the first 70 % of the pass,
+    and most passes traced 0.9-1.3 MiB; blocks of 2**13 pairs trace 0.2-0.5 MiB."""
+    assert_passes_hold(6, 3, 3 * 2 ** 18)

@@ -284,7 +284,7 @@ class TestChunkedValidation:
             # check's own.
             g.index_table()
             k = generator_columns(g)[0].size
-            # Two float64 work buffers of _CHUNK triples (256 KiB each) and a few
+            # Two float64 work buffers of _CHUNK triples (64 KiB each) and a few
             # order x k phase and index columns; one order**3 float64 array
             # of the exhaustive triples alone is 8 * order**3 bytes.
             expected = 2 * 8 * max(cocycles._CHUNK, order * k) + 4 * 8 * order * k

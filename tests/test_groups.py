@@ -82,6 +82,29 @@ class TestCyclicPower:
             tracemalloc.stop()
         assert peak <= 2 * table.nbytes
 
+    @pytest.mark.parametrize("group", [
+        symmetric_group(3), symmetric_group(4), make_cyclic_power(1, 1),
+        make_cyclic_power(5, 1), make_cyclic_power(4, 3), make_cyclic_power(6, 2)])
+    def test_inverse_indices_match_argmin(self, group):
+        """The column of the identity in each row, as argmin over the table found it."""
+        expected = np.argmin(group.index_table(), axis=1)
+        inv = group.inverse_indices()
+        assert inv.dtype == expected.dtype
+        assert np.array_equal(inv, expected)
+        assert not inv.flags.writeable
+
+    def test_inverse_indices_memory(self):
+        """At order 1024 a boolean table (1 MiB) and the indices; argmin traced 8 MiB."""
+        g = make_cyclic_power(32, 2)
+        g.index_table()
+        tracemalloc.start()
+        try:
+            g.inverse_indices()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.order ** 2 + 64 * 2 ** 10
+
 
 class TestLattice:
     def test_vector_addition(self, lattice2):

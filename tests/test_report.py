@@ -234,6 +234,17 @@ def test_non_finite_record_field_names_the_first_value():
     assert outcome(pa.dumps_canonical, a) == outcome(ref_dumps, as_dicts(a))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_signalling_nan_record_field_raises_without_a_cast_warning():
+    """A float32 signalling NaN is refused as non-finite: no float64 cast of
+    the field, which would warn first, is made."""
+    a = np.zeros(3, dtype=[("x", np.float32), ("y", float)])
+    a["x"].view(np.uint32)[1] = 0x7FA00000
+    a["y"][2] = math.inf
+    with pytest.raises(ValueError, match=r"^non-finite float in report: nan$"):
+        pa.dumps_canonical({"r": a})
+
+
 @pytest.mark.parametrize("dtype", [
     [("flag", bool)], [("re", float), ("z", complex)], [("s", "U2")],
     [("inner", [("re", float)])], [("x", np.longdouble)], []])
