@@ -223,22 +223,12 @@ class BilinearCocycle(Cocycle):
         return self._theta
 
     def phase(self, a, b) -> float:
-        av = np.asarray(self.group.canonical(a), dtype=float)
-        bv = np.asarray(self.group.canonical(b), dtype=float)
-        return reduce_phase(float(av @ self._theta @ bv))
+        g = self.group
+        return float(self.phases(g.canonical(a), g.canonical(b)))
 
     def phases(self, A, B) -> np.ndarray:
-        """reduce_phase(a . theta . b) over broadcast rows, in float64.
-
-        Exact up to rounding while |coordinate| <= LATTICE_COORD_LIMIT, the
-        range in which float64 holds every integer.
-        """
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        # Stacked (1, d) @ (d, 1) products take the dot kernel of the scalar
-        # av @ theta @ bv, and beat an elementwise product and sum.
-        row = (A @ self._theta)[..., None, :]
-        return reduce_phase((row @ B[..., :, None])[..., 0, 0])
+        """reduce_phase(a . theta . b) over broadcast rows: see :func:`_bilinear_form`."""
+        return reduce_phase(_bilinear_form(self._theta, A, B))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BilinearCocycle)
@@ -250,6 +240,25 @@ class BilinearCocycle(Cocycle):
 
     def __repr__(self) -> str:
         return f"BilinearCocycle(d={self.group.d}, normalized={self.normalized})"
+
+
+def _bilinear_form(theta: np.ndarray, A, B) -> np.ndarray:
+    """sum_ij theta[i, j] a_i b_j over broadcast rows, unreduced, in float64.
+
+    Every theta_ii a_i b_i first, then for each i < j the mirrored pair
+    theta_ij a_i b_j + theta_ji a_j b_i as one term; each product a_i b_j,
+    exact below 2**26, is formed before it is scaled.  For an antisymmetric
+    theta each pair of an inverse pair (a, -a) is x - x, so alpha(a, -a) is
+    exactly 0 up to LATTICE_COORD_LIMIT.  No BLAS; broadcast-shaped temporaries.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    total = sum(theta[i, i] * (A[..., i] * B[..., i]) for i in range(len(theta)))
+    for i in range(len(theta)):
+        for j in range(i + 1, len(theta)):
+            total = total + (theta[i, j] * (A[..., i] * B[..., j])
+                             + theta[j, i] * (A[..., j] * B[..., i]))
+    return total
 
 
 class GaugedCocycle(Cocycle):
@@ -462,8 +471,7 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
         anti = (theta - theta.T) / 2.0
 
         def quad_phi(a, _theta=theta):
-            av = np.asarray(a, dtype=float)
-            return -0.5 * float(av @ _theta @ av)
+            return -0.5 * float(_bilinear_form(_theta, a, a))
 
         phi = GaugePhase.from_callable(group, quad_phi)
         return BilinearCocycle(group, anti), phi

@@ -143,6 +143,32 @@ def test_transform_and_inverse_are_the_one_shot_forms(group, alpha, budget):
     assert_transform_and_inverse_are_one_shot(rep, budget, np.random.default_rng(2))
 
 
+def test_zero_cocycle_inverse_is_the_sum_in_column_order():
+    """The zero cocycle's weights are a 0-stride view of one 1+0j.  Its
+    blocked inverse gives the same bits at every budget: each sum taken
+    left to right over the columns j.  The one-shot form, whose product is
+    laid out in rows, sums pairwise instead, so the two agree only within
+    the rounding of a dim-term sum.  The transform is the one-shot form."""
+    group = pa.make_cyclic_power(6, 2)
+    rep = pa.regular_matrix_rep(group, pa.zero_cocycle(group))
+    dim = rep.dim
+    for vec in vectors(group, np.random.default_rng(8)):
+        f = pa.GroupFunction._from_vector(group, vec)
+        fhat = rep.transform(f)
+        assert_same_bits(fhat, one_shot_transform(rep, f))
+        terms = fhat[np.arange(dim), rep.perm]
+        in_order = np.zeros(group.order, dtype=complex)
+        for j in range(dim):
+            in_order = in_order + terms[:, j]
+        for budget in (7, 1000, 2 ** 13):
+            with mock.patch.object(cocycles, "_CHUNK", budget):
+                back = pa.matrix_rep_inverse(fhat, rep)._vector()
+            assert_same_bits(back, in_order / dim)
+        # Each of the two sums is within (dim - 1) 2**-53 sum |t| of the exact one.
+        bound = 4 * 2.0 ** -53 * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(back - one_shot_inverse(fhat, rep)._vector()) <= bound)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_row_major_family_is_the_one_shot_form(budget):
     """A torus family, held row-major, unlike the regular representation's

@@ -526,6 +526,44 @@ def test_commands_never_import_numpy_random(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def blas_resident_kib():
+    """Resident KiB of this process's mappings of a file named like *blas*, read
+    from /proc/self/smaps; None without smaps or without such a mapping."""
+    try:
+        lines = Path("/proc/self/smaps").read_text().splitlines()
+    except OSError:
+        return None
+    kib, found, blas = 0, False, False
+    for line in lines:
+        head = line.split()
+        if head and "-" in head[0] and not head[0].endswith(":"):  # a mapping's header
+            blas = "blas" in line.lower()
+            found |= blas
+        elif blas and head and head[0] == "Rss:":
+            kib += int(head[1])
+    return kib if found else None
+
+
+def test_lattice_commands_fault_in_no_blas_pages(tmp_path):
+    """Bilinear phases are elementwise, so convolve, fourier and verify on Z^2
+    touch no page of the BLAS library that numpy loads."""
+    convolve = _pinned_argv(tmp_path, "lattice-convolve")
+    runs = [convolve, _pinned_argv(tmp_path, "lattice-fourier"),
+            ["verify", *convolve[1:5], "--seed", "3"]]
+    runs = [argv + ["--out", str(tmp_path / "out.json")] for argv in runs]
+    code = (f"import sys\nsys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from projalg import cli\nfrom test_cli import blas_resident_kib\n"
+            f"before = blas_resident_kib()\ncodes = [cli.main(a) for a in {runs!r}]\n"
+            "print(codes, before, blas_resident_kib())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    codes, before, after = proc.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "[0, 0, 0]"
+    if before == "None":
+        pytest.skip("no BLAS library mapped, or no /proc/self/smaps")
+    assert int(after) <= int(before)
+
+
 def test_module_entry_point(tmp_path):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"kind": "cyclic_power", "n": 3, "d": 1}))
@@ -741,17 +779,33 @@ def _pinned_argv(tmp_path, case):
     }[case]
 
 
-# SHA-256 of each output as earlier versions wrote it: the dict-backed
-# coefficient store for the first three cases, and for the last two the
-# per-class element indexing and a lattice kernel that held every pair weight.
-# Every byte must stay.
+# SHA-256 of each output as earlier versions wrote it: the per-class element
+# indexing and a lattice kernel that held every pair weight for the last two,
+# the dict-backed coefficient store for coboundary-fourier, and for the two
+# lattice cases under the bilinear cocycle the elementwise phases with their
+# mirrored pairs (the matrix-product phases they replace moved the last bits,
+# by at most 8.9e-16, over the same keys).  Every byte must stay.
 PINNED = {
-    "lattice-fourier": "183a5a208132b3d121282feb59b4005f4f56895f4742e241483f6b5e80bc5a5c",
-    "lattice-convolve": "0ea082466959a84787255370ba347257a2ea07a84d7c439a00a962ca3ac55eba",
+    "lattice-fourier": "5f4b7a2b04cd75065a428ee74f909ab0a280fc50479e9dd624032034bb0707ab",
+    "lattice-convolve": "eeeabb3b6e0d045a6416c2ccc136c17d7f9afa81680ca0e32a5e4947bd823e0d",
     "coboundary-fourier": "ed6f80928bce52cf262b326f730227e45a7476605d2e1e3693607d7d9931b571",
     "wide-convolve": "1a162b1cb404a958047aaf031545a47abdda94475e9129f72e95e4697b857a2b",
     "named-table-verify": "f154ac6377f19fbd87baf56d4ac369b9dee41bb1a346f36dc6e820283c6dba9b",
 }
+
+
+def test_wide_formal_roundtrip_holds(tmp_path):
+    """The normalized form is antisymmetric, so every inverse-pair phase
+    alpha(a, -a) is an exact zero at the pinned points near 2**52: Plancherel
+    and the round trip hold exactly there."""
+    wide = _pinned_argv(tmp_path, "wide-convolve")
+    out = tmp_path / "out.json"
+    assert cli.main(["fourier", *wide[1:7], "--rep", "formal", "--roundtrip",
+                     "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["plancherel"]["pass"] and checks["roundtrip"]["pass"]
+    assert checks["plancherel"]["lhs"] == pytest.approx(1.47, abs=1e-15)
+    assert checks["roundtrip"]["max_residual"] == 0
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -701,6 +702,68 @@ class TestNonFiniteInput:
     def test_gauge_table_rejects_nan(self, z3):
         with pytest.raises(ValueError, match="non-finite"):
             pa.GaugePhase.from_table(z3, [0.0, np.nan, 0.1])
+
+
+class TestBilinearPhases:
+    """The elementwise bilinear form against exact sums and its scalar phase."""
+
+    @staticmethod
+    def wide_rows(rng, n, d):
+        """n rows with coordinates up to +-2**52, the edges included."""
+        A = rng.integers(-2 ** 52, 2 ** 52, (n, d), endpoint=True)
+        A[:4] = [[2 ** 52] * d, [-2 ** 52] * d, [2 ** 52 - 1] * d,
+                 [3] + [2 ** 52] * (d - 1)]
+        return A
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_inverse_pairs_of_an_antisymmetric_form_are_exact_zeros(self, d):
+        rng = np.random.default_rng(d)
+        g = pa.make_lattice(d)
+        theta = rng.uniform(-1, 1, (d, d))
+        normalized, _ = pa.normalize(g, pa.BilinearCocycle(g, theta), validate=False)
+        for alpha in (normalized, pa.BilinearCocycle(g, theta - theta.T)):
+            A = self.wide_rows(rng, 2000, d)
+            assert np.count_nonzero(alpha.phases(A, -A)) == 0
+            assert np.count_nonzero(alpha.phases(-A, A)) == 0
+            for a in A[:10].tolist():
+                assert alpha.phase(a, g.inv(a)) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bits", [4, 26, 52])
+    def test_phase_is_phases_to_the_bit(self, d, bits):
+        rng = np.random.default_rng(100 * d + bits)
+        g = pa.make_lattice(d)
+        alpha = pa.BilinearCocycle(g, rng.uniform(-1, 1, (d, d)))
+        A, B = rng.integers(-2 ** bits, 2 ** bits, (2, 200, d), endpoint=True)
+        scalar = [alpha.phase(a, b) for a, b in zip(A.tolist(), B.tolist())]
+        assert np.array(scalar).tobytes() == alpha.phases(A, B).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_generic_form_is_within_float64_rounding_of_the_exact_sum(self, d):
+        """The products a_i b_j are exact below 2**26, and each of the
+        d (d + 1) / 2 summands (a diagonal term or a mirrored pair) carries
+        at most m + 1 roundings, so the form is within
+        (m + 1) 2**-52 sum |theta_ij a_i b_j| of the exact sum.  Near 2**40
+        that bound, and the float64 spacing, are ~1e-4: no phase there keeps
+        1e-12, which the sum of small coordinates does."""
+        rng = np.random.default_rng(7 + d)
+        g = pa.make_lattice(d)
+        theta = rng.uniform(-1, 1, (d, d))
+        alpha = pa.BilinearCocycle(g, theta)
+        assert not alpha.normalized
+        m = d * (d + 1) // 2
+        for bits, tol in ((3, 1e-12), (20, None)):
+            A, B = rng.integers(-2 ** bits, 2 ** bits, (2, 100, d), endpoint=True)
+            form = cocycles._bilinear_form(theta, A, B)
+            got = alpha.phases(A, B)
+            for k in range(len(A)):
+                terms = [Fraction(float(theta[i, j])) * int(A[k, i]) * int(B[k, j])
+                         for i in range(d) for j in range(d)]
+                exact = sum(terms)
+                bound = (m + 1) * 2.0 ** -52 * float(sum(map(abs, terms)))
+                assert abs(Fraction(float(form[k])) - exact) <= bound
+                off = abs(reduce_phase(got[k] - reduce_phase(float(exact))))
+                assert off <= (tol if tol is not None else 2 * bound + 1e-15)
 
 
 class TestIdentities:
