@@ -215,8 +215,9 @@ class BilinearCocycle(Cocycle):
         th.setflags(write=False)
         self.group = group
         self._theta = th
-        # Antisymmetric theta kills a.theta.a, hence all inverse-pair phases.
-        self.normalized = bool(np.max(np.abs(th + th.T)) < 1e-14)
+        # Only an exactly antisymmetric theta, the form normalize returns, has
+        # alpha(a, -a) = 0.0 at every coordinate (see _bilinear_form).
+        self.normalized = bool(np.array_equal(th, -th.T))
 
     @property
     def theta(self) -> np.ndarray:
@@ -412,6 +413,12 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     return report
 
 
+def _require_cocycle(group: Group, alpha: Cocycle, **kwargs) -> None:
+    check = validate_cocycle(group, alpha, **kwargs).checks[0]
+    if not check.passed:
+        raise ValueError(f"input fails the associativity phase constraint: {check.detail}")
+
+
 def coboundary(group: Group, phi: GaugePhase) -> Cocycle:
     """The removable cocycle phi(ab) - phi(a) - phi(b); requires phi(e) = 0."""
     _require_same_group(group, phi)
@@ -445,12 +452,7 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
     """
     _require_same_group(group, alpha)
     if validate:
-        check = validate_cocycle(group, alpha, tol=tol, samples=samples,
-                                 box=box, seed=seed)
-        if not check.passed:
-            raise ValueError(
-                "input fails the associativity phase constraint: "
-                + (check.checks[0].detail or ""))
+        _require_cocycle(group, alpha, tol=tol, samples=samples, box=box, seed=seed)
     if group.is_finite:
         A = alpha.phase_matrix()
         if alpha.normalized and not A.any():  # 0 + 0 - 0 - 0: the gauge path's bits
@@ -557,9 +559,7 @@ def is_trivial_abelian(group: Group, alpha: Cocycle, *, tol: float = 1e-10) -> b
     if not group.is_finite or not group.is_abelian:
         raise UnsupportedOperationError(
             "triviality detection is implemented for finite abelian groups")
-    check = validate_cocycle(group, alpha, tol=tol)
-    if not check.passed:
-        raise ValueError("input fails the associativity phase constraint")
+    _require_cocycle(group, alpha, tol=tol)
     A = alpha.phase_matrix()
     worst = 0.0
     for r in _blocks(group.order, group.order):

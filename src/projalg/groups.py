@@ -188,10 +188,7 @@ class FiniteTableGroup(Group):
         self.is_abelian = bool(np.array_equal(t, t.T))
 
     def canonical(self, a) -> int:
-        i = operator.index(a)
-        if not 0 <= i < self.order:
-            raise ValueError(f"element index {i} out of range for order {self.order}")
-        return i
+        return self.element_at(a)
 
     def describe(self, a) -> str:
         i = self.canonical(a)
@@ -231,7 +228,34 @@ class FiniteTableGroup(Group):
         return f"FiniteTableGroup(order={self.order}, abelian={self.is_abelian})"
 
 
-class CyclicPowerGroup(Group):
+class _VectorGroup(Group):
+    """(Z_n)^D and Z^D: int tuples of length d added coordinatewise; ``prod``
+    and ``inv`` are ``canonical`` of the sum and of the negation."""
+
+    is_abelian = True
+
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * self.d
+
+    def _coords(self, a) -> tuple[int, ...]:
+        """The d coordinates of ``a`` as ints; a bare int stands for (a,) when d = 1."""
+        if isinstance(a, (int, np.integer)) and self.d == 1:
+            a = (a,)
+        coords = tuple(operator.index(x) for x in a)
+        if len(coords) != self.d:
+            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
+        return coords
+
+    def prod(self, a, b) -> tuple[int, ...]:
+        a = self.canonical(a)
+        b = self.canonical(b)
+        return self.canonical(tuple(x + y for x, y in zip(a, b)))
+
+    def inv(self, a) -> tuple[int, ...]:
+        return self.canonical(tuple(-x for x in self.canonical(a)))
+
+
+class CyclicPowerGroup(_VectorGroup):
     """(Z_n)^D with componentwise addition mod n; elements are int tuples."""
 
     def __init__(self, n: int, d: int):
@@ -242,27 +266,10 @@ class CyclicPowerGroup(Group):
         self.n = n
         self.d = d
         self.order = n ** d
-        self.is_abelian = True
         self._index_table: np.ndarray | None = None
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
     def canonical(self, a) -> tuple[int, ...]:
-        if isinstance(a, (int, np.integer)) and self.d == 1:
-            a = (a,)
-        coords = tuple(operator.index(x) % self.n for x in a)
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
-        return coords
-
-    def prod(self, a, b) -> tuple[int, ...]:
-        a = self.canonical(a)
-        b = self.canonical(b)
-        return tuple((x + y) % self.n for x, y in zip(a, b))
-
-    def inv(self, a) -> tuple[int, ...]:
-        return tuple((-x) % self.n for x in self.canonical(a))
+        return tuple(x % self.n for x in self._coords(a))
 
     def elements(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(self.n), repeat=self.d)
@@ -297,11 +304,10 @@ class CyclicPowerGroup(Group):
         return f"CyclicPowerGroup(n={self.n}, d={self.d})"
 
 
-class LatticeGroup(Group):
+class LatticeGroup(_VectorGroup):
     """The infinite lattice Z^D under vector addition."""
 
     order = None
-    is_abelian = True
 
     def __init__(self, d: int):
         d = operator.index(d)
@@ -309,27 +315,12 @@ class LatticeGroup(Group):
             raise ValueError(f"lattice needs d >= 1, got d={d}")
         self.d = d
 
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
     def canonical(self, a) -> tuple[int, ...]:
-        if isinstance(a, (int, np.integer)) and self.d == 1:
-            a = (a,)
-        coords = tuple(operator.index(x) for x in a)
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
+        coords = self._coords(a)
         if max(coords) > LATTICE_COORD_LIMIT or min(coords) < -LATTICE_COORD_LIMIT:
             raise ValueError(f"lattice coordinates {list(coords)} exceed "
                              f"2**53 in absolute value")
         return coords
-
-    def prod(self, a, b) -> tuple[int, ...]:
-        a = self.canonical(a)
-        b = self.canonical(b)
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a) -> tuple[int, ...]:
-        return tuple(-x for x in self.canonical(a))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeGroup) and self.d == other.d

@@ -112,19 +112,19 @@ def completeness_check(group: Group, alpha: Cocycle, *,
 def invert(u: AlgebraElement) -> GroupFunction:
     """Recover f(a) = integral(u x(a^-1)); exact for normalized cocycles.
 
-    Only the term u(a) x(a) x(a^-1) = u(a) exp(i alpha(a, a^-1)) x(e) of
-    that product reaches the identity, so f(a) = u(a) exp(i alpha(a, a^-1)):
-    f[i] = u[i] exp(i A[i, inv[i]]) on a finite group, with the phase table A,
-    and one ``phases`` call over the key rows S and -S on a lattice.
+    Only the term u(a) x(a) x(a^-1) = u(a) exp(i alpha(a, a^-1)) x(e) of that
+    product reaches the identity, so f is u times exp(i alpha(a, a^-1)) on u's
+    key rows S, on both carriers: A[k, inv[k]] with the phase table A and
+    k = S[:, 0] on a finite group, one ``phases(S, -S)`` call on a lattice.
     """
     _require_normalized(u.cocycle, "inversion")
-    g, alpha = u.group, u.cocycle
+    g, alpha, S = u.group, u.cocycle, u._keys
     if g.is_finite:
-        E = np.exp(1j * alpha.phase_matrix()[np.arange(g.order), g.inverse_indices()])
-        return GroupFunction._from_vector(g, u._vector() * E)
-    E = np.exp(1j * alpha.phases(u._keys[:, None], -u._keys[:, None]))[:, 0].tolist()
-    vals = [v * e for v, e in zip(u._vals.tolist(), E)]  # Python's complex rounding
-    return GroupFunction._wrap(g, u._keys, np.array(vals, dtype=complex))
+        k = S[:, 0]
+        phases = alpha.phase_matrix()[k, g.inverse_indices()[k]]
+    else:
+        phases = alpha.phases(S, -S)
+    return GroupFunction._wrap(g, S, u._vals * np.exp(1j * phases))
 
 
 def scalar_product(f: GroupFunction, g: GroupFunction,

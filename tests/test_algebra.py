@@ -242,3 +242,20 @@ class TestApplyOperators:
         assert pa.apply_R(a, u).max_diff(direct) < 1e-14
         direct_l = pa.generator(z32, alpha, a) * u
         assert pa.apply_L(a, u).max_diff(direct_l) < 1e-14
+
+
+class TestRefusals:
+    def test_elements_under_different_cocycles_do_not_combine(self, lattice2):
+        u = pa.generator(lattice2, pa.zero_cocycle(lattice2), (1, 0))
+        v = pa.generator(lattice2, pa.BilinearCocycle(lattice2, [[0, 0.5], [-0.5, 0]]), (1, 0))
+        for op in (lambda: u + v, lambda: u - v, lambda: u * v):
+            with pytest.raises(pa.ContextMismatchError, match="different cocycles"):
+                op()
+
+    def test_non_elements_are_refused(self, z3):
+        u = pa.generator(z3, pa.zero_cocycle(z3), (1,))
+        for op, fragment in ((lambda: u + 1, "unsupported operand"),
+                             (lambda: u - 1, "unsupported operand"),
+                             (lambda: u * "x", "can't multiply sequence")):
+            with pytest.raises(TypeError, match=fragment):
+                op()

@@ -167,6 +167,11 @@ class TestAutomorphism:
         x2 = pa.apply_automorphism(s, pa.generator(lattice1, alpha, (2,)))
         assert x2.coeff((2,)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_phase_entry_per_coordinate(self, lattice2, z32):
+        for g, phi in ((lattice2, (0.0,)), (z32, (0.0, 0.0, 0.0))):
+            with pytest.raises(ValueError, match=f"expected 2 phase entries, got {len(phi)}"):
+                pa.Automorphism(g, phi)
+
     def test_unquantized_phase_rejected_on_residues(self, z32):
         with pytest.raises(ValueError, match="multiple"):
             pa.Automorphism(z32, (0.1, 0.0))

@@ -159,6 +159,15 @@ class TestFourier:
                          "--in", fn, "--rep", "character", "--roundtrip",
                          "--out", str(tmp_path / "out.json")]) == code
 
+    def test_matrix_rep_on_a_lattice_exits_two(self, tmp_path, capsys):
+        group = write(tmp_path / "g.json", {"kind": "lattice", "d": 2})
+        fn = write(tmp_path / "f.json", [{"element": [1, -2], "re": 1.0, "im": 0.0}])
+        out = tmp_path / "out.json"
+        assert cli.main(["fourier", "--group", group, "--in", fn, "--rep", "matrix",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: matrix transforms need a finite group\n"
+        assert not out.exists()
+
     def test_bad_function_file_exits_two(self, tmp_path, z4_group):
         fn = write(tmp_path / "f.json", [{"element": [0, 1], "re": 1.0}])
         assert cli.main(["fourier", "--group", z4_group, "--in", fn]) == 2

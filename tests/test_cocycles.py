@@ -704,6 +704,30 @@ class TestNonFiniteInput:
             pa.GaugePhase.from_table(z3, [0.0, np.nan, 0.1])
 
 
+class TestShapesAndEquality:
+    def test_gauge_table_needs_a_finite_group_and_one_value_per_element(self, z3, lattice2):
+        with pytest.raises(pa.BackingMismatchError, match="need a finite group"):
+            pa.GaugePhase.from_table(lattice2, [0.0, 0.1])
+        with pytest.raises(ValueError, match=r"expected 3 phase values, got \(2,\)"):
+            pa.GaugePhase.from_table(z3, [0.0, 0.1])
+
+    def test_tabulated_needs_an_order_by_order_table(self, z3):
+        with pytest.raises(ValueError, match=r"expected a 3x3 phase table, got \(2, 3\)"):
+            pa.TabulatedCocycle(z3, np.zeros((2, 3)))
+
+    def test_bilinear_needs_a_d_by_d_form(self, lattice2):
+        with pytest.raises(ValueError, match=r"expected a 2x2 form, got \(3, 3\)"):
+            pa.BilinearCocycle(lattice2, np.zeros((3, 3)))
+
+    def test_bilinear_equality_and_hash_follow_the_form(self, lattice2):
+        theta = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        a, b = pa.BilinearCocycle(lattice2, theta), pa.BilinearCocycle(lattice2, theta.copy())
+        assert a == b and hash(a) == hash(b)
+        assert a != pa.BilinearCocycle(lattice2, -theta)
+        assert a != pa.BilinearCocycle(pa.make_lattice(3), np.zeros((3, 3)))
+        assert a != pa.zero_cocycle(pa.make_cyclic_power(2, 2))
+
+
 class TestBilinearPhases:
     """The elementwise bilinear form against exact sums and its scalar phase."""
 
@@ -764,6 +788,39 @@ class TestBilinearPhases:
                 assert abs(Fraction(float(form[k])) - exact) <= bound
                 off = abs(reduce_phase(got[k] - reduce_phase(float(exact))))
                 assert off <= (tol if tol is not None else 2 * bound + 1e-15)
+
+
+class TestBilinearNormalizedFlag:
+    """Only an exactly antisymmetric theta has alpha(a, -a) = 0.0 at every
+    coordinate, so only such a form is flagged normalized."""
+
+    NEAR = [[0.0, 0.3], [-0.3 + 1e-15, 0.0]]
+    POINTS = np.array([[2 ** 52, 2 ** 52 - 1], [3, 2 ** 40]])
+
+    def test_a_nearly_antisymmetric_form_is_not_normalized(self, lattice2):
+        alpha = pa.BilinearCocycle(lattice2, self.NEAR)
+        assert not alpha.normalized
+        assert np.count_nonzero(alpha.phases(self.POINTS, -self.POINTS)) == 2
+        u = pa.AlgebraElement(lattice2, alpha, {tuple(self.POINTS[0].tolist()): 1.0})
+        for refused in (lambda: pa.invert(u), u.star,
+                        lambda: pa.check_identities(lattice2, alpha)):
+            with pytest.raises(pa.NormalizationRequiredError, match="normalized cocycle"):
+                refused()
+
+    def test_normalize_of_it_reads_exact_zeros(self, lattice2):
+        out, _ = pa.normalize(lattice2, pa.BilinearCocycle(lattice2, self.NEAR))
+        assert out.normalized
+        assert np.array_equal(out.theta, -out.theta.T)
+        for phases in (out.phases(self.POINTS, -self.POINTS),
+                       out.phases(-self.POINTS, self.POINTS)):
+            assert phases.tobytes() == np.zeros(2).tobytes()
+        u = pa.AlgebraElement(lattice2, out, {tuple(self.POINTS[0].tolist()): 1.0})
+        assert pa.invert(u).items() == [(tuple(self.POINTS[0].tolist()), 1 + 0j)]
+
+    @pytest.mark.parametrize("theta", [[[0.0, 0.3], [-0.3, 0.0]], [[-0.0, 0.3], [-0.3, 0.0]],
+                                       [[0.0, 0.0], [0.0, 0.0]]])
+    def test_exactly_antisymmetric_forms_stay_flagged(self, lattice2, theta):
+        assert pa.BilinearCocycle(lattice2, theta).normalized
 
 
 class TestIdentities:
@@ -848,3 +905,17 @@ class TestTriviality:
     def test_lattice_rejected(self, lattice2):
         with pytest.raises(pa.UnsupportedOperationError):
             pa.is_trivial_abelian(lattice2, pa.zero_cocycle(lattice2))
+
+    def test_non_cocycle_names_the_worst_triple(self, z3):
+        """is_trivial_abelian refuses a non-cocycle with normalize's words."""
+        table = np.zeros((3, 3))
+        table[2, 1] = 0.5
+        alpha = pa.TabulatedCocycle(z3, table)
+        with pytest.raises(ValueError) as trivial:
+            pa.is_trivial_abelian(z3, alpha)
+        with pytest.raises(ValueError) as normalize:
+            pa.normalize(z3, alpha)
+        message = str(trivial.value)
+        assert message.startswith("input fails the associativity phase constraint: "
+                                  "worst triple ((")
+        assert message == str(normalize.value)

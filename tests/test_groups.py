@@ -132,7 +132,87 @@ class TestLattice:
             lattice2.canonical((0.5, 1))
 
 
+class TestVectorGroupRule:
+    """(Z_n)^D and Z^D share one coordinate rule: prod and inv are canonical
+    of the coordinatewise sum and of the negation."""
+
+    @staticmethod
+    def points(rng, d, lo, hi):
+        pts = [tuple(int(x) for x in row) for row in rng.integers(lo, hi, (30, d))]
+        return pts + [tuple(np.int64(x) for x in pts[0]), list(pts[1])]
+
+    @pytest.mark.parametrize("n, d", [(4, 2), (3, 3)])
+    def test_cyclic_power_matches_the_closed_forms(self, n, d, rng):
+        g = make_cyclic_power(n, d)
+        pts = self.points(rng, d, -2 * n, 3 * n)
+        for a in pts:
+            assert g.inv(a) == tuple((-int(x)) % n for x in a)
+            for b in pts:
+                got = g.prod(a, b)
+                assert got == tuple((int(x) + int(y)) % n for x, y in zip(a, b))
+                assert all(type(x) is int for x in got)
+
+    def test_lattice_matches_the_closed_forms(self, lattice2, rng):
+        pts = self.points(rng, 2, -2 ** 52, 2 ** 52) + [(2 ** 53, -2 ** 53)]
+        for a in pts:
+            assert lattice2.inv(a) == tuple(-int(x) for x in a)
+            for b in pts:
+                if max(abs(int(x) + int(y)) for x, y in zip(a, b)) <= 2 ** 53:
+                    got = lattice2.prod(a, b)
+                    assert got == tuple(int(x) + int(y) for x, y in zip(a, b))
+                    assert all(type(x) is int for x in got)
+
+    def test_bare_integers_when_d_is_one(self, lattice1):
+        g = make_cyclic_power(5, 1)
+        assert g.prod(3, np.int64(4)) == (2,)
+        assert g.inv(np.int64(2)) == (3,)
+        assert lattice1.prod(3, -5) == (-2,)
+        assert lattice1.inv(3) == (-3,)
+
+    def test_lattice_product_beyond_the_limit_is_refused(self, lattice2):
+        edge = 2 ** 53
+        assert lattice2.prod((edge - 1, 0), (1, 0)) == (edge, 0)
+        assert lattice2.prod((-edge, 0), (edge, -edge)) == (0, -edge)
+        for a, b in [((edge, 0), (1, 0)), ((0, -edge), (0, -1)), ((edge, 5), (edge, 5))]:
+            with pytest.raises(ValueError, match=re.escape("exceed 2**53")):
+                lattice2.prod(a, b)
+        with pytest.raises(ValueError, match=re.escape("exceed 2**53")):
+            lattice2.inv((edge + 1, 0))
+
+    def test_wrong_length_is_refused(self, lattice2):
+        for g in (lattice2, make_cyclic_power(4, 2)):
+            with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+                g.canonical((1, 2, 3))
+            with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+                g.prod((1,), (1, 2))
+
+
 class TestFiniteTable:
+    def test_bad_index_raises_element_at_message(self):
+        g = make_finite_from_table([[(i + j) % 3 for j in range(3)] for i in range(3)])
+        for bad in (3, -1, np.int64(7)):
+            message = f"element index {int(bad)} out of range for order 3"
+            for call in (g.canonical, g.element_at, g.describe, g.inv):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call(bad)
+        with pytest.raises(TypeError):
+            g.canonical(1.0)
+        assert g.canonical(np.int64(2)) == 2 and type(g.canonical(np.int64(2))) is int
+
+    def test_empty_table_is_refused(self):
+        with pytest.raises(GroupConstructionError, match="table is empty"):
+            make_finite_from_table(np.empty((0, 0), dtype=np.int64))
+
+    def test_names_of_the_wrong_length_are_refused(self):
+        with pytest.raises(GroupConstructionError,
+                           match="got 2 element names for a table of order 3"):
+            make_finite_from_table([[(i + j) % 3 for j in range(3)] for i in range(3)],
+                                   names=["e", "a"])
+
+    def test_symmetric_group_of_nothing_is_refused(self):
+        with pytest.raises(ValueError, match="symmetric group needs k >= 1, got k=0"):
+            symmetric_group(0)
+
     def test_z3_addition_table(self):
         table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
         g = make_finite_from_table(table)

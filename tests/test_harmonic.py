@@ -345,6 +345,11 @@ class TestMatrixRepresentation:
             pa.MatrixRepresentation(z2, pa.zero_cocycle(z2),
                                     {(0,): np.eye(2), (1,): second})
 
+    def test_matrix_rep_inverse_needs_a_dim_by_dim_transform(self):
+        rep = pa.matrix_representation(3)
+        with pytest.raises(ValueError, match=r"expected a 3x3 transform, got \(3, 2\)"):
+            pa.matrix_rep_inverse(np.zeros((3, 2)), rep)
+
     def test_matrix_rep_inverse_round_trip(self, rng):
         rep = pa.matrix_representation(3)
         f = random_function(rep.group, rng)

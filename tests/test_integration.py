@@ -172,6 +172,69 @@ class TestInvert:
         with pytest.raises(pa.NormalizationRequiredError):
             pa.invert(u)
 
+    @staticmethod
+    def element_with_signed_zeros(group, alpha, keys, rng):
+        """u on the given key rows, in their order, with signed zeros in the
+        first values: the public constructor would add them to 0j."""
+        vals = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        vals[:6] = [complex(-0.0, 1.5), complex(0.0, -2.0), complex(-0.0, -0.5),
+                    complex(3.0, -0.0), complex(-1.0, -0.0), complex(-0.0, 0.25)]
+        return pa.AlgebraElement._wrap(group, np.asarray(keys, dtype=np.int64), vals,
+                                       cocycle=alpha)
+
+    @staticmethod
+    def assert_unit_weights_keep_the_bits(u, back):
+        """Every inverse-pair phase is an exact zero, so each value is multiplied
+        by exactly 1+0j: Python's complex product, signed zeros included, in u's
+        key order.  A nonzero part keeps its bits; (-0 - 0.5j) * (1+0j) has
+        real part -0.0 - (-0.5 * 0.0) = +0.0, under numpy as under Python."""
+        g, alpha = u.group, u.cocycle
+        weights = [np.exp(1j * alpha.phase(a, g.inv(a))) for a in u.support]
+        assert all(w.real == 1.0 and w.imag == 0.0 and np.copysign(1.0, w.imag) == 1.0
+                   for w in weights)
+        expected = np.array([v * complex(w) for v, w in zip(u._vals.tolist(), weights)])
+        assert np.array_equal(back._keys, u._keys)
+        assert back._vals.tobytes() == expected.tobytes()
+        assert back._vals[6:].tobytes() == u._vals[6:].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_normalized_bilinear_keeps_the_bits_up_to_2_52(self, d):
+        rng = np.random.default_rng(40 + d)
+        g = pa.make_lattice(d)
+        theta = rng.uniform(-1, 1, (d, d))
+        normalized, _ = pa.normalize(g, pa.BilinearCocycle(g, theta), validate=False)
+        for alpha in (normalized, pa.BilinearCocycle(g, theta - theta.T)):
+            keys = rng.integers(-2 ** 52, 2 ** 52, (300, d), endpoint=True)
+            keys[:4] = [[2 ** 52] * d, [-2 ** 52] * d, [2 ** 52 - 1] * d,
+                        [3] + [2 ** 40] * (d - 1)]
+            keys = np.unique(keys, axis=0)
+            keys = keys[rng.permutation(len(keys))]
+            u = self.element_with_signed_zeros(g, alpha, keys, rng)
+            self.assert_unit_weights_keep_the_bits(u, pa.invert(u))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_normalize_output_keeps_the_bits_on_a_finite_group(self, n, rng):
+        g = pa.make_cyclic_power(n, 2)
+        for alpha in (normalized_coboundary(g, rng), pa.normalize(g, pa.measured_cocycle(n))[0]):
+            keys = rng.permutation(g.order)[:g.order - 3, None]
+            u = self.element_with_signed_zeros(g, alpha, keys, rng)
+            self.assert_unit_weights_keep_the_bits(u, pa.invert(u))
+
+    def test_finite_inversion_builds_no_order_length_vector(self):
+        g = pa.make_cyclic_power(32, 2)
+        table = np.zeros((g.order, g.order))
+        for alpha in (pa.zero_cocycle(g), pa.TabulatedCocycle(g, table)):
+            u = pa.generator(g, alpha, (3, 5)) + pa.generator(g, alpha, (31, 0))
+            g.inverse_indices()
+            tracemalloc.start()
+            try:
+                back = pa.invert(u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dict(back.items()) == {(3, 5): 1 + 0j, (31, 0): 1 + 0j}
+            assert peak < 4 * g.order  # order-length vectors would hold ~50 KiB here
+
 
 class TestScalarProduct:
     def test_delta_orthonormality(self, z4):
