@@ -236,9 +236,8 @@ def cmd_fourier(args) -> int:
             raise InputError("matrix transforms need a finite group")
         if not torus:
             rep = regular_matrix_rep(group, alpha_n)
-        fhat = fourier(f, rep)
-        transform = {"matrix": matrix_to_spec(fhat)}
-        roundtrip = matrix_rep_inverse(fhat, rep) if args.roundtrip else None
+        roundtrip = matrix_rep_inverse(rep.row_blocks(f), rep) if args.roundtrip else None
+        transform = {"matrix": map(matrix_to_spec, rep.row_blocks(f))}
 
     checks = {"plancherel": {"lhs": lhs.real, "rhs": rhs,
                              "pass": bool(abs(lhs - rhs) < _tol(cfg, 1e-12))}}

@@ -20,6 +20,7 @@ finite-group product kernel, forward FFT, for any cocycle.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -167,17 +168,24 @@ class MatrixRepresentation:
         ia = self.group.element_index(a)
         return _densify(self.perm[ia], self.phase[ia])
 
-    def transform(self, f: GroupFunction) -> np.ndarray:
-        """sum_a f(a) M(a), scattered over (j, a) in blocks of j: O(order dim) work.
+    def row_blocks(self, f: GroupFunction):
+        """Rows of sum_a f(a) M(a) in blocks of j, scattered over (j, a): O(order dim).
         An entry's terms share j, so they add in order of a; bins and weights are built
         in (j, a) order, so (T.T, E.T) is read in place, with no transposed copy."""
         _require_same_group(self.group, f)
         vec, d = f._vector(), self.dim
-        out = np.zeros(d * d, dtype=complex)
         for c in _blocks(d, len(vec)):
-            np.add.at(out, (np.arange(d)[c, None] * d + self.perm[:, c].T).ravel(),
+            rows = np.zeros((c.stop - c.start) * d, dtype=complex)
+            np.add.at(rows, (np.arange(c.stop - c.start)[:, None] * d + self.perm[:, c].T).ravel(),
                       (vec * self.phase[:, c].T).ravel())
-        return out.reshape(d, d)
+            yield rows.reshape(-1, d)
+
+    def transform(self, f: GroupFunction) -> np.ndarray:
+        """sum_a f(a) M(a), from :meth:`row_blocks`."""
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        for c, rows in zip(_blocks(self.dim, self.group.order), self.row_blocks(f)):
+            out[c] = rows
+        return out
 
 
 class CharacterRepresentation:
@@ -291,24 +299,30 @@ def convolution_theorem_trials(rep: MatrixRepresentation, rng, trials: int) -> f
     return worst
 
 
-def matrix_rep_inverse(fhat: np.ndarray, rep: MatrixRepresentation) -> GroupFunction:
+def matrix_rep_inverse(fhat, rep: MatrixRepresentation) -> GroupFunction:
     """Recover f from a matrix-picture transform via trace orthogonality.
 
     Uses f(a) = (1/dim) Tr[M(a)^dagger fhat], valid whenever
     (1/dim) Tr[M(a)^dagger M(b)] = delta_{a,b} -- true for the regular
     representation and for the torus realizations built in
     :mod:`projalg.clockshift`.  Here that is a gather: the trace is
-    sum_j conj(phase[a, j]) fhat[j, perm[a, j]].
+    sum_j conj(phase[a, j]) fhat[j, perm[a, j]], added in order of j, so the
+    matrix and its :meth:`MatrixRepresentation.row_blocks` give the same bits.
     """
-    fhat = np.asarray(fhat, dtype=complex)
-    if fhat.shape != (rep.dim, rep.dim):
-        raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
-    vals = np.empty(len(rep.perm), dtype=complex)
-    cols = np.arange(rep.dim)
-    for r in _blocks(len(vals), rep.dim):  # rows a, so the per-row sums keep their order
-        # A conjugated copy of the phases: conj(sum phase conj(t)) flips signs of exact zeros.
-        terms = fhat[cols, rep.perm[r]]
-        vals[r] = np.multiply(rep.phase[r].conj(), terms, out=terms).sum(axis=1)
+    if not isinstance(fhat, Iterator):
+        fhat = np.asarray(fhat, dtype=complex)
+        if fhat.shape != (rep.dim, rep.dim):
+            raise ValueError(f"expected a {rep.dim}x{rep.dim} transform, got {fhat.shape}")
+        fhat = map(fhat.__getitem__, _blocks(rep.dim, len(rep.perm)))
+    vals, j = np.zeros(len(rep.perm), dtype=complex), 0
+    for rows in fhat:  # gathered in (j, a) order
+        c, j = slice(j, j + len(rows)), j + len(rows)
+        terms = rows[np.arange(len(rows))[:, None], rep.perm[:, c].T]
+        # A conjugated copy of the phases: conj(phase conj(t)) flips signs of exact zeros.
+        for t in np.multiply(rep.phase[:, c].T.conj(), terms, out=terms):
+            vals += t
+    if j != rep.dim:
+        raise ValueError(f"expected {rep.dim} transform rows, got {j}")
     return GroupFunction._from_vector(rep.group, vals / rep.dim)
 
 

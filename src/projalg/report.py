@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
@@ -92,8 +93,9 @@ def dumps_canonical(obj) -> str:
 
 def canonical_pieces(obj):
     """``dumps_canonical(obj)`` in pieces, for a writer that holds one at a time:
-    a str per outer row of a float array, per block of 256 records, and per
-    bracket, comma and ``"key":`` of lists and dicts.  Errors come in output order."""
+    a str per outer row of a float array (or of an iterator of its row blocks), per
+    block of 256 records, and per bracket, comma and ``"key":`` of lists and dicts.
+    Errors come in output order."""
     # Floats come first: they are most of every output.
     if isinstance(obj, float):
         if not math.isfinite(obj):
@@ -104,12 +106,9 @@ def canonical_pieces(obj):
     elif isinstance(obj, int):
         yield str(obj)
     elif isinstance(obj, np.ndarray) and obj.dtype.type in _FLOATS:
-        _require_finite(obj)
-        if not (obj.ndim and obj.size):  # a scalar, or no row to fill a template
-            yield from canonical_pieces(obj.tolist())
-        else:
-            row = _template("%.17g", obj.shape[1:])  # format(x, ".17g") of each Python float
-            yield from _joined("[", ((row % tuple(r.ravel().tolist()),) for r in obj), "]")
+        yield from _float_array((obj,)) if obj.ndim else canonical_pieces(obj.tolist())
+    elif isinstance(obj, Iterator):
+        yield from _float_array(obj)
     elif isinstance(obj, np.ndarray) and obj.dtype.names and obj.ndim == 1:
         yield from _record_blocks(obj)
     elif isinstance(obj, (list, tuple)):
@@ -139,6 +138,21 @@ def _joined(first: str, parts, last: str):
 
 
 _FLOATS = (np.half, np.single, np.double)  # tolist() gives Python floats
+
+
+def _float_array(blocks):
+    """The float array whose rows the arrays ``blocks`` hold, each checked first."""
+    sep = "["
+    for b in blocks:
+        if not (isinstance(b, np.ndarray) and b.dtype.type in _FLOATS and b.ndim):
+            raise TypeError(f"cannot serialize {type(b).__name__} deterministically")
+        _require_finite(b)
+        row = _template("%.17g", b.shape[1:])  # format(x, ".17g") of each Python float
+        for r in b:
+            yield sep
+            yield row % tuple(r.ravel().tolist())
+            sep = ","
+    yield "]" if sep == "," else "[]"
 
 
 def _require_finite(a: np.ndarray) -> None:

@@ -6,13 +6,18 @@ pairs, so that every pass runs many blocks, the product, the matrix transform
 and its inverse, the identity check, the self-conjugacy residual, the
 triviality test and the monomial gate must equal their one-shot forms bit for
 bit, NaN phases included, and the convolution-theorem residual, whose einsum
-sums depend on the layout, must agree to 1e-14.  Traced runs at orders 216
-and 1024 bound what each pass allocates at the default budget of 2**13 pairs
-(128 KiB of complex128): under 0.75 and 1 MiB, where each traced at most 0.6.
+sums depend on the layout, must agree to 1e-14.  The inverse adds in column
+order, so where a one-shot form sums its rows pairwise the oracle is the
+column-order sum.  The transform streamed as row blocks must write and
+invert as the whole matrix does.  Traced runs at orders 216 and 1024 bound
+what each pass allocates at the default budget of 2**13 pairs (128 KiB of
+complex128): under 0.75 and 1 MiB, where each traced at most 0.6, and the
+order-1024 matrix ``fourier`` command holds no matrix.
 """
 
 import copy
 import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -20,7 +25,7 @@ import numpy as np
 import pytest
 
 import projalg as pa
-from projalg import algebra, cocycles, harmonic
+from projalg import algebra, cocycles, harmonic, report, serialize
 from projalg.phases import reduce_phase
 
 from test_harmonic import bicharacter
@@ -52,6 +57,15 @@ def one_shot_inverse(fhat, rep):
     gathered = fhat[np.arange(rep.dim), rep.perm]
     vals = (rep.phase.conj() * gathered).sum(axis=1) / rep.dim
     return pa.GroupFunction._from_vector(rep.group, vals)
+
+
+def column_order_inverse(fhat, rep):
+    """The inverse with each a's terms added left to right over the columns j, from 0."""
+    terms = rep.phase.conj() * fhat[np.arange(rep.dim), rep.perm]
+    vals = np.zeros(len(terms), dtype=complex)
+    for j in range(rep.dim):
+        vals = vals + terms[:, j]
+    return pa.GroupFunction._from_vector(rep.group, vals / rep.dim)
 
 
 def one_shot_residual(rep, f, g, h, v):
@@ -125,14 +139,14 @@ def test_product_is_the_one_shot_kernel(group, alpha, budget):
                 assert_same_bits(got, one_shot_product(group, E, f, g))
 
 
-def assert_transform_and_inverse_are_one_shot(rep, budget, rng):
+def assert_transform_and_inverse_are_one_shot(rep, budget, rng, inverse=one_shot_inverse):
     for vec in vectors(rep.group, rng):
         f = pa.GroupFunction._from_vector(rep.group, vec)
         with mock.patch.object(cocycles, "_CHUNK", budget):
             fhat = rep.transform(f)
             back = pa.matrix_rep_inverse(fhat, rep)
         assert_same_bits(fhat, one_shot_transform(rep, f))
-        assert_same_bits(back._vector(), one_shot_inverse(fhat, rep)._vector())
+        assert_same_bits(back._vector(), inverse(fhat, rep)._vector())
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -172,9 +186,49 @@ def test_zero_cocycle_inverse_is_the_sum_in_column_order():
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_row_major_family_is_the_one_shot_form(budget):
     """A torus family, held row-major, unlike the regular representation's
-    transposed views: its blocks are laid out the other way round."""
+    transposed views: its blocks are laid out the other way round.  Its
+    one-shot inverse sums each row of a's terms pairwise, so the oracle of
+    the inverse is the sum in column order, as for the regular family's
+    transposed layout, whose one-shot sums run in that order already."""
     rep = pa.matrix_representation(6)
-    assert_transform_and_inverse_are_one_shot(rep, budget, np.random.default_rng(6))
+    assert_transform_and_inverse_are_one_shot(rep, budget, np.random.default_rng(6),
+                                              inverse=column_order_inverse)
+
+
+def families():
+    """Regular families (transposed views; the zero cocycle's phases a 0-stride
+    view) and a torus family (row-major)."""
+    reps = [pa.regular_matrix_rep(g, pa.normalize(g, a)[0]) for g, a in contexts()]
+    z6sq = pa.make_cyclic_power(6, 2)
+    return reps + [pa.regular_matrix_rep(z6sq), pa.matrix_representation(6)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("rep", families(), ids=["z6cube", "s4", "z6sq-zero", "torus6"])
+def test_row_blocks_write_and_invert_as_the_matrix(rep, budget):
+    """In blocks of a few pairs, the writer's text of the streamed rows is that
+    of the whole transform at the default budget, and the inverse reads the
+    same bits from the rows as from the matrix."""
+    for vec in vectors(rep.group, np.random.default_rng(9)):
+        f = pa.GroupFunction._from_vector(rep.group, vec)
+        fhat = rep.transform(f)
+        dense = pa.matrix_rep_inverse(fhat, rep)._vector()
+        with mock.patch.object(cocycles, "_CHUNK", budget):
+            blocks = map(serialize.matrix_to_spec, rep.row_blocks(f))
+            text = "".join(report.canonical_pieces(blocks))
+            back = pa.matrix_rep_inverse(rep.row_blocks(f), rep)._vector()
+            assert_same_bits(pa.matrix_rep_inverse(fhat, rep)._vector(), dense)
+        assert text == pa.dumps_canonical(serialize.matrix_to_spec(fhat))
+        assert_same_bits(back, dense)
+
+
+def test_inverse_refuses_missing_rows():
+    rep = pa.matrix_representation(4)
+    fhat = rep.transform(pa.GroupFunction._from_vector(rep.group, np.ones(16, dtype=complex)))
+    with pytest.raises(ValueError, match="expected 4 transform rows, got 3"):
+        pa.matrix_rep_inverse(iter([fhat[:1], fhat[1:3]]), rep)
+    with pytest.raises(ValueError, match="expected a 4x4 transform"):
+        pa.matrix_rep_inverse(fhat[:3], rep)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
@@ -344,3 +398,25 @@ def test_order_216_passes_hold_a_block():
     """At order 216 blocks of 2**15 pairs were two, the first 70 % of the pass,
     and most passes traced 0.9-1.3 MiB; blocks of 2**13 pairs trace 0.2-0.5 MiB."""
     assert_passes_hold(6, 3, 3 * 2 ** 18)
+
+
+def test_order_1024_matrix_fourier_holds_no_matrix(tmp_path):
+    """`fourier --rep matrix --roundtrip` on (Z_32)^2 with the zero cocycle makes
+    its rows a block at a time, for the inverse and again as written: it traced
+    9.6 MiB, 8 MiB of it the index table, where holding the 16 MiB matrix traced 25."""
+    from projalg import cli
+    gpath, fpath = tmp_path / "g.json", tmp_path / "f.json"
+    gpath.write_text('{"kind": "cyclic_power", "n": 32, "d": 2}')
+    rng = np.random.default_rng(7)
+    fpath.write_text(json.dumps([{"element": [a, b], "re": rng.standard_normal(),
+                                  "im": rng.standard_normal()}
+                                 for a in range(32) for b in range(32)]))
+    argv = ["fourier", "--group", str(gpath), "--in", str(fpath), "--rep", "matrix",
+            "--roundtrip", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20

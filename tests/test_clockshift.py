@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import projalg as pa
-from projalg import cli, clockshift, cocycles, harmonic
+from projalg import algebra, cli, clockshift, cocycles, harmonic
 from projalg.phases import reduce_phase
 
 
@@ -36,6 +37,24 @@ class TestMatrices:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             pa.clock_shift_matrices(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_monomial_checks_match_the_dense_products(self, n):
+        """consistency_check composes (perm, phase) rows with no dense product;
+        the dense products and powers are its oracle."""
+        u1, u2 = pa.clock_shift_matrices(n)
+        x1, x2 = clockshift._rows(n, 1, 0), clockshift._rows(n, 0, 1)
+        dense = lambda x: algebra._densify(*x)
+        assert np.array_equal(dense(x1), u1) and np.array_equal(dense(x2), u2)
+        for x, u in ((x1, u1), (x2, u2)):
+            assert np.array_equal(dense(clockshift._dagger(x)), u.conj().T)
+            power = functools.reduce(clockshift._compose, [x] * n)
+            assert np.max(np.abs(dense(power) - np.linalg.matrix_power(u, n))) < 1e-14
+        comm = functools.reduce(clockshift._compose,
+                                (x1, x2, clockshift._dagger(x1), clockshift._dagger(x2)))
+        assert np.max(np.abs(dense(comm) - u1 @ u2 @ u1.conj().T @ u2.conj().T)) < 1e-14
+        records = {c.name: c.max_residual for c in pa.consistency_check(n, trials=1).checks}
+        assert records["generator_order"] < 1e-13 and records["commutator_phase"] < 1e-13
 
 
 class TestRealize:

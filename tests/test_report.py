@@ -351,3 +351,25 @@ def test_failed_write_to_a_device_removes_nothing(monkeypatch, device, doc, erro
         cli._emit(doc, device)
     assert removed == []
     assert os.path.exists(device)
+
+
+@pytest.mark.parametrize("a, cuts", [
+    (np.arange(12.0).reshape(3, 2, 2) / 7, [1]),
+    (np.arange(12.0).reshape(3, 2, 2) / 7, [0, 0, 2, 3]),
+    (np.arange(5.0, dtype=np.float32), [2]),
+    (np.zeros((0, 2)), []),
+])
+def test_row_blocks_are_written_as_the_whole_array(a, cuts):
+    blocks = np.split(a, cuts)
+    assert "".join(report.canonical_pieces(iter(blocks))) == pa.dumps_canonical(a)
+
+
+def test_row_blocks_are_checked_as_they_come():
+    pieces = report.canonical_pieces(iter([np.zeros((2, 2)), np.array([[1.0, math.nan]])]))
+    assert [next(pieces) for _ in range(4)] == ["[", "[0,0]", ",", "[0,0]"]
+    with pytest.raises(ValueError, match=r"^non-finite float in report: nan$"):
+        next(pieces)
+    with pytest.raises(TypeError, match="cannot serialize list deterministically"):
+        pa.dumps_canonical(iter([[1.0]]))
+    with pytest.raises(TypeError, match="cannot serialize ndarray deterministically"):
+        pa.dumps_canonical(iter([np.arange(3)]))
