@@ -12,10 +12,10 @@ x(m) is monomial, built in closed form: row j holds exp(i pi m1 m2 / n)
 omega^(m2 (j + m1)), omega = exp(2 pi i / n), in column j + m1 mod n.  Only
 :func:`element_matrices` and :func:`realize` build dense matrices.  The
 cocycle of this realization is *measured* from the matrix products rather
-than postulated, in the same pass over all pairs
-(:func:`projalg.harmonic.projective_product_rule`) that checks the product
-rule; every downstream identity is checked against the matrices themselves,
-and for n = 2 the measured value at ((1,0),(0,1)) is -pi/2.
+than postulated: :func:`projalg.harmonic.projective_product_rule` measures it on
+generator columns, fills the rest along words and bounds all pairs by (2L + 1) g
++ L c (unit phases only) in O(n^4) work; every identity downstream is checked
+against the matrices, and for n = 2 the measured value at ((1,0),(0,1)) is -pi/2.
 The gauge-invariant content is the commutator pairing
 beta(e1, e2) = 2 pi / n.
 
@@ -34,7 +34,6 @@ import numpy as np
 from . import sampling
 from .algebra import _densify
 from .cocycles import TabulatedCocycle, normalize
-from .errors import RepresentationInconsistencyError
 from .groups import Group, make_cyclic_power
 from .harmonic import (MatrixRepresentation, _as_monomial,
                        convolution_theorem_trials, fourier,
@@ -96,20 +95,15 @@ def measure_cocycle_from_matrices(group: Group, matrices, *,
                                   tol: float = 1e-10) -> TabulatedCocycle:
     """Extract the cocycle realized by a family of matrices.
 
-    ``matrices`` is taken as :class:`MatrixRepresentation` takes it.  One
-    pass of :func:`projective_product_rule` measures each alpha(a, b) and
-    checks x(a) x(b) = exp(i alpha(a, b)) x(ab) entrywise; a family that is
-    not a projective representation raises with its worst pair.  The
-    cocycle's ``_witness`` keeps the pass's worst residual and pair.
+    ``matrices`` is taken as :class:`MatrixRepresentation` takes it, unit phases
+    only.  :func:`projective_product_rule` measures alpha on generator columns,
+    fills the rest along words and bounds every pair by (2L + 1) g + L c, in
+    O(|S| order dim + |S| order^2) work; a bound not below ``tol`` raises.
+    ``_witness`` is (bound, worst generator pair, L).
     """
-    table, worst, (a, b) = projective_product_rule(group, *_as_monomial(group, matrices, tol))
-    if not worst < tol:
-        raise RepresentationInconsistencyError(
-            f"x({group.describe(a)}) x({group.describe(b)}) is not a unit "
-            f"phase times the product element (residual {worst:.3e}, "
-            f"tol {tol:.1e})")
+    table, *witness = projective_product_rule(group, *_as_monomial(group, matrices, tol), tol=tol)
     alpha = TabulatedCocycle(group, table)
-    alpha._witness = worst, (a, b)
+    alpha._witness = witness
     return alpha
 
 
@@ -155,8 +149,10 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
     """Tie the realization to the abstract algebra and transform machinery.
 
     * the matrices realize the measured cocycle on all pairs: the report
-      gives the worst residual and pair of the cached measuring pass, and
-      building the dressed representation checks it again;
+      gives the cached measurement's bound (2L + 1) g + L c over all pairs,
+      from generator columns of unit phases in O(|S| order n + |S| order^2)
+      work, its worst generator pair and L; the dressed representation is
+      bounded again when it is built;
     * the matrix transform of the deformed convolution equals the matrix
       product of transforms on a random vector (seeded random pairs);
     * (1/n) Tr agrees with the abstract integration functional on seeded
@@ -179,9 +175,10 @@ def consistency_check(n: int, *, trials: int = 20, seed: int | None = None,
     report.add("commutator_phase", off(comm, np.exp(2j * np.pi / n)), tol)
 
     rep = matrix_representation(n)
-    worst, (a, b) = measured_cocycle(n)._witness
-    report.add("projective_product_rule", worst, tol_rule,
-               detail=f"worst pair ({group.describe(a)}, {group.describe(b)})")
+    bound, (x, s), depth = measured_cocycle(n)._witness
+    report.add("projective_product_rule", bound, tol_rule,
+               detail=f"bound (2L + 1) g + L c, worst generator pair "
+                      f"({group.describe(x)}, {group.describe(s)}), depth {depth}")
 
     alpha = rep.cocycle
     worst = convolution_theorem_trials(rep, rng, trials)

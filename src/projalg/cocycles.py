@@ -328,6 +328,44 @@ def cocycle_condition_residual(alpha: Cocycle, a, b, c) -> float:
     return abs(reduce_phase(raw))
 
 
+def _words(group: Group) -> tuple:
+    """(sorted indices of S | {e}, S = ``group.generators()``, word lengths in them, longest)."""
+    index = group.indexing()[1]
+    S = np.array(sorted({0, *(index[s] for s in group.generators())}))
+    lengths = word_lengths(group.index_table(), S)
+    return S, lengths, int(lengths.max())
+
+
+def _triple_scan(group: Group, A: np.ndarray, S: np.ndarray) -> tuple:
+    """(worst, first worst (a, b, s)) of |A[a, b] + A[ab, s] - A[b, s] - A[a, bs]| mod 2 pi,
+    s in ``S``, in row blocks of about ``_CHUNK`` / 4 triples (16 KiB float64 buffers)."""
+    T, n = group.index_table(), group.order
+    AS, TS = A[:, S], T[:, S]                 # alpha(b, s), bs
+    best, worst = -np.inf, 0
+    for r in _blocks(n, 4 * n * S.size):
+        x, y = np.empty((2, r.stop - r.start, n, S.size))
+        # T holds only valid indices, so mode="clip" merely lets take()
+        # write straight into the buffer without a bounds-check copy.
+        np.take(AS, T[r], axis=0, out=x, mode="clip")       # alpha(ab, s)
+        x += A[r, :, None]                                  # alpha(a, b)
+        x -= AS                                             # alpha(b, s)
+        x -= np.take(A[r], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
+        # Distance to the nearest multiple of 2 pi.
+        np.rint(np.divide(x, TWO_PI, out=y), out=y)
+        y *= TWO_PI
+        x -= y
+        np.abs(x, out=x)
+        k = int(np.argmax(x))
+        # Ties keep the earlier triple; a NaN wins and ends the scan,
+        # as max and argmax over all triples at once would report it.
+        if not x.flat[k] <= best:
+            best, worst = float(x.flat[k]), r.start * n * S.size + k
+            if np.isnan(best):
+                break
+    a, b, j = np.unravel_index(worst, (n, n, S.size))
+    return best, tuple(group.element_at(int(i)) for i in (a, b, S[j]))
+
+
 def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
                      samples: int = 1000, box: int = 6,
                      seed: int | None = None) -> VerificationReport:
@@ -344,11 +382,9 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     - omega(ab, c, s) + omega(a, bc, s); by induction on the length of c as
     a word in S, |omega(a, b, c)| <= (3L + 1) g on the circle, where g is the
     largest generator residual and L the longest shortest word.  The report
-    gives (3L + 1) g, so a pass bounds every triple by ``tol``.  Blocks of
-    first elements a hold about ``_CHUNK`` triples (whole rows of
-    order x (|S| + 1)) in two float64 buffers, 64 KiB each at 2**13 triples.
-    The report names the first worst (a, b, s) in index order; a NaN phase
-    gives a NaN residual and a failed check.
+    gives (3L + 1) g, so a pass bounds every triple by ``tol``; the scan is
+    :func:`_triple_scan`.  The report names the first worst (a, b, s) in index
+    order; a NaN phase gives a NaN residual and a failed check.
 
     Lattices are checked over ``samples`` seeded pseudo-random triples drawn
     from [-box, box]^D coordinates in one call, all residuals computed as
@@ -360,40 +396,12 @@ def validate_cocycle(group: Group, alpha: Cocycle, *, tol: float = 1e-10,
     _require_same_group(group, alpha)
     report = VerificationReport(suite="cocycle_validation")
     if group.is_finite:
-        A = np.asarray(alpha.phase_matrix(), dtype=float)
-        T = group.index_table()
-        n = group.order
-        index = group.indexing()[1]
-        S = np.array(sorted({0, *(index[s] for s in group.generators())}))
-        depth = int(word_lengths(T, S).max())
-        AS, TS = A[:, S], T[:, S]                 # alpha(b, s), bs
-        best, worst = -np.inf, 0
-        for r in _blocks(n, n * S.size):
-            x, y = np.empty((2, r.stop - r.start, n, S.size))
-            # T holds only valid indices, so mode="clip" merely lets take()
-            # write straight into the buffer without a bounds-check copy.
-            np.take(AS, T[r], axis=0, out=x, mode="clip")       # alpha(ab, s)
-            x += A[r, :, None]                                  # alpha(a, b)
-            x -= AS                                             # alpha(b, s)
-            x -= np.take(A[r], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
-            # Distance to the nearest multiple of 2 pi.
-            np.rint(np.divide(x, TWO_PI, out=y), out=y)
-            y *= TWO_PI
-            x -= y
-            np.abs(x, out=x)
-            k = int(np.argmax(x))
-            # Ties keep the earlier triple; a NaN wins and ends the scan,
-            # as max and argmax over all triples at once would report it.
-            if not x.flat[k] <= best:
-                best, worst = float(x.flat[k]), r.start * n * S.size + k
-                if np.isnan(best):
-                    break
-        a, b, j = np.unravel_index(worst, (n, n, S.size))
-        a, b, s = (group.element_at(int(i)) for i in (a, b, S[j]))
+        S, _, depth = _words(group)
+        best, (a, b, s) = _triple_scan(group, np.asarray(alpha.phase_matrix(), dtype=float), S)
         report.add("cocycle_condition", (3 * depth + 1) * best, tol,
                    detail=f"worst triple ({group.describe(a)}, "
                           f"{group.describe(b)}, {group.describe(s)}) of "
-                          f"{n}^2 x {S.size} generator triples, depth {depth}")
+                          f"{group.order}^2 x {S.size} generator triples, depth {depth}")
     else:
         a, b, c = sampling.lattice_points(group, sampling.rng_from_seed(seed),
                                           samples, 3, box=box)

@@ -26,11 +26,12 @@ import numpy as np
 
 from . import sampling
 from .algebra import AlgebraElement, _densify, _multiply
-from .cocycles import (Cocycle, _blocks, _require_finite_group,
-                       _require_normalized, _require_same_group, zero_cocycle)
+from .cocycles import (Cocycle, _blocks, _require_finite_group, _require_normalized,
+                       _require_same_group, _triple_scan, _words, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group
 from .integration import GroupFunction, _random_function, _star_integral, as_algebra_element
+from .phases import TWO_PI
 from .report import VerificationReport
 
 
@@ -49,39 +50,46 @@ class FormalRepresentation:
 
 
 def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
-                            cocycle: Cocycle | None = None) -> tuple:
-    """Compare P = M(a) M(b) with exp(i alpha(a, b)) Q, Q = M(ab), over all pairs.
+                            cocycle: Cocycle | None = None, tol: float | None = None) -> tuple:
+    """Bound max|M(a) M(b) - exp(i alpha(a, b)) M(ab)| over all pairs from generator columns.
 
-    Row j of M(a) holds ``phase[a, j]`` in column ``perm[a, j]``, so row j
-    of P holds phase[a, j] phase[b, perm[a, j]] in column perm[b, perm[a, j]]:
-    O(order dim) work per a.  Without a ``cocycle``, alpha(a, b) is measured
-    as the angle of the mean ratio P / Q over the entries of Q of modulus
-    above 0.5.  It takes a family that :func:`_as_monomial` accepted, so
-    every phase is finite, and its residuals are those of dense matrices.
-    Returns (phase table, worst residual, worst pair); callers accept only
-    ``worst < tol``.
+    For each s in S | {e}, S = ``group.generators()``, one array expression compares
+    M(x) M(s) with exp(i alpha(x, s)) M(xs) for every x; g is the worst residual.  Without
+    a ``cocycle``, alpha(x, s) is measured there and the other columns are filled along
+    words: alpha(a, bs) = alpha(a, b) + alpha(ab, s) - alpha(b, s).  With unit phases
+    (:func:`_as_monomial`), err(a, bs) <= err(a, b) + 2g + c, c the worst
+    :func:`_triple_scan` residual, so with L the word depth every pair is within
+    (2L + 1) g + L c: O(|S| order dim + |S| order^2) work.  Returns (table, bound,
+    worst generator pair, L); a bound not below ``tol`` raises.
     """
     T = group.index_table()
+    S, lengths, L = _words(group)
     table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
-    res = np.empty(T.shape)
+    res = np.empty((len(T), S.size))
     with np.errstate(invalid="ignore", divide="ignore"):
-        for ia in range(len(T)):
-            p_val = phase[ia] * phase[:, perm[ia]]
-            q_col, q_val = perm[T[ia]], phase[T[ia]]
-            moved = perm[:, perm[ia]] != q_col
-            # P at Q's entry of each row, as a dense product computes it.
-            p_at_q = np.where(moved, 0 * phase[ia], p_val) if moved.any() else p_val
+        for k, s in enumerate(S):
+            p_val, q_val = phase * phase[s, perm], phase[T[:, s]]
+            moved = perm[s, perm] != perm[T[:, s]]  # P's entry off Q's column
             if cocycle is None:
-                mask = np.abs(q_val) > 0.5
-                ratios = np.where(mask, p_at_q / q_val, 0)
-                table[ia] = np.angle(ratios.sum(axis=1) / mask.sum(axis=1))
-            r = np.abs(p_at_q - np.exp(1j * table[ia])[:, None] * q_val)
-            if moved.any():
-                r = np.maximum(r, np.where(moved, np.abs(p_val), 0))
-            res[ia] = r.max(axis=1)
-    # argmax returns the first NaN, so a non-finite pair is reported.
-    ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
-    return table, float(res[ia, ib]), (group.element_at(ia), group.element_at(ib))
+                table[:, s] = np.angle(np.where(moved, 0, p_val / q_val).sum(axis=1))
+            q_val = np.exp(1j * table[:, s])[:, None] * q_val  # exp(i alpha(x, s)) M(xs)
+            r = np.where(moved, np.maximum(np.abs(p_val), np.abs(q_val)), np.abs(p_val - q_val))
+            res[:, k] = r.max(axis=1)
+        if cocycle is None:  # each column c = bs once, from a column b one letter shorter
+            for depth in range(2, L + 1):
+                i, j = np.nonzero((lengths[:, None] == depth - 1) & (lengths[T[:, S]] == depth))
+                c, first = np.unique(T[i, S[j]], return_index=True)
+                b, s = i[first], S[j[first]]
+                x = table[:, b] + table[T[:, b], s] - table[b, s]
+                table[:, c] = x - TWO_PI * np.rint(x / TWO_PI)  # in [-pi, pi]
+    k = int(np.argmax(res))  # the first NaN, so a non-finite pair is reported
+    x, s = group.element_at(k // S.size), group.element_at(int(S[k % S.size]))
+    bound = (2 * L + 1) * float(res.flat[k]) + L * _triple_scan(group, table, S)[0]
+    if tol is not None and not bound < tol:
+        raise RepresentationInconsistencyError(
+            f"matrices break the projective product rule: bound {bound:.3e} (tol {tol:.1e}), "
+            f"worst generator pair ({group.describe(x)}, {group.describe(s)}), depth {L}")
+    return table, bound, (x, s), L
 
 
 def _as_monomial(group: Group, matrices, tol: float) -> tuple:
@@ -91,8 +99,9 @@ def _as_monomial(group: Group, matrices, tol: float) -> tuple:
 
     Row j keeps its largest entry; a matrix with a non-finite entry, or any
     other entry above ``tol``, raises RepresentationInconsistencyError, and so
-    does a non-finite phase: the passes after it see finite phases only.  A bad
-    shape or column index raises ValueError.
+    does a phase off the unit circle by more than ``tol``, or not finite, naming
+    its element: the bound of :func:`projective_product_rule` needs unit phases.
+    A bad shape or column index raises ValueError.
     """
     if isinstance(matrices, tuple):
         perm, phase = map(np.asarray, matrices)
@@ -101,28 +110,32 @@ def _as_monomial(group: Group, matrices, tol: float) -> tuple:
                 or not 0 <= perm.min() <= perm.max() < perm.shape[1]):
             raise ValueError(f"a monomial family is two numeric ({group.order}, dim) "
                              "arrays, perm of column indices in [0, dim)")
-        blocks = _blocks(len(phase), phase.shape[1])
-        if not all((np.abs(phase[r]) < np.inf).all() for r in blocks):  # NaN is not < inf
-            raise RepresentationInconsistencyError("a monomial family has a non-finite phase")
-        return perm, phase
-    perm, phase = [], []
-    for a in group.indexing()[0]:
-        if a not in matrices:
-            raise ValueError(f"missing matrix for element {group.describe(a)}")
-        m = np.asarray(matrices[a], dtype=complex)
-        if m.ndim != 2 or m.shape != (len(perm[0]) if perm else len(m),) * 2:
-            raise ValueError("representation matrices must be square, of one dimension")
-        cols = np.argmax(np.abs(m), axis=1)
-        vals = m[np.arange(len(m)), cols]
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, and fails below
-            off = float(np.max(np.abs(m - _densify(cols, vals))))
-        if not off <= tol:
+    else:
+        perm, phase = [], []
+        for a in group.indexing()[0]:
+            if a not in matrices:
+                raise ValueError(f"missing matrix for element {group.describe(a)}")
+            m = np.asarray(matrices[a], dtype=complex)
+            if m.ndim != 2 or m.shape != (len(perm[0]) if perm else len(m),) * 2:
+                raise ValueError("representation matrices must be square, of one dimension")
+            cols = np.argmax(np.abs(m), axis=1)
+            vals = m[np.arange(len(m)), cols]
+            with np.errstate(invalid="ignore"):  # inf - inf is nan, and fails below
+                off = float(np.max(np.abs(m - _densify(cols, vals))))
+            if not off <= tol:
+                raise RepresentationInconsistencyError(
+                    f"the matrix of {group.describe(a)} is not monomial with finite "
+                    f"entries: {off:.3e} off its rows' largest entries")
+            perm.append(cols)
+            phase.append(vals)
+        perm, phase = np.array(perm), np.array(phase)
+    for r in _blocks(len(phase), phase.shape[1]):
+        off = np.flatnonzero(~(np.abs(np.abs(phase[r]) - 1) <= tol).all(axis=1))  # NaN fails
+        if off.size:
             raise RepresentationInconsistencyError(
-                f"the matrix of {group.describe(a)} is not monomial with finite "
-                f"entries: {off:.3e} off its rows' largest entries")
-        perm.append(cols)
-        phase.append(vals)
-    return np.array(perm), np.array(phase)
+                f"the matrix of {group.describe(group.element_at(r.start + int(off[0])))} "
+                f"has a non-finite phase or one off the unit circle (tol {tol:.1e})")
+    return perm, phase
 
 
 def _held(a: np.ndarray) -> np.ndarray:
@@ -143,9 +156,10 @@ class MatrixRepresentation:
     ``group.indexing()`` order: row j of M(a) holds ``phase[a, j]`` in
     column ``perm[a, j]``.  ``matrices`` maps each element to its dense
     matrix, or is the (perm, phase) pair itself, held as is where it and every
-    array it views are read-only, else copied.  Non-finite data is refused
-    where it enters, and with ``check`` :func:`projective_product_rule` checks
-    the family; either raises on bad data.
+    array it views are read-only, else copied.  Non-finite data and phases off
+    the unit circle are refused where they enter; with ``check`` the bound
+    (2L + 1) g + L c of :func:`projective_product_rule`, from generator columns
+    in O(|S| order dim + |S| order^2) work, must lie below ``tol``.
     """
 
     kind = "matrix"
@@ -158,11 +172,7 @@ class MatrixRepresentation:
         self.group, self.cocycle, self.perm, self.phase = group, cocycle, perm, phase
         self.dim = int(perm.shape[1])
         if check:
-            _, worst, pair = projective_product_rule(group, perm, phase, cocycle)
-            if not worst < tol:
-                raise RepresentationInconsistencyError(
-                    f"matrices break the projective product rule at pair {pair} "
-                    f"with residual {worst:.3e} (tol {tol:.1e})")
+            projective_product_rule(group, perm, phase, cocycle, tol)
 
     def matrix(self, a) -> np.ndarray:
         ia = self.group.element_index(a)

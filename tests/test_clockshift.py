@@ -213,10 +213,11 @@ def test_matrix_fourier_measures_the_cocycle_once(tmp_path, monkeypatch):
 
 
 def test_clockshift_command_measures_the_cocycle_once(monkeypatch):
-    """`clockshift --n N` reports the cached measurement's worst residual.
+    """`clockshift --n N` reports the cached measurement's bound.
 
     One product-rule pass measures the cocycle and a second checks the dressed
-    representation; the raw family is not measured again for the report.
+    representation; the raw family is not measured again for the report, whose
+    detail names the worst generator pair and the word depth.
     """
     passes = []
     real = harmonic.projective_product_rule
@@ -231,12 +232,13 @@ def test_clockshift_command_measures_the_cocycle_once(monkeypatch):
     assert cli.main(["clockshift", "--n", "4", "--out", os.devnull]) == 0
     assert len(passes) == 2
     group = pa.make_cyclic_power(4, 2)
-    _, worst, pair = real(group, *clockshift._family(4))
+    _, bound, pair, depth = real(group, *clockshift._family(4))
     check = next(c for c in pa.consistency_check(4, trials=1).checks
                  if c.name == "projective_product_rule")
-    assert check.max_residual == worst
-    assert check.detail == (f"worst pair ({group.describe(pair[0])}, "
-                            f"{group.describe(pair[1])})")
+    assert check.max_residual == bound
+    assert check.detail == ("bound (2L + 1) g + L c, worst generator pair "
+                            f"({group.describe(pair[0])}, {group.describe(pair[1])}), "
+                            f"depth {depth}")
 
 
 def test_matrix_fourier_normalizes_the_cocycle_once(tmp_path, monkeypatch):

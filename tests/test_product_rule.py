@@ -1,11 +1,13 @@
-"""The one-pass product-rule check against the per-pair loops it replaced.
+"""The generator-column product-rule check against the per-pair passes it replaced.
 
 ``projective_product_rule`` measures or checks M(a) M(b) = exp(i alpha(a, b))
-M(ab) for a whole monomial family, and ``self_conjugacy_residual`` evaluates
-C R(a) C = L(a) in index space.  The reference functions below are the loops
+M(ab) on the generator columns of a monomial family and bounds every pair by
+(2L + 1) g + L c; ``self_conjugacy_residual`` evaluates C R(a) C = L(a) in
+index space.  The reference functions below are the loops
 ``measure_cocycle_from_matrices``, ``MatrixRepresentation``,
 ``consistency_check`` and the self-conjugacy checks used to run, one pair (or
-one dense matrix product) at a time, and the batched dense matmul pass
+one dense matrix product) at a time; the full monomial pass over every pair
+(``full_product_rule``); and the batched dense matmul pass
 (``ref_product_rule``) that held the family as an (order, dim, dim) stack.
 """
 
@@ -97,6 +99,37 @@ def ref_product_rule(group, stack, cocycle=None):
     return table, float(res[ia, ib]), (elems[ia], elems[ib]), res
 
 
+def full_product_rule(group, perm, phase, cocycle=None):
+    """The monomial pass over every pair: (table, worst, pair, per-pair residuals).
+
+    Row j of M(a) M(b) holds phase[a, j] phase[b, perm[a, j]] in column
+    perm[b, perm[a, j]], so each a takes O(order dim) work.  Without a
+    ``cocycle``, alpha(a, b) is the angle of the mean ratio P / Q over the
+    entries of Q of modulus above 0.5.
+    """
+    T = group.index_table()
+    table = np.zeros(T.shape) if cocycle is None else cocycle.phase_matrix()
+    res = np.empty(T.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for ia in range(len(T)):
+            p_val = phase[ia] * phase[:, perm[ia]]
+            q_col, q_val = perm[T[ia]], phase[T[ia]]
+            moved = perm[:, perm[ia]] != q_col
+            # P at Q's entry of each row, as a dense product computes it.
+            p_at_q = np.where(moved, 0 * phase[ia], p_val) if moved.any() else p_val
+            if cocycle is None:
+                mask = np.abs(q_val) > 0.5
+                ratios = np.where(mask, p_at_q / q_val, 0)
+                table[ia] = np.angle(ratios.sum(axis=1) / mask.sum(axis=1))
+            r = np.abs(p_at_q - np.exp(1j * table[ia])[:, None] * q_val)
+            if moved.any():
+                r = np.maximum(r, np.where(moved, np.abs(p_val), 0))
+            res[ia] = r.max(axis=1)
+    # argmax returns the first NaN, so a non-finite pair is reported.
+    ia, ib = np.unravel_index(int(np.argmax(res)), res.shape)
+    return table, float(res[ia, ib]), (group.element_at(ia), group.element_at(ib)), res
+
+
 def dense(perm, phase):
     """(order, dim, dim) stack of a monomial family, built entry by entry."""
     order, dim = perm.shape
@@ -163,31 +196,110 @@ def test_measured_table_matches_loop(n, dressed):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_residual_matches_loop(n):
+    """The generator bound covers the per-pair loop's worst residual, and the
+    clockshift record reports the cached measurement's bound."""
     g, mats = torus(n, dressed=False)
     alpha = pa.measured_cocycle(n)
     worst_ref, _ = ref_product_residual(g, alpha, mats)
-    _, worst, _ = projective_product_rule(g, *_arrays(g, mats), alpha)
-    assert worst < 1e-13 and abs(worst - worst_ref) < 1e-14
+    _, bound, _, _ = projective_product_rule(g, *_arrays(g, mats), alpha)
+    assert worst_ref <= bound < 1e-11
     report = pa.consistency_check(n, trials=1)
     check = next(c for c in report.checks if c.name == "projective_product_rule")
-    assert abs(check.max_residual - worst_ref) < 1e-14
+    assert check.max_residual == alpha._witness[0]
+    assert worst_ref <= check.max_residual < 1e-11
 
 
 def test_worst_pair_is_the_broken_one():
+    """A turned M((2, 1)), not a generator, is refused on a generator column
+    (x, s) that touches it: x = (2, 1) or xs = (2, 1)."""
     g = pa.make_cyclic_power(3, 2)
     alpha = pa.measured_cocycle(3)
     mats = dict(pa.element_matrices(3))
     mats[(2, 1)] = mats[(2, 1)] * np.exp(0.2j)
-    ref_worst, ref_pair = ref_product_residual(g, alpha, mats)
-    _, worst, pair = projective_product_rule(g, *_arrays(g, mats), alpha)
-    assert pair == ref_pair
-    assert abs(worst - ref_worst) < 1e-14
+    ref_worst, _ = ref_product_residual(g, alpha, mats)
+    _, bound, (x, s), _ = projective_product_rule(g, *_arrays(g, mats), alpha)
+    assert (2, 1) in (x, g.prod(x, s)) and s in g.generators()
+    assert bound >= ref_worst > 0.1
+
+
+@pytest.mark.parametrize("n, a", [(3, (2, 2)), (5, (0, 3)), (8, (7, 7)), (32, (17, 4))])
+@pytest.mark.parametrize("measure", [False, True])
+def test_corrupt_non_generator_is_refused_on_a_column_touching_it(n, a, measure):
+    """One entry of M(a) turned, a not a generator: the phases stay unit, so
+    the gate passes, and the generator columns refuse the family, naming a pair
+    (x, s) with x = a or xs = a and the depth in the error."""
+    g = pa.make_cyclic_power(n, 2)
+    perm, phase = clockshift._family(n)
+    phase[g.element_index(a), 1] *= np.exp(0.3j)
+    alpha = pa.measured_cocycle(n)
+    _, bound, (x, s), depth = projective_product_rule(g, perm, phase, None if measure else alpha)
+    assert a in (x, g.prod(x, s)) and s in g.generators() and bound > 0.1
+    with pytest.raises(pa.RepresentationInconsistencyError) as err:
+        if measure:
+            pa.measure_cocycle_from_matrices(g, (perm, phase))
+        else:
+            pa.MatrixRepresentation(g, alpha, (perm, phase))
+    assert str(err.value).endswith(f"worst generator pair ({g.describe(x)}, "
+                                   f"{g.describe(s)}), depth {depth}")
+
+
+def test_generator_columns_alone_do_not_decide():
+    """On Z_3, generator 1, take the trivial 1x1 family and alpha zero but for
+    alpha(1, 2) = 0.5.  Both generator columns (s = 0, 1) read 0, yet the pair
+    (1, 2) is off by |1 - exp(0.5i)|: the triples' residual c = 0.5, at depth
+    L = 2, makes the bound L c = 1 and refuses the family."""
+    g = pa.make_cyclic_power(3, 1)
+    table = np.zeros((3, 3))
+    table[1, 2] = 0.5
+    alpha = pa.TabulatedCocycle(g, table)
+    perm, phase = np.zeros((3, 1), dtype=int), np.ones((3, 1), dtype=complex)
+    _, worst, pair, res = full_product_rule(g, perm, phase, alpha)
+    assert not res[:, :2].any() and pair == ((1,), (2,))
+    assert abs(worst - abs(1 - np.exp(0.5j))) < 1e-15
+    assert projective_product_rule(g, perm, phase, alpha)[1:] == (1.0, ((0,), (0,)), 2)
+    with pytest.raises(pa.RepresentationInconsistencyError, match="bound 1.000e[+]00"):
+        pa.MatrixRepresentation(g, alpha, (perm, phase))
+
+
+def test_diagonal_similarity_is_refused_at_the_gate():
+    """D U(a) D^-1, D = diag(1, 1.25, 1.5, 1.75), realizes the clockshift cocycle
+    as U(a) does, and the full pass accepts it; but its phases leave the unit
+    circle, where the generator bound does not hold, so the gate refuses it,
+    naming the first such element, the generator (1, 0)."""
+    n = 4
+    g = pa.make_cyclic_power(n, 2)
+    perm, phase = clockshift._family(n)
+    d = 1 + np.arange(n) / n
+    phase = phase * d / d[perm]  # row j of D U D^-1: d_j phase[j] / d_perm[j]
+    alpha = pa.measured_cocycle(n)
+    assert full_product_rule(g, perm, phase, alpha)[1] < 1e-14
+    for build in (lambda: pa.MatrixRepresentation(g, alpha, (perm, phase)),
+                  lambda: pa.measure_cocycle_from_matrices(g, (perm, phase))):
+        with pytest.raises(pa.RepresentationInconsistencyError,
+                           match=r"matrix of \(1, 0\) has a non-finite phase or one off the unit circle"):
+            build()
+
+
+def test_check_holds_no_order_squared_array():
+    """At n = 32 (order 1024) the check reads three generator columns, (order, n)
+    arrays, and scans the cocycle's generator triples in blocks: its traced peak
+    stays far below one order^2 float64 table (8 MiB), the size of the full pass's
+    per-pair residual table."""
+    rep = pa.matrix_representation(32)  # its tables and caches are built outside the trace
+    tracemalloc.start()
+    try:
+        pa.MatrixRepresentation(rep.group, rep.cocycle, (rep.perm, rep.phase))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20 * 4
 
 
 def test_consistency_check_names_worst_pair():
     report = pa.consistency_check(3, trials=1)
     check = next(c for c in report.checks if c.name == "projective_product_rule")
-    assert check.detail.startswith("worst pair (")
+    assert check.detail.startswith("bound (2L + 1) g + L c, worst generator pair (")
+    assert check.detail.endswith(", depth 4")
 
 
 # -- rejected families --------------------------------------------------------
@@ -377,7 +489,7 @@ def monomial_families(draw):
 
 
 def assert_matches_dense_stack(group, perm, phase, cocycle):
-    table, worst, pair = projective_product_rule(group, perm, phase, cocycle)
+    table, worst, pair, _ = full_product_rule(group, perm, phase, cocycle)
     ref_table, ref_worst, ref_pair, ref_res = ref_product_rule(
         group, dense(perm, phase), cocycle)
     nan = np.isnan(ref_table)
@@ -396,10 +508,32 @@ def assert_matches_dense_stack(group, perm, phase, cocycle):
         assert pair == ref_pair
 
 
+def assert_bounded_by_full_pass(group, perm, phase, cocycle, tol=1e-10):
+    """The generator rule against the full pass on a family of unit phases: the
+    bound is at least the full pass's worst, up to rounding; the two accept or
+    refuse alike wherever that worst is 10x or more away from ``tol``; and an
+    accepted measured table lies within the bound of the full pass's on the circle."""
+    table, bound, _, _ = projective_product_rule(group, perm, phase, cocycle)
+    ref_table, worst, _, _ = full_product_rule(group, perm, phase, cocycle)
+    assert worst <= bound + 1e-15
+    if not tol / 10 < worst < 10 * tol:
+        assert (bound < tol) == (worst < tol)
+    if bound < tol and cocycle is None:
+        assert np.max(np.abs(reduce_phase(table - ref_table))) <= bound + 1e-15
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomial_families())
 def test_monomial_pass_matches_dense_stack(family):
-    assert_matches_dense_stack(*family)
+    """The full pass matches the dense stack; the generator rule is bounded by
+    it where the phases are unit, and the gate refuses the other families."""
+    group, perm, phase, cocycle = family
+    assert_matches_dense_stack(group, perm, phase, cocycle)
+    if (np.abs(np.abs(phase) - 1) <= 1e-10).all():
+        assert_bounded_by_full_pass(group, perm, phase, cocycle)
+    else:
+        with pytest.raises(pa.RepresentationInconsistencyError, match="off the unit circle"):
+            _as_monomial(group, (perm, phase), 1e-10)
 
 
 def _crafted():
@@ -417,10 +551,33 @@ def _crafted():
 
 @pytest.mark.parametrize("measure", [False, True])
 def test_crafted_families_match_dense_stack(measure):
+    """The full pass matches the dense stack on the crafted family; its tripled
+    phase is off the unit circle, so the gate refuses it, naming (1,)."""
     group, perm, phase, alpha = _crafted()
     assert_matches_dense_stack(group, perm, phase, None if measure else alpha)
-    _, worst, pair = projective_product_rule(group, perm, phase, alpha)
+    _, worst, pair, _ = full_product_rule(group, perm, phase, alpha)
     assert abs(worst - 3.0) < 1e-12 and pair == ((1,), (2,))
+    build = ((lambda: pa.measure_cocycle_from_matrices(group, (perm, phase))) if measure
+             else lambda: pa.MatrixRepresentation(group, alpha, (perm, phase)))
+    with pytest.raises(pa.RepresentationInconsistencyError, match=r"matrix of \(1,\) has"):
+        build()
+
+
+@pytest.mark.parametrize("measure", [False, True])
+def test_unit_rows_in_other_columns_are_refused(measure):
+    """Z_3's regular family of the zero cocycle with M(2) made the identity:
+    every phase is 1, so only the columns tell M(1) M(1) from M(2).  The full
+    pass reads 1, and the generator bound refuses the family."""
+    g = pa.make_cyclic_power(3, 1)
+    perm, phase = g.index_table().T.copy(), np.ones((3, 3), dtype=complex)
+    perm[2] = np.arange(3)
+    alpha = None if measure else pa.zero_cocycle(g)
+    assert full_product_rule(g, perm, phase, alpha)[1] == 1.0
+    assert projective_product_rule(g, perm, phase, alpha)[1] >= 1.0
+    build = ((lambda: pa.measure_cocycle_from_matrices(g, (perm, phase))) if measure
+             else lambda: pa.MatrixRepresentation(g, alpha, (perm, phase)))
+    with pytest.raises(pa.RepresentationInconsistencyError, match="break the projective"):
+        build()
 
 
 def _unitary(dim, seed):
