@@ -245,9 +245,11 @@ def _lattice_product(alpha: Cocycle, f: _CoefficientStore,
     """sum_{a,b} f(a) g(b) exp(i alpha(a, b)) x(a + b) on Z^D, pruned at PRUNE_TOL.
 
     Every coordinate of a store is within LATTICE_COORD_LIMIT, so the int64
-    pair sums cannot wrap.  Returns (key rows, values): the distinct pair
-    sums in lexicographic order; a kept one beyond the limit raises
-    ValueError, as ``LatticeGroup.canonical`` would.
+    pair sums cannot wrap.  The weights go over ``_blocks`` of f's rows, each
+    counted 2 |g| wide: _CHUNK / 2 pairs a block, but where |g| > _CHUNK / 4
+    two rows (three at a lone last row).  Returns (key rows, values): the
+    distinct pair sums in lexicographic order; a kept one beyond the limit
+    raises ValueError, as ``LatticeGroup.canonical`` would.
     """
     (Sa, fv), (Sb, gv) = (f._keys, f._vals), (g._keys, g._vals)
     if not len(fv) or not len(gv):
@@ -261,12 +263,10 @@ def _lattice_product(alpha: Cocycle, f: _CoefficientStore,
     else:  # numbering needs every sum, so these bins are pair-sized
         keys, row_bins = _distinct_rows((Sa[:, None] + Sb[None]).reshape(-1, alpha.group.d))
         row_bins = row_bins.reshape(len(fv), len(gv)).__getitem__
-    # The weights about 4096 at a time, added in C order as _finite_product
+    # The weights a block at a time, added in C order as _finite_product
     # adds them: the bits of one expression and one add.at, block temporaries.
     h = np.zeros(len(keys), dtype=complex)
-    step = max(1, 4096 // len(gv))
-    for i in range(0, len(fv), step):
-        r = slice(i, i + step)
+    for r in _blocks(len(fv), 2 * len(gv)):
         w = fv[r, None] * gv[None] * np.exp(1j * alpha.phases(Sa[r, None], Sb[None]))
         np.add.at(h, row_bins(r).ravel(), w.ravel())
     del row_bins  # with the sort numbering's pair-sized bins: freed before the gather
@@ -353,6 +353,17 @@ def _densify(perm: np.ndarray, phase: np.ndarray) -> np.ndarray:
     np.put_along_axis(out, perm[..., None], phase[..., None], axis=-1)
     out.setflags(write=False)
     return out
+
+
+def _compose(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """X Y of monomial (perm, phase) pairs."""
+    return y[0][x[0]], x[1] * y[1][x[0]]
+
+
+def _dagger(x) -> tuple[np.ndarray, np.ndarray]:
+    """X^dagger of a monomial (perm, phase) pair."""
+    inv = np.argsort(x[0])
+    return inv, x[1][inv].conj()
 
 
 def regular_reps(group: Group, alpha: Cocycle) -> RegularRepPair:

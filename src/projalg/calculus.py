@@ -98,10 +98,8 @@ def derive(d: Derivation, u: AlgebraElement) -> AlgebraElement:
     return u._like(u._keys, np.array([d.sigma(a) * v for a, v in u.items()], complex))
 
 
-def _random_element(group: Group, alpha: Cocycle, rng, *, box: int = 4,
-                    support: int = 4) -> AlgebraElement:
-    return as_algebra_element(_random_function(group, rng, box=box, support=support),
-                              alpha)
+def _random_element(group: Group, alpha: Cocycle, rng, *, box: int = 4) -> AlgebraElement:
+    return as_algebra_element(_random_function(group, rng, box=box, support=4), alpha)
 
 
 def check_leibniz(d: Derivation, group: Group, alpha: Cocycle, *,

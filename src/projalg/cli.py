@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
         report.add("convolution_theorem", worst, _tol(cfg, 1e-12),
                    detail=f"{VERIFY_TRIALS} random pairs, regular picture, relative")
 
-    if cfg.cocycle_kind == "clockshift" and isinstance(group, CyclicPowerGroup):
+    if cfg.cocycle_kind == "clockshift":
         report.extend(consistency_check(group.n, seed=cfg.seed, tol=cfg.tol),
                       prefix="clockshift")
 
@@ -206,8 +206,7 @@ def cmd_fourier(args) -> int:
     cfg = _config(args)
     group = cfg.group
     f = _load_function(args.infile, group)
-    torus = (args.rep == "matrix" and cfg.cocycle_kind == "clockshift"
-             and isinstance(group, CyclicPowerGroup))
+    torus = args.rep == "matrix" and cfg.cocycle_kind == "clockshift"
     # The torus realization validates and normalizes the measured cocycle itself.
     rep = matrix_representation(group.n) if torus else None
     alpha_n = rep.cocycle if torus else _normalized(cfg)

@@ -27,21 +27,22 @@ over n, the integration functional transported to this realization is
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
 
 from . import sampling
-from .algebra import _densify
+from .algebra import _compose, _dagger, _densify
 from .cocycles import TabulatedCocycle, normalize
-from .groups import Group, make_cyclic_power
+from .groups import VALIDATION_ORDER_LIMIT, Group, make_cyclic_power
 from .harmonic import (MatrixRepresentation, _as_monomial,
                        convolution_theorem_trials, fourier,
                        projective_product_rule)
 from .integration import _random_function, as_algebra_element, ati_integral, invert
 from .report import VerificationReport
 
-SUPPORTED_RANGE = range(2, 33)
+SUPPORTED_RANGE = range(2, math.isqrt(VALIDATION_ORDER_LIMIT) + 1)  # n^2 within the order bound
 
 
 def _require_supported(n: int) -> None:
@@ -63,17 +64,6 @@ def _rows(n: int, m1, m2) -> tuple[np.ndarray, np.ndarray]:
     m1, m2 = np.asarray(m1)[..., None], np.asarray(m2)[..., None]
     perm = (np.arange(n) + m1) % n
     return perm, np.exp(1j * np.pi * ((m1 * m2 + 2 * m2 * perm) % (2 * n)) / n)
-
-
-def _compose(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """X Y of monomial (perm, phase) pairs."""
-    return y[0][x[0]], x[1] * y[1][x[0]]
-
-
-def _dagger(x) -> tuple[np.ndarray, np.ndarray]:
-    """X^dagger of a monomial (perm, phase) pair."""
-    inv = np.argsort(x[0])
-    return inv, x[1][inv].conj()
 
 
 def _family(n: int) -> tuple[np.ndarray, np.ndarray]:

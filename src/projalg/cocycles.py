@@ -350,7 +350,7 @@ def _triple_scan(group: Group, A: np.ndarray, S: np.ndarray) -> tuple:
         x += A[r, :, None]                                  # alpha(a, b)
         x -= AS                                             # alpha(b, s)
         x -= np.take(A[r], TS, axis=1, out=y, mode="clip")  # alpha(a, bs)
-        # Distance to the nearest multiple of 2 pi.
+        # Distance to the nearest multiple of 2 pi: rint keeps digits reduce_phase's np.mod loses.
         np.rint(np.divide(x, TWO_PI, out=y), out=y)
         y *= TWO_PI
         x -= y

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _densify, _multiply
+from .algebra import AlgebraElement, _compose, _densify, _multiply
 from .cocycles import (Cocycle, _blocks, _require_finite_group, _require_normalized,
                        _require_same_group, _triple_scan, _words, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
@@ -37,8 +37,6 @@ from .report import VerificationReport
 
 class FormalRepresentation:
     """Tautological representation: transform values are algebra elements."""
-
-    kind = "formal"
 
     def __init__(self, group: Group, cocycle: Cocycle):
         _require_same_group(group, cocycle)
@@ -68,8 +66,9 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
     res = np.empty((len(T), S.size))
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, s in enumerate(S):
-            p_val, q_val = phase * phase[s, perm], phase[T[:, s]]
-            moved = perm[s, perm] != perm[T[:, s]]  # P's entry off Q's column
+            p_perm, p_val = _compose((perm, phase), (perm[s], phase[s]))  # M(x) M(s)
+            q_val = phase[T[:, s]]
+            moved = p_perm != perm[T[:, s]]  # P's entry off Q's column
             if cocycle is None:
                 table[:, s] = np.angle(np.where(moved, 0, p_val / q_val).sum(axis=1))
             q_val = np.exp(1j * table[:, s])[:, None] * q_val  # exp(i alpha(x, s)) M(xs)
@@ -81,7 +80,7 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
                 c, first = np.unique(T[i, S[j]], return_index=True)
                 b, s = i[first], S[j[first]]
                 x = table[:, b] + table[T[:, b], s] - table[b, s]
-                table[:, c] = x - TWO_PI * np.rint(x / TWO_PI)  # in [-pi, pi]
+                table[:, c] = x - TWO_PI * np.rint(x / TWO_PI)  # [-pi, pi]; np.mod loses digits
     k = int(np.argmax(res))  # the first NaN, so a non-finite pair is reported
     x, s = group.element_at(k // S.size), group.element_at(int(S[k % S.size]))
     bound = (2 * L + 1) * float(res.flat[k]) + L * _triple_scan(group, table, S)[0]
@@ -162,8 +161,6 @@ class MatrixRepresentation:
     in O(|S| order dim + |S| order^2) work, must lie below ``tol``.
     """
 
-    kind = "matrix"
-
     def __init__(self, group: Group, cocycle: Cocycle, matrices, *,
                  check: bool = True, tol: float = 1e-10):
         _require_same_group(group, cocycle)
@@ -200,8 +197,6 @@ class MatrixRepresentation:
 
 class CharacterRepresentation:
     """One character chi_q(a) = exp(-2 pi i q.a / n) of (Z_n)^D; vector case only."""
-
-    kind = "character"
 
     def __init__(self, group: CyclicPowerGroup, q):
         self.group = _require_cyclic_power(group)
@@ -272,7 +267,7 @@ def regular_matrix_rep(group: Group, cocycle: Cocycle | None = None) -> MatrixRe
     held as transposed views of the tables, not copied."""
     alpha = zero_cocycle(group) if cocycle is None else cocycle
     family = (group.index_table().T, alpha.phase_exp().T)
-    # Construction guarantees the product rule; skip the O(n^2) re-check.
+    # Its product rule is the cocycle identity: skip the generator columns and triple scan.
     return MatrixRepresentation(group, alpha, family, check=False)
 
 

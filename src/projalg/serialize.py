@@ -7,7 +7,7 @@ Cocycle files:    {"kind": "zero"}
                   {"kind": "bilinear", "theta": [[...], ...]}
                   {"kind": "table", "alpha": [[...], ...]}
                   {"kind": "coboundary", "phi": [...]}
-                  {"kind": "clockshift"}            (cyclic_power, d = 2, 2 <= n <= 32)
+                  {"kind": "clockshift"}  ((Z_n)^2 with n >= 2, n^2 <= VALIDATION_ORDER_LIMIT)
 Function files:   [{"element": [..] | index, "re": ..., "im": ...}, ...]
 
 Algebra elements share the function schema: a serialized element is the list

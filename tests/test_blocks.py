@@ -1,11 +1,14 @@
-"""The order**2 passes on finite groups, run over blocks of ``cocycles._CHUNK``.
+"""The order**2 passes on finite groups and the lattice product, run over
+blocks of ``cocycles._CHUNK``.
 
 The one-shot expressions below are the forms these passes had before they
 were split into row or column blocks.  With the budget patched down to a few
-pairs, so that every pass runs many blocks, the product, the matrix transform
-and its inverse, the identity check, the self-conjugacy residual, the
-triviality test and the monomial gate must equal their one-shot forms bit for
-bit, NaN phases included, and the convolution-theorem residual, whose einsum
+pairs, so that every pass runs many blocks, the product on finite groups and
+on Z^2, the matrix transform and its inverse, the identity check, the
+self-conjugacy residual, the triviality test and the monomial gate must equal
+their one-shot forms bit for bit, NaN phases included; the lattice product
+also at the default budget, in blocks of about 4096 pairs or of two and three
+rows wider than half of it.  The convolution-theorem residual, whose einsum
 sums depend on the layout, must agree to 1e-14.  The inverse adds in column
 order, so where a one-shot form sums its rows pairwise the oracle is the
 column-order sum.  The transform streamed as row blocks must write and
@@ -137,6 +140,50 @@ def test_product_is_the_one_shot_kernel(group, alpha, budget):
             for g in vecs:
                 got = algebra._finite_product(group, E, f, g)
                 assert_same_bits(got, one_shot_product(group, E, f, g))
+
+
+def one_shot_lattice_product(alpha, f, g):
+    """Every pair weight in one expression, added into the sorted distinct pair
+    sums with one add.at, then pruned as the kernel prunes."""
+    (Sa, fv), (Sb, gv) = (f._keys, f._vals), (g._keys, g._vals)
+    sums = list(map(tuple, (Sa[:, None] + Sb[None]).reshape(-1, 2).tolist()))
+    keys = sorted(set(sums))
+    position = {k: i for i, k in enumerate(keys)}
+    w = fv[:, None] * gv[None] * np.exp(1j * alpha.phases(Sa[:, None], Sb[None]))
+    h = binned_sum(np.array([position[k] for k in sums]), w, len(keys))
+    keep = np.flatnonzero(~(np.abs(h) < algebra.PRUNE_TOL))
+    return np.array(keys, dtype=np.int64).reshape(-1, 2)[keep], h[keep]
+
+
+def lattice_element(group, alpha, rng, size, side, far):
+    """``size`` distinct points of a side x side box, or of that box moved to
+    within 2**12 of a corner (+-2**52, +-2**52) picked for each point."""
+    pts = np.stack(np.divmod(rng.choice(side * side, size, replace=False), side), axis=-1)
+    if far:
+        pts += rng.choice([-1, 1], (size, 2)) * (2 ** 52 - 2 ** 12)
+    vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return pa.AlgebraElement(group, alpha, dict(zip(map(tuple, pts.tolist()), vals)))
+
+
+@pytest.mark.parametrize("budget", [*BUDGETS, cocycles._CHUNK])
+@pytest.mark.parametrize("far", [False, True], ids=["box", "sorted"])
+@pytest.mark.parametrize("nf, ng", [(41, 200), (3, 2049)])
+def test_lattice_product_is_the_one_shot_kernel(nf, ng, far, budget):
+    """41 rows leave a lone last row at every budget; a row of 2049 is wider
+    than half the default budget, so the 3 rows go in one block.  Near the
+    origin the (7 + 46 - 1)**2 cells of the box of sums, fewer than the pairs,
+    number the sums; near the corners that box is about 2**53 wide, and a sort does."""
+    assert 52 ** 2 <= nf * ng
+    group = pa.make_lattice(2)
+    alpha = pa.BilinearCocycle(group, [[0.3, 0.7], [-0.2, 0.1]])
+    rng = np.random.default_rng(nf)
+    f = lattice_element(group, alpha, rng, nf, 7, far)
+    g = lattice_element(group, alpha, rng, ng, 46, far)
+    with mock.patch.object(cocycles, "_CHUNK", budget):
+        keys, vals = algebra._lattice_product(alpha, f, g)
+    expected_keys, expected_vals = one_shot_lattice_product(alpha, f, g)
+    assert_same_bits(keys, expected_keys)
+    assert_same_bits(vals, expected_vals)
 
 
 def assert_transform_and_inverse_are_one_shot(rep, budget, rng, inverse=one_shot_inverse):

@@ -249,6 +249,16 @@ class TestClockshiftCommand:
     def test_out_of_range_exits_two(self):
         assert cli.main(["clockshift", "--n", "99"]) == 2
 
+    @pytest.mark.parametrize("n", [1, 33])
+    def test_just_outside_the_range_exits_two(self, n):
+        """The range is 2..isqrt(VALIDATION_ORDER_LIMIT): its edges are refused one step out."""
+        assert cli.main(["clockshift", "--n", str(n)]) == 2
+
+    def test_bottom_of_the_range(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["clockshift", "--n", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_top_of_the_range(self):
         proc = subprocess.run([sys.executable, "-m", "projalg", "clockshift",
                                "--n", "32"], capture_output=True, text=True,
@@ -408,6 +418,11 @@ class TestClockshiftRange:
         started = time.perf_counter()
         self.assert_input_error(self.run("verify", *common))
         assert time.perf_counter() - started < 20
+
+    def test_verify_n1_exits_two(self, tmp_path):
+        """(Z_1)^2 passes the order bound, so the torus range itself refuses it."""
+        common, _ = self.files(tmp_path, 1)
+        self.assert_input_error(self.run("verify", *common))
 
     def test_matrix_fourier_n40_exits_two(self, tmp_path):
         common, fn = self.files(tmp_path, 40)
