@@ -225,19 +225,38 @@ class AlgebraElement(_CoefficientStore):
 
 def _finite_product(group: Group, E: np.ndarray, f: np.ndarray,
                     g: np.ndarray) -> np.ndarray:
-    """h[ab] = sum_{a,b} f[a] g[b] E[a, b] for vectors in ``group.indexing()`` order.
+    """h[..., ab] = sum_{a,b} f[..., a] g[..., b] E[a, b] for (k, order) stacks of
+    vectors in ``group.indexing()`` order, a 1-D vector a stack of one.
 
-    ``E`` is indexed like ``group.index_table()``.  The support pairs are
-    gathered in row blocks of ``_blocks`` and added in C order, so memory is
-    a block's, never order**2.  The result is not pruned.
+    ``E`` is indexed like ``group.index_table()``.  The pairs of the union of the
+    supports are gathered in row blocks of ``_blocks``, k times as wide, and added in
+    C order into flat bins, vector t's at t order + ab, so each vector's sums are its
+    own to the bit and memory is a block's, never order**2.  The result is not pruned.
     """
-    sf, sg = np.flatnonzero(f), np.flatnonzero(g)
-    h = np.zeros(group.order, dtype=complex)
-    for r in _blocks(len(sf), len(sg)):
+    n = group.order
+    F, G = f.reshape(-1, n), g.reshape(-1, n)
+    sf, sg = (np.flatnonzero(u.any(axis=0)) for u in (F, G))
+    Gs = np.take(G, sg, axis=1)[:, None]
+    h = np.zeros(F.size, dtype=complex)
+    for r in _blocks(len(sf), len(F) * len(sg)):
         rows = np.ix_(sf[r], sg)
-        w = f[sf[r], None] * g[None, sg] * E[rows]
-        np.add.at(h, group.index_table()[rows].ravel(), w.ravel())
-    return h
+        w = np.take(F, sf[r], axis=1)[..., None] * Gs * E[rows][None]  # 3-D E: a lone pair's bits
+        bins = group.index_table()[rows]
+        if len(F) > 1:  # vector t's bins t order further on
+            bins = bins + n * np.arange(len(F))[:, None, None]
+        np.add.at(h, bins.ravel(), w.ravel())
+    return h.reshape(f.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing modulus is inf
+def _prune(group: Group, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Rows of values on ``keys`` (1-D ``vals``: one row), pruned in place as a store is:
+    moduli below PRUNE_TOL become 0; the first row :meth:`_keep` refuses raises its error."""
+    mod = np.abs(vals)
+    vals[mod < PRUNE_TOL] = 0
+    for row in vals[~(mod < np.inf).all(axis=-1)][:1]:
+        _CoefficientStore._wrap(group, keys, row)
+    return vals
 
 
 def _lattice_product(alpha: Cocycle, f: _CoefficientStore,

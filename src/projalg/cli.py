@@ -26,9 +26,8 @@ from .harmonic import (FormalRepresentation, _is_zero_cocycle,
                        character_inverse, character_transform,
                        convolution_theorem_residual, convolution_theorem_trials,
                        deformed_convolution, fourier, matrix_rep_inverse,
-                       plancherel_values, regular_matrix_rep)
-from .integration import (GroupFunction, _random_function, completeness_check,
-                          invert)
+                       plancherel_trials, plancherel_values, regular_matrix_rep)
+from .integration import GroupFunction, completeness_check, invert
 from .report import CheckResult, VerificationReport, canonical_pieces
 from .serialize import (character_to_spec, cocycle_from_spec,
                         function_from_spec, function_to_spec, group_from_spec,
@@ -158,12 +157,7 @@ def cmd_verify(args) -> int:
         report.extend(completeness_check(group, alpha_n, tol=_tol(cfg, 1e-12)))
 
     rng = sampling.rng_from_seed(cfg.seed)
-    worst = 0.0
-    for _ in range(VERIFY_TRIALS):
-        f = _random_function(group, rng)
-        lhs, rhs = plancherel_values(f, alpha_n)
-        worst = max(worst, abs(lhs - rhs))
-    report.add("plancherel", worst, _tol(cfg, 1e-12),
+    report.add("plancherel", plancherel_trials(alpha_n, rng, VERIFY_TRIALS), _tol(cfg, 1e-12),
                detail=f"{VERIFY_TRIALS} random functions")
 
     if group.is_finite:  # on a lattice every product is the kernel itself
@@ -264,7 +258,7 @@ def cmd_convolve(args) -> int:
     if group.is_finite:
         v = sampling.random_complex(sampling.rng_from_seed(cfg.seed), group.order)
         residual = convolution_theorem_residual(regular_matrix_rep(group, alpha_n),
-                                                f1, f2, h, v)
+                                                f1._vector(), f2._vector(), h._vector(), v)
         checks["convolution_theorem"] = _check_dict(residual, _tol(cfg, 1e-12))
     result = function_to_spec(h)
     del h  # its key rows and values are as large as the records: free them first

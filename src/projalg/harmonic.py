@@ -24,8 +24,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from . import sampling
-from .algebra import AlgebraElement, _compose, _densify, _multiply
+from . import algebra, cocycles, sampling
+from .algebra import AlgebraElement, _compose, _densify, _multiply, _prune
 from .cocycles import (Cocycle, _blocks, _require_finite_group, _require_normalized,
                        _require_same_group, _triple_scan, _words, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
@@ -271,36 +271,74 @@ def regular_matrix_rep(group: Group, cocycle: Cocycle | None = None) -> MatrixRe
     return MatrixRepresentation(group, alpha, family, check=False)
 
 
-def convolution_theorem_residual(rep: MatrixRepresentation, f: GroupFunction,
-                                 g: GroupFunction, h: GroupFunction, v) -> float:
-    """max|rho(h) v - rho(f) (rho(g) v)| / max(1, max|rho(f) (rho(g) v)|): 0 up to
-    rounding, which grows with the sums, for h = deformed_convolution(f, g, rep.cocycle).
-    Row j of M(a) v is phase[a, j] v[perm[a, j]], so rho(u) v is one gather and
-    one weighted sum of its rows, in blocks of j: no dense matrix and no product
-    kernel.  The sums are einsum loops: a BLAS product pays thread start-up."""
-    for u in (f, g, h):
-        _require_same_group(rep.group, u)
-    fv, gv, hv = (u._vector() for u in (f, g, h))
-    rho_gv, lhs, rhs = np.empty((3, rep.dim), dtype=complex)
+def convolution_theorem_residual(rep: MatrixRepresentation, f: np.ndarray, g: np.ndarray,
+                                 h: np.ndarray, v: np.ndarray) -> float:
+    """max|rho(h) v - rho(f) (rho(g) v)| / max(1, max|rho(f) (rho(g) v)|), the worst of a
+    (k, length) stack of vectors (1-D: one): 0 up to rounding, which grows with the sums,
+    for h = f ⋆_alpha g.  Row j of M(a) v is phase[a, j] v[perm[a, j]], so rho(u) v is one
+    gather and one weighted sum of its rows, in blocks of j, k times as wide: no dense
+    matrix and no product kernel.  The sums are einsum loops: BLAS pays thread start-up."""
+    rho_gv, lhs, rhs = np.empty((3, *v.shape), dtype=complex)
+    k = v[..., :1].size
+    # One vector is gathered flat, on numpy's 1-D path: twice as fast as take.
+    gather = lambda x, c: (x.reshape(-1)[rep.perm[:, c]] if k == 1
+                           else np.take(x, rep.perm[:, c], axis=-1))
     # Gathers are weighted in place, phase first: complex * is not commutative to the bit.
-    for c in _blocks(rep.dim, len(fv)):
-        moved = v[rep.perm[:, c]]
+    for c in _blocks(rep.dim, k * len(rep.perm)):
+        moved = gather(v, c)
         np.multiply(rep.phase[:, c], moved, out=moved)  # row a: (M(a) v)[c]; g and h share it
-        rho_gv[c], lhs[c] = (np.einsum("aj,a->j", moved, u) for u in (gv, hv))
-    for c in _blocks(rep.dim, len(fv)):
-        moved = rho_gv[rep.perm[:, c]]
-        rhs[c] = np.einsum("aj,a->j", np.multiply(rep.phase[:, c], moved, out=moved), fv)
-    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+        rho_gv[..., c], lhs[..., c] = (np.einsum("...aj,...a->...j", moved, u) for u in (g, h))
+    for c in _blocks(rep.dim, k * len(rep.perm)):
+        moved = gather(rho_gv, c)
+        rhs[..., c] = np.einsum("...aj,...a->...j",
+                                np.multiply(rep.phase[:, c], moved, out=moved), f)
+    num, den = (np.max(np.abs(x), axis=-1) for x in (lhs - rhs, rhs))
+    return float(np.max(num / np.maximum(1.0, den)))
+
+
+def _trial_blocks(group: Group, rng, trials: int, functions: int, extra: int, width: int):
+    """Blocks of ``trials`` draws of ``functions`` vectors then ``extra`` values, one
+    :func:`sampling.random_complex` call a block (the words of one call a trial), the
+    vectors pruned as a GroupFunction's are; as many trials a block as fit ``_CHUNK``
+    complex128 slots at ``width`` a trial, at least one."""
+    k, n = max(1, cocycles._CHUNK // width), group.order
+    for i in range(0, trials, k):
+        x = sampling.random_complex(rng, min(k, trials - i) * (functions * n + extra))
+        x = x.reshape(-1, functions * n + extra)
+        _prune(group, np.arange(n)[:, None], x[:, :functions * n].reshape(len(x), functions, n))
+        yield x
 
 
 def convolution_theorem_trials(rep: MatrixRepresentation, rng, trials: int) -> float:
-    """The worst :func:`convolution_theorem_residual` of ``trials`` draws of f, g, then v."""
+    """The worst :func:`convolution_theorem_residual` of ``trials`` draws of f, g, then v,
+    as stacks through the product kernel and the residual.  A trial's slots: four a pair
+    (f g, E's gather, the weights, the index gather and bins) and v gathered twice."""
+    _require_normalized(rep.cocycle, "deformed convolution")
+    group, n, d = rep.group, rep.group.order, rep.dim
     worst = 0.0
-    for _ in range(trials):
-        f, g = (_random_function(rep.group, rng) for _ in range(2))
-        h = deformed_convolution(f, g, rep.cocycle)
-        v = sampling.random_complex(rng, rep.dim)
-        worst = max(worst, convolution_theorem_residual(rep, f, g, h, v))
+    for x in _trial_blocks(group, rng, trials, 2, d, 2 * n * (2 * n + d)):
+        f, g = x[:, :n], x[:, n:2 * n]
+        h = algebra._finite_product(group, rep.cocycle.phase_exp(), f, g)
+        h = _prune(group, np.arange(n)[:, None], h)
+        worst = max(worst, convolution_theorem_residual(rep, f, g, h, x[:, 2 * n:]))
+    return worst
+
+
+def plancherel_trials(alpha: Cocycle, rng, trials: int) -> float:
+    """The worst |integral(f_hat* f_hat) - sum |f|^2| of :func:`plancherel_values` over
+    ``trials`` random functions: on a lattice one at a time, on a finite group stacks
+    through one :func:`integration._star_integral` a block, at the 16 slots a value its
+    draw makes (words through the mix, floats, values)."""
+    group, worst = alpha.group, 0.0
+    if not group.is_finite:
+        for _ in range(trials):
+            lhs, rhs = plancherel_values(_random_function(group, rng), alpha)
+            worst = max(worst, abs(lhs - rhs))
+        return worst
+    for x in _trial_blocks(group, rng, trials, 1, 0, 16 * group.order):
+        lhs, vals, _ = _star_integral(alpha, x, x)
+        for value, row in zip(lhs.tolist(), vals):
+            worst = max(worst, abs(value - sum(abs(v) ** 2 for v in row.tolist())))
     return worst
 
 

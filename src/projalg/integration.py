@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sampling
-from .algebra import AlgebraElement, _aligned, _CoefficientStore
+from .algebra import AlgebraElement, _aligned, _CoefficientStore, _prune
 from .cocycles import (Cocycle, _require_finite_group, _require_normalized,
                        _require_same_group, zero_cocycle)
 from .errors import CrossCheckError
@@ -43,16 +43,19 @@ class GroupFunction(_CoefficientStore):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the store rejects inf and NaN
-def _star_integral(alpha: Cocycle, f: _CoefficientStore, g: _CoefficientStore) -> tuple:
+def _star_integral(alpha: Cocycle, f, g) -> tuple:
     """(integral(f_hat* g_hat), f(a), g(a)) under alpha, the values as summed.
     Only the terms conj(f(a)) g(a) exp(i alpha(a^-1, a)) reach the identity; they
     are summed in the product kernel's order, so the integral is the product's to
-    the bit, and refused where the product is.  Terms where f or g is 0 add 0."""
-    _require_same_group(f.group, alpha)
+    the bit, and refused where the product is.  Terms where f or g is 0 add 0.  On a
+    finite group f and g may be (k, order) stacks of vectors: then k integrals."""
+    if isinstance(f, _CoefficientStore):
+        _require_same_group(f.group, alpha)
     _require_normalized(alpha, "the involution")
-    if f.group.is_finite:  # the kernel's order: every a^-1, in index order
-        inv = f.group.inverse_indices()
-        fv, gv = f._vector()[inv], g._vector()[inv]  # f(a), g(a) at the index of a^-1
+    group = alpha.group
+    if group.is_finite:  # the kernel's order: every a^-1, in index order; f(a), g(a) there
+        inv = group.inverse_indices()
+        fv, gv = ((u if isinstance(u, np.ndarray) else u._vector())[..., inv] for u in (f, g))
         weights = np.exp(1j * alpha.phase_matrix()[np.arange(len(inv)), inv])
     else:  # f's key order, then g's other rows, where f(a) = 0
         keys, fv, gv = _aligned(f, g)
@@ -61,10 +64,11 @@ def _star_integral(alpha: Cocycle, f: _CoefficientStore, g: _CoefficientStore) -
                                      for A, B in sides) > LATTICE_COORD_LIMIT:
             raise ValueError("lattice coordinates of f* g exceed 2**53 in absolute value")
         weights = np.exp(1j * alpha.phases(-keys[:, None], keys[:, None]))[:, 0]
-    h = np.zeros(1, dtype=complex)
-    np.add.at(h, np.zeros(len(fv), dtype=np.intp), fv.conj() * gv * weights)
-    ident = GroupFunction._wrap(f.group, np.zeros((1, f._keys.shape[1]), np.int64), h)
-    return ident._at(0), fv, gv  # the identity's bin, pruned or refused like a product's
+    terms = fv.conj() * gv * weights
+    h = np.zeros((*terms.shape[:-1], 1), dtype=complex)  # the identity's bin of each row
+    np.add.at(h.reshape(-1), np.arange(h.size).repeat(terms.shape[-1]), terms.ravel())
+    _prune(group, np.zeros((1, 1 if group.is_finite else group.d), np.int64), h)
+    return (complex(h[0]) if h.ndim == 1 else h[:, 0]), fv, gv  # pruned or refused as a product
 
 
 def _random_function(group: Group, rng, *, box: int = 4,

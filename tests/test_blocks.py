@@ -12,10 +12,13 @@ rows wider than half of it.  The convolution-theorem residual, whose einsum
 sums depend on the layout, must agree to 1e-14.  The inverse adds in column
 order, so where a one-shot form sums its rows pairwise the oracle is the
 column-order sum.  The transform streamed as row blocks must write and
-invert as the whole matrix does.  Traced runs at orders 216 and 1024 bound
-what each pass allocates at the default budget of 2**13 pairs (128 KiB of
-complex128): under 0.75 and 1 MiB, where each traced at most 0.6, and the
-order-1024 matrix ``fourier`` command holds no matrix.
+invert as the whole matrix does.  The random trials of ``verify``, run as
+stacks of vectors in blocks of trials, must give the worst residual of the
+per-trial loops below, one GroupFunction per draw, to the bit.  Traced runs
+at orders 216 and 1024 bound what each pass and the trials allocate at the
+default budget of 2**13 pairs (128 KiB of complex128): under 0.75 and 1 MiB,
+where each traced at most 0.7, and the order-1024 matrix ``fourier`` command
+holds no matrix.
 """
 
 import copy
@@ -28,7 +31,8 @@ import numpy as np
 import pytest
 
 import projalg as pa
-from projalg import algebra, cocycles, harmonic, report, serialize
+from projalg import algebra, cocycles, harmonic, report, sampling, serialize
+from projalg.integration import _random_function
 from projalg.phases import reduce_phase
 
 from test_harmonic import bicharacter
@@ -290,8 +294,115 @@ def test_residual_is_the_one_shot_form(group, alpha, budget):
     for h in (pa.deformed_convolution(f, g, alpha_n),
               pa.deformed_convolution(g, f, alpha_n)):
         with mock.patch.object(cocycles, "_CHUNK", budget):
-            got = harmonic.convolution_theorem_residual(rep, f, g, h, v)
+            got = harmonic.convolution_theorem_residual(rep, f._vector(), g._vector(),
+                                                        h._vector(), v)
         assert abs(got - one_shot_residual(rep, f, g, h, v)) <= 1e-14
+
+
+def per_trial_residual(rep, f, g, h, v):
+    """The residual of one trial, with rho(u) v gathered over blocks of j as the
+    per-trial loop gathered it, each sum an einsum over its rows."""
+    fv, gv, hv = (u._vector() for u in (f, g, h))
+    rho_gv, lhs, rhs = np.empty((3, rep.dim), dtype=complex)
+    for c in cocycles._blocks(rep.dim, len(fv)):
+        moved = v[rep.perm[:, c]]
+        np.multiply(rep.phase[:, c], moved, out=moved)
+        rho_gv[c], lhs[c] = (np.einsum("aj,a->j", moved, u) for u in (gv, hv))
+    for c in cocycles._blocks(rep.dim, len(fv)):
+        moved = rho_gv[rep.perm[:, c]]
+        rhs[c] = np.einsum("aj,a->j", np.multiply(rep.phase[:, c], moved, out=moved), fv)
+    return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(rhs))))
+
+
+def per_trial_convolution(rep, rng, trials):
+    """The convolution trials one GroupFunction per draw: f, g, then v."""
+    worst = 0.0
+    for _ in range(trials):
+        f, g = (_random_function(rep.group, rng) for _ in range(2))
+        h = pa.deformed_convolution(f, g, rep.cocycle)
+        v = sampling.random_complex(rng, rep.dim)
+        worst = max(worst, per_trial_residual(rep, f, g, h, v))
+    return worst
+
+
+def per_trial_plancherel(alpha, rng, trials):
+    """The Plancherel trials one GroupFunction per draw."""
+    worst = 0.0
+    for _ in range(trials):
+        lhs, rhs = pa.plancherel_values(_random_function(alpha.group, rng), alpha)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def trial_reps():
+    """Regular representations of the two contexts and of the trivial group, whose
+    dimension is its order, and the n = 8 torus family, of dimension 8 at order 64."""
+    trivial = pa.make_cyclic_power(1, 1)
+    reps = [pa.regular_matrix_rep(g, pa.normalize(g, a)[0]) for g, a in contexts()]
+    return reps + [pa.regular_matrix_rep(trivial), pa.matrix_representation(8)]
+
+
+@pytest.mark.parametrize("budget", [*BUDGETS, cocycles._CHUNK, 2 ** 16])
+@pytest.mark.parametrize("trials", [0, 1, 7, 50])
+@pytest.mark.parametrize("rep", trial_reps(), ids=["z6sq", "s4", "trivial", "torus8"])
+def test_trials_are_the_per_trial_loops(rep, trials, budget):
+    """From one trial a block (budget 7) to all 50 in one (the trivial group at 1000):
+    2 convolution trials on S_4 at the default budget, 8 on (Z_6)^2 and 3 on the
+    torus at 2**16, 14 to 170 Plancherel trials, so 7 and 50 trials also end on a
+    short block.  The worst residual of each kind is the per-trial loop's to the
+    bit, and the stream stops at the same word."""
+    for seed in (1, 0x5EED):
+        streams = [sampling.rng_from_seed(seed) for _ in range(2)]
+        with mock.patch.object(cocycles, "_CHUNK", budget):
+            got = [harmonic.plancherel_trials(rep.cocycle, streams[0], trials),
+                   harmonic.convolution_theorem_trials(rep, streams[0], trials)]
+            expected = [per_trial_plancherel(rep.cocycle, streams[1], trials),
+                        per_trial_convolution(rep, streams[1], trials)]
+        assert float_bits(got) == float_bits(expected)
+        assert streams[0]._state == streams[1]._state
+
+
+def test_lattice_plancherel_trials_are_the_loop():
+    group = pa.make_lattice(2)
+    alpha = pa.normalize(group, pa.BilinearCocycle(group, [[0.3, 0.7], [-0.2, 0.1]]))[0]
+    streams = [sampling.rng_from_seed(9) for _ in range(2)]
+    got = harmonic.plancherel_trials(alpha, streams[0], 20)
+    assert float_bits(got) == float_bits(per_trial_plancherel(alpha, streams[1], 20))
+    assert streams[0]._state == streams[1]._state
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("group, alpha", contexts())
+def test_a_stack_is_each_vectors_product(group, alpha, budget):
+    """Rows of full, real, sparse, one-entry and empty vectors against the same
+    rows reversed: the pairs run over the union of the supports, and each row
+    of the stacked product, and its residual, is that row's alone to the bit."""
+    alpha_n = pa.normalize(group, alpha)[0]
+    rep, E = pa.regular_matrix_rep(group, alpha_n), alpha_n.phase_exp()
+    F = np.array(vectors(group, np.random.default_rng(10)))
+    G, V = F[::-1].copy(), F[[1, 0, 2, 4, 3]].copy()
+    with mock.patch.object(cocycles, "_CHUNK", budget):
+        H = algebra._finite_product(group, E, F, G)
+        worst = harmonic.convolution_theorem_residual(rep, F, G, H, V)
+        rows = [harmonic.convolution_theorem_residual(rep, *u) for u in zip(F, G, H, V)]
+    for f, g, h in zip(F, G, H):
+        assert_same_bits(h, one_shot_product(group, E, f, g))
+    assert float_bits(worst) == float_bits(max(rows))
+
+
+def test_a_stack_is_refused_at_its_first_bad_row():
+    """Pruning a stack refuses its first row holding NaN, inf or an overflowing
+    modulus with the message a GroupFunction of that row raises, and prunes
+    the rows before it in place."""
+    group = pa.make_cyclic_power(6, 2)
+    stack = np.ones((3, 36), dtype=complex)
+    stack[0, 4], stack[1, 7], stack[2, 0] = 1e-16, complex(1.5e308, 1.5e308), np.nan
+    with pytest.raises(ValueError) as expected:
+        pa.GroupFunction._from_vector(group, stack[1].copy())
+    with pytest.raises(ValueError, match="too large") as got:
+        algebra._prune(group, np.arange(36)[:, None], stack)
+    assert str(got.value) == str(expected.value)
+    assert stack[0, 4] == 0
 
 
 def with_nan_phase(alpha, row):
@@ -408,8 +519,9 @@ def traced_peak(fn, *args):
 
 
 def assert_passes_hold(n, d, bound):
-    """Each order**2 pass on (Z_n)^d with the bicharacter traces under ``bound``
-    bytes above its start, the transform under its result's bytes plus ``bound``."""
+    """Each order**2 pass on (Z_n)^d with the bicharacter, and 20 random trials of
+    each kind, trace under ``bound`` bytes above their start, the transform under
+    its result's bytes plus ``bound``."""
     group, alpha = bicharacter(n, d)
     alpha_n, _ = pa.normalize(group, alpha)
     rep = pa.regular_matrix_rep(group, alpha_n)
@@ -423,7 +535,8 @@ def assert_passes_hold(n, d, bound):
     zero = pa.zero_cocycle(group)
     assert traced_peak(pa.deformed_convolution, f, g, alpha_n) < bound
     assert traced_peak(pa.matrix_rep_inverse, fhat, rep) < bound
-    assert traced_peak(harmonic.convolution_theorem_residual, rep, f, g, h, v) < bound
+    assert traced_peak(harmonic.convolution_theorem_residual, rep, f._vector(), g._vector(),
+                       h._vector(), v) < bound
     assert traced_peak(pa.validate_cocycle, group, alpha) < bound
     assert traced_peak(pa.normalize, group, zero) < bound
     assert traced_peak(rep.transform, f) < fhat.nbytes + bound
@@ -432,12 +545,17 @@ def assert_passes_hold(n, d, bound):
     assert traced_peak(harmonic._as_monomial, group, (rep.perm, rep.phase), 1e-10) < bound
     assert traced_peak(pa.is_trivial_abelian, group, alpha) < bound
     assert traced_peak(pa.zero_cocycle, group) < 64 * 2 ** 10
+    rng = sampling.rng_from_seed(1)
+    assert traced_peak(harmonic.convolution_theorem_trials, rep, rng, 20) < bound
+    assert traced_peak(harmonic.plancherel_trials, alpha_n, rng, 20) < bound
 
 
 def test_order_1024_passes_hold_a_block():
     """At order 1024 each pass traced 0.2-0.6 MiB; with blocks of 2**15 pairs,
     0.4-1.7 MiB, and one-shot, 9-56 MiB (is_trivial_abelian 21 MiB).  The zero
-    cocycle holds no table: it traced 17 MiB with one."""
+    cocycle holds no table: it traced 17 MiB with one.  20 convolution trials,
+    one a block, traced 0.69 MiB and 20 Plancherel trials 0.13 MiB; the 20
+    Plancherel draws as one block traced 1.7 MiB."""
     assert_passes_hold(32, 2, 2 ** 20)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -789,6 +790,11 @@ def _pinned_argv(tmp_path, case):
                   for p in perms]})
     cob3 = write(tmp_path / "cob3.json", {"kind": "coboundary",
                                           "phi": [0.0, 0.1, -1.3, 2.9, -0.7, 1.7]})
+    z6sq = write(tmp_path / "z6sq.json", {"kind": "cyclic_power", "n": 6, "d": 2})
+    coords = list(itertools.product(range(6), repeat=2))
+    # alpha(a, b) = 2 pi a_0 b_1 / 6, unreduced, as the verify-finite workload writes it.
+    bichar = write(tmp_path / "bichar.json", {"kind": "table", "alpha": [
+        [2 * math.pi * a[0] * b[1] / 6 for b in coords] for a in coords]})
     return {
         "lattice-fourier": ["fourier", "--group", lattice, "--cocycle", bilinear,
                             "--in", f1, "--rep", "formal", "--roundtrip"],
@@ -800,6 +806,9 @@ def _pinned_argv(tmp_path, case):
                           "--in", w1, "--in2", w2],
         "named-table-verify": ["verify", "--group", s3, "--cocycle", cob3,
                                "--seed", "2A"],
+        "bicharacter-verify": ["verify", "--group", z6sq, "--cocycle", bichar,
+                               "--seed", "3C1"],
+        "clockshift-8": ["clockshift", "--n", "8", "--seed", "9E"],
     }[case]
 
 
@@ -808,13 +817,16 @@ def _pinned_argv(tmp_path, case):
 # the dict-backed coefficient store for coboundary-fourier, and for the two
 # lattice cases under the bilinear cocycle the elementwise phases with their
 # mirrored pairs (the matrix-product phases they replace moved the last bits,
-# by at most 8.9e-16, over the same keys).  Every byte must stay.
+# by at most 8.9e-16, over the same keys), and a GroupFunction per random trial
+# for bicharacter-verify and clockshift-8.  Every byte must stay.
 PINNED = {
     "lattice-fourier": "5f4b7a2b04cd75065a428ee74f909ab0a280fc50479e9dd624032034bb0707ab",
     "lattice-convolve": "eeeabb3b6e0d045a6416c2ccc136c17d7f9afa81680ca0e32a5e4947bd823e0d",
     "coboundary-fourier": "ed6f80928bce52cf262b326f730227e45a7476605d2e1e3693607d7d9931b571",
     "wide-convolve": "1a162b1cb404a958047aaf031545a47abdda94475e9129f72e95e4697b857a2b",
     "named-table-verify": "f154ac6377f19fbd87baf56d4ac369b9dee41bb1a346f36dc6e820283c6dba9b",
+    "bicharacter-verify": "20168885929a79124d48a0d4c2db35b13974c49835af6a881dbba5f95592fdb2",
+    "clockshift-8": "6646fcc652d1ead4aac5e4720e9529cb9b41506d11e90cdc4aa36a2899b1c38d",
 }
 
 

@@ -524,21 +524,22 @@ class TestConvolutionTheorem:
         f, g = random_function(group, rng), random_function(group, rng)
         v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         h = pa.deformed_convolution(f, g, alpha_n)
-        assert harmonic.convolution_theorem_residual(rep, f, g, h, v) < 1e-14
+        fv, gv = f._vector(), g._vector()
+        assert harmonic.convolution_theorem_residual(rep, fv, gv, h._vector(), v) < 1e-14
         # A wrong h: the dense oracle and the gather agree on its residual.
         wrong = pa.deformed_convolution(g, f, alpha_n)
         rhs = pa.fourier(f, rep) @ (pa.fourier(g, rep) @ v)
         expected = (np.max(np.abs(pa.fourier(wrong, rep) @ v - rhs))
                     / max(1.0, np.max(np.abs(rhs))))
-        got = harmonic.convolution_theorem_residual(rep, f, g, wrong, v)
+        got = harmonic.convolution_theorem_residual(rep, fv, gv, wrong._vector(), v)
         assert got == pytest.approx(expected, rel=1e-9)
         assert got > 0.1
 
-    def test_context_mismatch(self, z4, rng):
-        rep = pa.regular_matrix_rep(pa.make_cyclic_power(2, 2))
-        f = random_function(z4, rng)
-        with pytest.raises(pa.ContextMismatchError):
-            harmonic.convolution_theorem_residual(rep, f, f, f, np.ones(4))
+    def test_vectors_of_another_order_are_refused(self, z4, rng):
+        rep = pa.regular_matrix_rep(pa.make_cyclic_power(3, 2))
+        f = random_function(z4, rng)._vector()
+        with pytest.raises(ValueError):
+            harmonic.convolution_theorem_residual(rep, f, f, f, np.ones(9, dtype=complex))
 
     def test_verify_catches_a_mutant_kernel(self, tmp_path, mutant_kernel):
         from projalg import cli
