@@ -142,46 +142,42 @@ def cmd_verify(args) -> int:
     validation = validate_cocycle(group, alpha, tol=_tol(cfg, 1e-10),
                                   seed=cfg.seed)
     report.extend(validation)
-    if not validation.passed:
-        report.elapsed_seconds = time.perf_counter() - started
-        _finish(report, cfg.out)
-        return EXIT_CHECK_FAILED
+    if validation.passed:  # the other checks need a valid cocycle
+        alpha_n, _ = normalize(group, alpha, validate=False)
+        report.extend(check_identities(group, alpha_n, tol=_tol(cfg, 1e-10),
+                                       seed=cfg.seed), prefix="identities")
 
-    alpha_n, _ = normalize(group, alpha, validate=False)
-    report.extend(check_identities(group, alpha_n, tol=_tol(cfg, 1e-10),
-                                   seed=cfg.seed), prefix="identities")
+        if group.is_finite:
+            report.add("self_conjugacy", self_conjugacy_residual(group, alpha_n),
+                       _tol(cfg, 1e-12))
+            report.extend(completeness_check(group, alpha_n, tol=_tol(cfg, 1e-12)))
 
-    if group.is_finite:
-        report.add("self_conjugacy", self_conjugacy_residual(group, alpha_n),
-                   _tol(cfg, 1e-12))
-        report.extend(completeness_check(group, alpha_n, tol=_tol(cfg, 1e-12)))
+        rng = sampling.rng_from_seed(cfg.seed)
+        report.add("plancherel", plancherel_trials(alpha_n, rng, VERIFY_TRIALS),
+                   _tol(cfg, 1e-12), detail=f"{VERIFY_TRIALS} random functions")
 
-    rng = sampling.rng_from_seed(cfg.seed)
-    report.add("plancherel", plancherel_trials(alpha_n, rng, VERIFY_TRIALS), _tol(cfg, 1e-12),
-               detail=f"{VERIFY_TRIALS} random functions")
+        if group.is_finite:  # on a lattice every product is the kernel itself
+            worst = convolution_theorem_trials(regular_matrix_rep(group, alpha_n), rng,
+                                               VERIFY_TRIALS)
+            report.add("convolution_theorem", worst, _tol(cfg, 1e-12),
+                       detail=f"{VERIFY_TRIALS} random pairs, regular picture, relative")
 
-    if group.is_finite:  # on a lattice every product is the kernel itself
-        worst = convolution_theorem_trials(regular_matrix_rep(group, alpha_n), rng,
-                                           VERIFY_TRIALS)
-        report.add("convolution_theorem", worst, _tol(cfg, 1e-12),
-                   detail=f"{VERIFY_TRIALS} random pairs, regular picture, relative")
-
-    if cfg.cocycle_kind == "clockshift":
-        report.extend(consistency_check(group.n, seed=cfg.seed, tol=cfg.tol),
-                      prefix="clockshift")
+        if cfg.cocycle_kind == "clockshift":
+            report.extend(consistency_check(group.n, seed=cfg.seed, tol=cfg.tol),
+                          prefix="clockshift")
 
     report.elapsed_seconds = time.perf_counter() - started
-    _finish(report, cfg.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _finish(report, cfg.out)
 
 
-def _finish(report: VerificationReport, out: str | None) -> None:
+def _finish(report: VerificationReport, out: str | None) -> int:
     _emit(report.to_dict(), out)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
     if report.elapsed_seconds is not None:
         print(f"suite {report.suite} finished in {report.elapsed_seconds:.3f}s",
               file=sys.stderr)
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 # -- fourier ---------------------------------------------------------------
@@ -237,7 +233,7 @@ def cmd_fourier(args) -> int:
     if roundtrip is not None:
         checks["roundtrip"] = _check_dict(f.max_diff(roundtrip), _tol(cfg, 1e-12))
     _emit({"transform": transform, "checks": checks}, cfg.out)
-    ok = all(c.get("pass", True) for c in checks.values())
+    ok = all(c["pass"] for c in checks.values())
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -275,8 +271,7 @@ def cmd_clockshift(args) -> int:
         report = consistency_check(args.n, seed=_parse_seed(args.seed))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _finish(report, args.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 def cmd_report(args) -> int:
@@ -357,7 +352,3 @@ def main(argv=None) -> int:
     except RepresentationInconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

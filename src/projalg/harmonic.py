@@ -53,8 +53,9 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
 
     For each s in S | {e}, S = ``group.generators()``, one array expression compares
     M(x) M(s) with exp(i alpha(x, s)) M(xs) for every x; g is the worst residual.  Without
-    a ``cocycle``, alpha(x, s) is measured there and the other columns are filled along
-    words: alpha(a, bs) = alpha(a, b) + alpha(ab, s) - alpha(b, s).  With unit phases
+    a ``cocycle``, alpha(x, s) is measured there (alpha(e, .) = alpha(., e) = 0 where M(e)
+    is exactly I) and the other columns are filled along words:
+    alpha(a, bs) = alpha(a, b) + alpha(ab, s) - alpha(b, s).  With unit phases
     (:func:`_as_monomial`), err(a, bs) <= err(a, b) + 2g + c, c the worst
     :func:`_triple_scan` residual, so with L the word depth every pair is within
     (2L + 1) g + L c: O(|S| order dim + |S| order^2) work.  Returns (table, bound,
@@ -74,8 +75,10 @@ def projective_product_rule(group: Group, perm: np.ndarray, phase: np.ndarray,
             q_val = np.exp(1j * table[:, s])[:, None] * q_val  # exp(i alpha(x, s)) M(xs)
             r = np.where(moved, np.maximum(np.abs(p_val), np.abs(q_val)), np.abs(p_val - q_val))
             res[:, k] = r.max(axis=1)
-        if cocycle is None:  # each column c = bs once, from a column b one letter shorter
-            for depth in range(2, L + 1):
+        if cocycle is None:
+            if perm[0].tolist() == [*range(perm.shape[1])] and set(phase[0].tolist()) == {1}:
+                table[0], table[:, 0] = 0.0, 0.0  # M(e) = I: exact zeros, not angles of z / z
+            for depth in range(2, L + 1):  # each column c = bs once, from one b a letter shorter
                 i, j = np.nonzero((lengths[:, None] == depth - 1) & (lengths[T[:, S]] == depth))
                 c, first = np.unique(T[i, S[j]], return_index=True)
                 b, s = i[first], S[j[first]]
@@ -326,18 +329,15 @@ def convolution_theorem_trials(rep: MatrixRepresentation, rng, trials: int) -> f
 
 def plancherel_trials(alpha: Cocycle, rng, trials: int) -> float:
     """The worst |integral(f_hat* f_hat) - sum |f|^2| of :func:`plancherel_values` over
-    ``trials`` random functions: on a lattice one at a time, on a finite group stacks
-    through one :func:`integration._star_integral` a block, at the 16 slots a value its
-    draw makes (words through the mix, floats, values)."""
+    ``trials`` random functions, one :func:`integration._star_integral` a block: on a
+    finite group stacks, at the 16 slots a value its draw makes (words through the mix,
+    floats, values); on a lattice one function, a block of one."""
     group, worst = alpha.group, 0.0
-    if not group.is_finite:
-        for _ in range(trials):
-            lhs, rhs = plancherel_values(_random_function(group, rng), alpha)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-    for x in _trial_blocks(group, rng, trials, 1, 0, 16 * group.order):
+    blocks = (_trial_blocks(group, rng, trials, 1, 0, 16 * group.order) if group.is_finite
+              else (_random_function(group, rng) for _ in range(trials)))
+    for x in blocks:
         lhs, vals, _ = _star_integral(alpha, x, x)
-        for value, row in zip(lhs.tolist(), vals):
+        for value, row in zip(np.atleast_1d(lhs).tolist(), np.atleast_2d(vals)):
             worst = max(worst, abs(value - sum(abs(v) ** 2 for v in row.tolist())))
     return worst
 

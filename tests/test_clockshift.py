@@ -86,12 +86,11 @@ class TestMeasuredCocycle:
         assert alpha.phase((0, 1), (1, 0)) == pytest.approx(np.pi / 2)
 
     def test_identity_row_is_zero(self):
-        for n in (2, 3, 4):
-            alpha = pa.measured_cocycle(n)
-            g = pa.make_cyclic_power(n, 2)
-            for m in g.elements():
-                assert alpha.phase(m, (0, 0)) == 0.0
-                assert alpha.phase((0, 0), m) == 0.0
+        """M(e) = I exactly, so alpha(e, .) and alpha(., e) are exact zeros, not angles
+        of sums of z / z (positive up to 1.6e-17 at n = 6, 12, 18, 24 to 27, 29, 30, 32)."""
+        for n in clockshift.SUPPORTED_RANGE:
+            A = pa.measured_cocycle(n).phase_matrix()
+            assert not A[0].any() and not A[:, 0].any(), n
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_validates_exhaustively(self, n):

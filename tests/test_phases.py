@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from projalg.phases import circle_distance, reduce_phase
+from projalg.phases import TWO_PI, circle_distance, reduce_phase
+
+
+def exact_remainder(x: float) -> float:
+    """x mod TWO_PI in (-pi, pi], exact: math.fmod is, and so is one TWO_PI step from
+    its result, whose magnitude lies within a factor of 2 of TWO_PI there (Sterbenz)."""
+    r = math.fmod(x, TWO_PI)
+    return r - TWO_PI if r > np.pi else r + TWO_PI if r <= -np.pi else r
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6))
@@ -12,6 +21,23 @@ def test_reduce_phase_lands_in_branch(x):
     assert -np.pi < r <= np.pi
     k = (x - r) / (2 * np.pi)
     assert abs(k - round(k)) < 1e-6
+
+
+@given(st.floats(min_value=-1e300, max_value=1e300))
+@example(2.0 ** 52 + 0.5)
+@example(-(2.0 ** 52 + 0.5))
+@example(0.3 * 2.0 ** 104)
+@example(-0.3 * 2.0 ** 104)
+@example(1e300)
+@example(-1e300)
+def test_reduce_phase_is_the_exact_remainder(x):
+    """np.mod's remainder is exact at any magnitude; only its fold of a negative
+    remainder into (0, 2 pi) rounds, by at most half an ulp of 2 pi (4.4e-16).  The
+    rint form x - 2 pi rint(x / 2 pi) is off by up to 6.77 near 2**52 and leaves the
+    branch near 1e300."""
+    r = reduce_phase(x)
+    assert -np.pi < r <= np.pi
+    assert abs(r - exact_remainder(x)) <= 4.5e-16
 
 
 def test_reduce_phase_array():

@@ -194,6 +194,15 @@ def test_measured_table_matches_loop(n, dressed):
     assert np.max(np.abs(reduce_phase(measured - ref_measure(g, mats)))) < 1e-14
 
 
+def test_identity_row_is_measured_unless_m_e_is_i():
+    """With M(e) = exp(0.7 i) I the identity row and column are measured, not written
+    as zeros: the dressing shifts alpha(e, b) and alpha(b, e) from 0 to 0.7."""
+    g, mats = torus(4, False)
+    mats[(0, 0)] = np.exp(0.7j) * mats[(0, 0)]
+    A = pa.measure_cocycle_from_matrices(g, mats).phase_matrix()
+    assert np.max(np.abs(np.r_[A[0], A[:, 0]] - 0.7)) < 1e-14
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_residual_matches_loop(n):
     """The generator bound covers the per-pair loop's worst residual, and the
