@@ -17,13 +17,6 @@ for finite groups, (Z_n)^D, and the lattice Z^D, together with:
 from .algebra import (AlgebraElement, RegularRepPair, apply_L, apply_R,
                       conjugation_matrix, generator, involution, multiply,
                       regular_reps)
-from .calculus import (Automorphism, CoordinateDerivation, Derivation,
-                       SigmaDerivation, apply_automorphism, check_leibniz,
-                       derive, integral_of_derivation, measure_invariance_check)
-from .clockshift import (clock_shift_matrices, consistency_check,
-                         element_matrices, matrix_representation,
-                         measure_cocycle_from_matrices, measured_cocycle,
-                         realize, trace_integral)
 from .cocycles import (BilinearCocycle, Cocycle, GaugedCocycle, GaugePhase,
                        TabulatedCocycle, check_identities, coboundary,
                        cocycle_condition_residual, commutator_pairing,
@@ -50,4 +43,25 @@ from .report import CheckResult, VerificationReport, dumps_canonical
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Loaded on first access (PEP 562): no command runs calculus, few run clockshift.
+_LAZY = {name: module for module, names in {
+    "calculus": "Automorphism CoordinateDerivation Derivation SigmaDerivation apply_automorphism"
+                " check_leibniz derive integral_of_derivation measure_invariance_check",
+    "clockshift": "clock_shift_matrices consistency_check element_matrices matrix_representation"
+                  " measure_cocycle_from_matrices measured_cocycle realize trace_integral",
+}.items() for name in (module, *names.split())}
+
+__all__ = sorted(name for name in [*dir(), *_LAZY] if not name.startswith("_"))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return globals()[name]  # cached: later lookups skip this function
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

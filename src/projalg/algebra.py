@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -349,8 +348,7 @@ def apply_L(a, u: AlgebraElement) -> AlgebraElement:
     return generator(u.group, u.cocycle, a) * u
 
 
-@dataclass(frozen=True)
-class RegularRepPair:
+class RegularRepPair(NamedTuple):
     """Right/left regular matrices and the conjugation matrix of a finite group."""
 
     group: Group

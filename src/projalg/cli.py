@@ -13,12 +13,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain
 
 from . import sampling
 from .algebra import self_conjugacy_residual
-from .clockshift import consistency_check, matrix_representation
 from .cocycles import Cocycle, check_identities, normalize, validate_cocycle
 from .errors import RepresentationInconsistencyError
 from .groups import CyclicPowerGroup, Group
@@ -45,16 +43,6 @@ _INPUT_ERRORS = (ValueError, TypeError, KeyError, AttributeError, OverflowError)
 
 class InputError(Exception):
     """Unreadable or structurally invalid configuration input."""
-
-
-@dataclass
-class RunConfig:
-    group: Group
-    cocycle: Cocycle
-    cocycle_kind: str
-    tol: float | None
-    seed: int
-    out: str | None
 
 
 def _load_json(path: str):
@@ -90,14 +78,15 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _config(args) -> RunConfig:
+def _config(args) -> argparse.Namespace:
+    """The group, cocycle, cocycle_kind, tol, seed and out of a command's arguments."""
     if args.tol is not None and not 0 < args.tol < float("inf"):
         raise InputError(f"tol must be finite and above 0, got {args.tol!r}")
     group = _parse(args.group, "group", group_from_spec, _load_json(args.group))
     spec = {"kind": "zero"} if args.cocycle is None else _load_json(args.cocycle)
     cocycle = _parse(args.cocycle, "cocycle", cocycle_from_spec, spec, group)
-    return RunConfig(group=group, cocycle=cocycle, cocycle_kind=str(spec.get("kind")),
-                     tol=args.tol, seed=_parse_seed(args.seed), out=args.out)
+    return argparse.Namespace(group=group, cocycle=cocycle, cocycle_kind=str(spec.get("kind")),
+                              tol=args.tol, seed=_parse_seed(args.seed), out=args.out)
 
 
 def _emit(doc, out: str | None) -> None:
@@ -121,7 +110,7 @@ def _emit(doc, out: str | None) -> None:
         raise
 
 
-def _tol(cfg: RunConfig, default: float) -> float:
+def _tol(cfg: argparse.Namespace, default: float) -> float:
     return cfg.tol if cfg.tol is not None else default
 
 
@@ -163,6 +152,7 @@ def cmd_verify(args) -> int:
                        detail=f"{VERIFY_TRIALS} random pairs, regular picture, relative")
 
         if cfg.cocycle_kind == "clockshift":
+            from .clockshift import consistency_check
             report.extend(consistency_check(group.n, seed=cfg.seed, tol=cfg.tol),
                           prefix="clockshift")
 
@@ -183,7 +173,7 @@ def _finish(report: VerificationReport, out: str | None) -> int:
 # -- fourier ---------------------------------------------------------------
 
 
-def _normalized(cfg: RunConfig) -> Cocycle:
+def _normalized(cfg: argparse.Namespace) -> Cocycle:
     """Normalize the configured cocycle; invalid data is an input error here."""
     try:
         alpha_n, _ = normalize(cfg.group, cfg.cocycle, seed=cfg.seed)
@@ -197,8 +187,9 @@ def cmd_fourier(args) -> int:
     group = cfg.group
     f = _load_function(args.infile, group)
     torus = args.rep == "matrix" and cfg.cocycle_kind == "clockshift"
-    # The torus realization validates and normalizes the measured cocycle itself.
-    rep = matrix_representation(group.n) if torus else None
+    if torus:  # the torus realization validates and normalizes the measured cocycle itself
+        from .clockshift import matrix_representation
+        rep = matrix_representation(group.n)
     alpha_n = rep.cocycle if torus else _normalized(cfg)
     # First: input whose squares overflow is refused before a transform sums it.
     try:
@@ -267,6 +258,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_clockshift(args) -> int:
+    from .clockshift import consistency_check
     try:
         report = consistency_check(args.n, seed=_parse_seed(args.seed))
     except ValueError as exc:

@@ -459,12 +459,14 @@ def normalize(group: Group, alpha: Cocycle, *, validate: bool = True,
     case phi(e) = 0.
     """
     _require_same_group(group, alpha)
+    # An exact zero table passes the scan at every tolerance VerificationReport.add takes.
+    zero = group.is_finite and alpha.normalized and not alpha.phase_matrix().any()
+    if zero and (not validate or 0 < float(tol) < np.inf):
+        return alpha, GaugePhase.zero(group)  # 0 + 0 - 0 - 0: the gauge path's bits
     if validate:
         _require_cocycle(group, alpha, tol=tol, samples=samples, box=box, seed=seed)
     if group.is_finite:
         A = alpha.phase_matrix()
-        if alpha.normalized and not A.any():  # 0 + 0 - 0 - 0: the gauge path's bits
-            return alpha, GaugePhase.zero(group)
         inv = group.inverse_indices()
         ar = np.arange(group.order)
         # alpha(a, a^-1) and alpha(a^-1, a) agree only mod 2 pi, and rounding

@@ -30,7 +30,8 @@ from .cocycles import (Cocycle, _blocks, _require_finite_group, _require_normali
                        _require_same_group, _triple_scan, _words, zero_cocycle)
 from .errors import RepresentationInconsistencyError, UnsupportedOperationError
 from .groups import CyclicPowerGroup, Group
-from .integration import GroupFunction, _random_function, _star_integral, as_algebra_element
+from .integration import (GroupFunction, _random_lattice_functions, _star_integral,
+                          as_algebra_element)
 from .phases import TWO_PI
 from .report import VerificationReport
 
@@ -331,10 +332,10 @@ def plancherel_trials(alpha: Cocycle, rng, trials: int) -> float:
     """The worst |integral(f_hat* f_hat) - sum |f|^2| of :func:`plancherel_values` over
     ``trials`` random functions, one :func:`integration._star_integral` a block: on a
     finite group stacks, at the 16 slots a value its draw makes (words through the mix,
-    floats, values); on a lattice one function, a block of one."""
+    floats, values); on a lattice one function a block, all drawn at once."""
     group, worst = alpha.group, 0.0
     blocks = (_trial_blocks(group, rng, trials, 1, 0, 16 * group.order) if group.is_finite
-              else (_random_function(group, rng) for _ in range(trials)))
+              else _random_lattice_functions(group, rng, trials))
     for x in blocks:
         lhs, vals, _ = _star_integral(alpha, x, x)
         for value, row in zip(np.atleast_1d(lhs).tolist(), np.atleast_2d(vals)):

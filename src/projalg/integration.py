@@ -74,14 +74,23 @@ def _star_integral(alpha: Cocycle, f, g) -> tuple:
 def _random_function(group: Group, rng, *, box: int = 4,
                      support: int = 5) -> GroupFunction:
     """Values uniform on [-1, 1)^2: on a finite group everywhere, in one
-    :func:`sampling.random_complex` draw; on a lattice at ``support`` points
-    of the box (duplicates collapse)."""
+    :func:`sampling.random_complex` draw; on a lattice, from a SplitMix64 stream,
+    at ``support`` points of the box (duplicates collapse)."""
     if group.is_finite:
         return GroupFunction._from_vector(group, sampling.random_complex(rng, group.order))
-    coeffs = {}
-    for _ in range(support):
-        coeffs[sampling.random_element(group, rng, box=box)] = sampling.random_complex(rng)
-    return GroupFunction(group, coeffs)
+    return next(_random_lattice_functions(group, rng, 1, box=box, support=support))
+
+
+def _random_lattice_functions(group: Group, stream: sampling.SplitMix64, count: int, *,
+                              box: int = 4, support: int = 5):
+    """``count`` of :func:`_random_function`'s lattice functions from one draw of the
+    stream's words, per point a value's two, then the point's D, read through
+    ``uniform`` and, from a copy of the stream, ``integers``."""
+    size, copy = (count, support, 2 + group.d), sampling.SplitMix64(stream._state)
+    points = copy.integers(-box, box + 1, size)[..., 2:].tolist()
+    values = stream.uniform(-1.0, 1.0, size)[..., :2].view(complex)[..., 0].tolist()
+    for p, v in zip(points, values):
+        yield GroupFunction(group, dict(zip(map(tuple, p), v)))  # first position, last value
 
 
 def as_algebra_element(f: GroupFunction, alpha: Cocycle) -> AlgebraElement:

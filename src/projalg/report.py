@@ -15,15 +15,15 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     max_residual: float
     tolerance: float
@@ -47,11 +47,11 @@ class CheckResult:
                 f" (tol {self.tolerance:.1e})")
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float | None = None
+class VerificationReport(SimpleNamespace):  # gives the attributes' repr and ==
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None,
+                 elapsed_seconds: float | None = None):
+        super().__init__(suite=suite, checks=[] if checks is None else checks,
+                         elapsed_seconds=elapsed_seconds)
 
     def add(self, name: str, max_residual: float, tolerance: float,
             detail: str | None = None) -> CheckResult:
@@ -64,9 +64,7 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport", prefix: str | None = None) -> None:
         for c in other.checks:
-            name = f"{prefix}.{c.name}" if prefix else c.name
-            self.checks.append(CheckResult(name, c.max_residual, c.tolerance,
-                                           c.passed, c.detail))
+            self.checks.append(c._replace(name=f"{prefix}.{c.name}") if prefix else c)
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, _coefficients
-from .clockshift import _require_supported, measured_cocycle
 from .cocycles import (BilinearCocycle, Cocycle, GaugePhase, TabulatedCocycle,
                        coboundary, zero_cocycle)
 from .groups import (DIMENSION_LIMIT, VALIDATION_ORDER_LIMIT, CyclicPowerGroup,
@@ -72,6 +71,7 @@ def cocycle_from_spec(spec: dict, group: Group) -> Cocycle:
         if not (isinstance(group, CyclicPowerGroup) and group.d == 2):
             raise ValueError(
                 "the clockshift cocycle lives on cyclic_power groups with d = 2")
+        from .clockshift import _require_supported, measured_cocycle
         _require_supported(group.n)
         return measured_cocycle(group.n)
     raise ValueError(f"unknown cocycle kind {kind!r}")

@@ -571,13 +571,25 @@ class TestNormalize:
         assert out.normalized
         assert np.max(np.abs(phi.table())) == 0.0
 
-    def test_zero_table_is_returned_after_validation(self):
+    def test_zero_table_is_returned_without_validation(self):
+        """Every residual of an exact zero table is 0, so it passes the scan at any
+        tolerance VerificationReport.add takes: the scan is skipped for it, and
+        only for it.  A tolerance add refuses is refused as before."""
         g = pa.make_cyclic_power(6, 2)
         alpha = pa.TabulatedCocycle(g, np.zeros((36, 36)))
+        one_entry = np.zeros((36, 36))
+        one_entry[7, 11] = 0.5
         with mock.patch.object(cocycles, "validate_cocycle",
                                wraps=cocycles.validate_cocycle) as check:
             out, phi = pa.normalize(g, alpha)
-        check.assert_called_once()
+            check.assert_not_called()
+            with pytest.raises(ValueError, match="associativity"):
+                pa.normalize(g, pa.TabulatedCocycle(g, one_entry))
+            check.assert_called_once()
+        for zero in (alpha, pa.zero_cocycle(g)):
+            for tol in (0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="tolerance must be finite"):
+                    pa.normalize(g, zero, tol=tol)
         assert out is alpha and not phi.table().any()
         # The gauge path's table, 0 + 0 - 0 - 0, to the bit.
         gauged = pa.gauge_transform(alpha, pa.GaugePhase.from_table(g, phi.table()))
